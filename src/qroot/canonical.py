@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (ClusterOverlap, NotHermitian, NotSelfadjoint, ParseError,
                      RankAmbiguous, SizeMismatch, SpecInvalid, NearSingular)
@@ -191,6 +190,18 @@ def sip_matrix(k: int) -> np.ndarray:
     return np.fliplr(np.eye(k))
 
 
+def block_diag(*blocks) -> np.ndarray:
+    """Block-diagonal matrix of one or more square blocks, in their common dtype."""
+    n = sum(blk.shape[0] for blk in blocks)
+    out = np.zeros((n, n), dtype=np.result_type(*blocks))
+    i = 0
+    for blk in blocks:
+        k = blk.shape[0]
+        out[i:i + k, i:i + k] = blk
+        i += k
+    return out
+
+
 def _copy_pair(blocks, swap: bool) -> tuple[np.ndarray, np.ndarray]:
     """One copy of the materialized pair; swap=True conjugates nonreal pairs."""
     bparts, hparts = [], []
@@ -204,9 +215,7 @@ def _copy_pair(blocks, swap: bool) -> tuple[np.ndarray, np.ndarray]:
             bparts.append(jordan_block(first, blk.size))
             bparts.append(jordan_block(second, blk.size))
             hparts.append(sip_matrix(2 * blk.size))
-    b = scipy.linalg.block_diag(*bparts) if bparts else np.zeros((0, 0), dtype=complex)
-    h = scipy.linalg.block_diag(*hparts) if hparts else np.zeros((0, 0))
-    return b.astype(complex), h.astype(complex)
+    return block_diag(*bparts).astype(complex), block_diag(*hparts).astype(complex)
 
 
 def materialize_pair(spec: CanonicalSpec) -> tuple[OmegaMatrix, OmegaMatrix]:
@@ -216,9 +225,8 @@ def materialize_pair(spec: CanonicalSpec) -> tuple[OmegaMatrix, OmegaMatrix]:
         raise SpecInvalid("cannot materialize an empty spec")
     b1, h1 = _copy_pair(blocks, swap=False)
     b2, _ = _copy_pair(blocks, swap=True)
-    b = scipy.linalg.block_diag(b1, b2)
-    h = scipy.linalg.block_diag(h1, h1)
-    return OmegaMatrix(b, check=False), OmegaMatrix(h.astype(complex), check=False)
+    return (OmegaMatrix(block_diag(b1, b2), check=False),
+            OmegaMatrix(block_diag(h1, h1), check=False))
 
 
 def interleave_permutation(t: int, sizes) -> np.ndarray:
@@ -267,6 +275,22 @@ def block_permutation(order_from: list[int], widths: list[int]) -> np.ndarray:
     return p
 
 
+def interleave_index(sizes) -> np.ndarray:
+    """Index form of interleave_permutation: P X P^T == X[np.ix_(idx, idx)]."""
+    src_off = np.cumsum([0] + [s for s in sizes for _ in range(2)])
+    return np.concatenate(
+        [np.arange(src_off[2 * i + half], src_off[2 * i + half] + s)
+         for half in (0, 1) for i, s in enumerate(sizes)])
+
+
+def block_index(order_from: list[int], widths: list[int]) -> np.ndarray:
+    """Index form of block_permutation: P X P^T == X[np.ix_(idx, idx)]."""
+    src_off = np.cumsum([0] + [widths[b] for b in order_from])
+    return np.concatenate(
+        [np.arange(src_off[pos], src_off[pos] + widths[b])
+         for b, pos in enumerate(np.argsort(order_from))])
+
+
 def inertia(h: np.ndarray, rank_tol: float | None = None) -> tuple[int, int]:
     """(n_plus, n_minus) of a Hermitian matrix; congruence invariant."""
     h = h.array if isinstance(h, OmegaMatrix) else np.asarray(h, dtype=complex)
@@ -284,11 +308,8 @@ def inertia(h: np.ndarray, rank_tol: float | None = None) -> tuple[int, int]:
 # rank staircase / Segre characteristic
 # ---------------------------------------------------------------------------
 
-def _rank_with_guard(m: np.ndarray, tol: Tolerances) -> int:
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    thr = tol.rank_threshold(m)
+def _rank_with_guard(s: np.ndarray, thr: float) -> int:
+    """Count of singular values s above thr; none may sit within a factor 10 of it."""
     ambiguous = (s > thr / 10.0) & (s < thr * 10.0)
     if np.any(ambiguous):
         raise RankAmbiguous(
@@ -296,17 +317,27 @@ def _rank_with_guard(m: np.ndarray, tol: Tolerances) -> int:
     return int(np.sum(s > thr))
 
 
-def _staircase_parts(n_mat: np.ndarray, expected_dim: int, tol: Tolerances) -> list[int]:
-    """Jordan part sizes of a (numerically) nilpotent matrix via rank drops."""
+def _staircase(n_mat: np.ndarray, expected_dim: int,
+               tol: Tolerances) -> tuple[list[int], list[np.ndarray]]:
+    """Jordan part sizes of a (numerically) nilpotent matrix via rank drops.
+
+    One SVD per power N^p yields both its guarded rank and an orthonormal
+    basis of ker N^p.  Returns (parts, kernels) with kernels[p] that basis
+    for p = 0 .. largest part.
+    """
     n = n_mat.shape[0]
     dims = [0]
+    kernels = [np.zeros((n, 0), dtype=complex)]
     power = np.eye(n, dtype=complex)
     for _ in range(n):
         power = power @ n_mat
-        d = n - _rank_with_guard(power, tol)
+        _, s, vh = np.linalg.svd(power)
+        rank = _rank_with_guard(s, tol.rank_threshold(power))
+        d = n - rank
         if d == dims[-1]:
             break
         dims.append(d)
+        kernels.append(vh[rank:].conj().T)
         if d == n:
             break
     if dims[-1] != expected_dim:
@@ -318,23 +349,39 @@ def _staircase_parts(n_mat: np.ndarray, expected_dim: int, tol: Tolerances) -> l
         nxt = counts[p] if p < len(counts) else 0
         parts.extend([p] * (c - nxt))
     parts.sort(reverse=True)
-    return parts
+    return parts, kernels
 
 
-def _deflate_cluster(b: np.ndarray, centroid: complex, radius: float,
+def _schur(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form (T, Z), B = Z T Z^*.
+
+    scipy is imported here and in _deflate_cluster only, on first use, so
+    the commands that never canonicalize do not load it.
+    """
+    import scipy.linalg
+    return scipy.linalg.schur(b, output="complex")
+
+
+def _deflate_cluster(b: np.ndarray, schur: tuple[np.ndarray, np.ndarray],
+                     centroid: complex, radius: float,
                      expected: int) -> tuple[np.ndarray, np.ndarray]:
-    """Schur-deflate the invariant subspace of the eigenvalue cluster.
+    """Deflate the invariant subspace of the eigenvalue cluster.
 
+    Reorders the Schur form (T, Z) of b so the cluster's eigenvalues lead
+    (LAPACK ztrsen, Bai & Demmel swaps; the input form is left as it is).
     Returns (Q1, N) with B Q1 = Q1 (N + centroid I) up to backward error;
     rank decisions on powers of the full matrix would drown in the growth of
     the other eigenvalues, so all staircase work happens on N.
     """
-    _, z, sdim = scipy.linalg.schur(
-        b, output="complex", sort=lambda x: abs(x - centroid) <= radius)
-    if sdim != expected:
+    from scipy.linalg.lapack import ztrsen
+    t, z = schur
+    select = np.abs(np.diag(t) - centroid) <= radius
+    _, zs, _, sdim, _, _, info = ztrsen(select, t, z, job="N")
+    if sdim != expected or info != 0:
         raise ClusterOverlap(
-            f"Schur selection found {sdim} eigenvalues, expected {expected}")
-    q1 = z[:, :sdim]
+            f"Schur selection found {sdim} eigenvalues, expected {expected} "
+            f"(ztrsen info {info})")
+    q1 = zs[:, :sdim]
     t11 = q1.conj().T @ b @ q1
     return q1, t11 - centroid * np.eye(sdim, dtype=complex)
 
@@ -344,15 +391,16 @@ def segre_characteristic(m: np.ndarray, lam: complex, rank_tol: float | None = N
     m = m.array if isinstance(m, OmegaMatrix) else np.asarray(m, dtype=complex)
     tol = DEFAULT_TOL if rank_tol is None else Tolerances(rank_factor=rank_tol)
     radius = tol.cluster_radius(m)
-    eigs = np.linalg.eigvals(m)
+    schur = _schur(m)
+    eigs = np.diag(schur[0])
     mult = int(np.sum(np.abs(eigs - lam) <= radius))
     if mult == 0:
         return SegreSequence(lam, ())
     centroid = complex(np.mean(eigs[np.abs(eigs - lam) <= radius]))
     if abs(centroid.imag) <= radius:
         centroid = complex(centroid.real, 0.0)
-    _, n_defl = _deflate_cluster(m, centroid, radius, mult)
-    parts = _staircase_parts(n_defl, mult, tol)
+    _, n_defl = _deflate_cluster(m, schur, centroid, radius, mult)
+    parts, _ = _staircase(n_defl, mult, tol)
     return SegreSequence(lam, tuple(parts))
 
 
@@ -378,10 +426,10 @@ def _cluster_eigenvalues(eigs: np.ndarray, radius: float) -> list[_Cluster]:
             i = parent[i]
         return i
 
-    for i in range(len(eigs)):
-        for j in range(i + 1, len(eigs)):
-            if abs(eigs[j] - eigs[i]) <= radius:
-                parent[find(i)] = find(j)
+    close = np.abs(eigs[:, None] - eigs[None, :]) <= radius
+    rows, cols = np.nonzero(np.triu(close, 1))  # i < j pairs, row-major
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        parent[find(i)] = find(j)
     groups: dict[int, list[complex]] = {}
     for i in range(len(eigs)):
         groups.setdefault(find(i), []).append(eigs[i])
@@ -394,11 +442,11 @@ def _cluster_eigenvalues(eigs: np.ndarray, radius: float) -> list[_Cluster]:
 # Jordan chain extraction (on the deflated nilpotent block)
 # ---------------------------------------------------------------------------
 
-def _kernel_basis(m: np.ndarray, tol: Tolerances) -> np.ndarray:
-    u, s, vh = np.linalg.svd(m)
-    del u
-    rank = _rank_with_guard(m, tol)
-    return vh[rank:].conj().T
+def _orth(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of a, dropping directions below eps."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    thr = np.amax(s, initial=0.0) * _EPS * max(a.shape)
+    return u[:, :int(np.sum(s > thr))]
 
 
 def _append_orth(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -420,15 +468,9 @@ def _nilpotent_chains(n_mat: np.ndarray, expected_dim: int, tol: Tolerances,
     are one representative per quaternionic block; the partner images span
     the remaining half of each kernel level.
     """
-    n = n_mat.shape[0]
-    parts = _staircase_parts(n_mat, expected_dim, tol)
+    parts, kernels = _staircase(n_mat, expected_dim, tol)
     kappa = parts[0] if parts else 0
     counts = [sum(1 for p in parts if p >= q) for q in range(1, kappa + 2)]
-    kernels = {0: np.zeros((n, 0), dtype=complex)}
-    power = np.eye(n, dtype=complex)
-    for p in range(1, kappa + 1):
-        power = power @ n_mat
-        kernels[p] = _kernel_basis(power, tol)
 
     gens: list[tuple[int, np.ndarray]] = []
     for p in range(kappa, 0, -1):
@@ -449,7 +491,7 @@ def _nilpotent_chains(n_mat: np.ndarray, expected_dim: int, tol: Tolerances,
             if partner is not None:
                 avoid.append(partner(v)[:, None])
         stack = np.hstack(avoid)
-        q = scipy.linalg.orth(stack) if stack.shape[1] else stack
+        q = _orth(stack) if stack.shape[1] else stack
         cand = kernels[p]
         for _ in range(need):
             resid = cand - q @ (q.conj().T @ cand) if q.shape[1] else cand
@@ -762,7 +804,8 @@ def canonicalize_pair(b, h, tol: Tolerances | None = None) -> tuple[OmegaMatrix,
     n = barr.shape[0] // 2
     kmat = structure_matrix(n)
     radius = tol.cluster_radius(barr)
-    clusters = _cluster_eigenvalues(np.linalg.eigvals(barr), radius)
+    schur = _schur(barr)
+    clusters = _cluster_eigenvalues(np.diag(schur[0]), radius)
 
     # snap centroids to the axes at cluster resolution, pair conjugate clusters
     real_clusters: list[_Cluster] = []
@@ -783,7 +826,7 @@ def canonicalize_pair(b, h, tol: Tolerances | None = None) -> tuple[OmegaMatrix,
     for c in real_clusters:
         if c.mult % 2:
             raise ClusterOverlap("real eigenvalue multiplicity must be even in Omega")
-        q1, nd = _deflate_cluster(barr, c.centroid, radius, c.mult)
+        q1, nd = _deflate_cluster(barr, schur, c.centroid, radius, c.mult)
         x_c = q1.conj().T @ (kmat @ np.conj(q1))
         partner = lambda v, _x=x_c: _x @ np.conj(v)
         g_c = q1.conj().T @ harr @ q1
@@ -793,7 +836,7 @@ def canonicalize_pair(b, h, tol: Tolerances | None = None) -> tuple[OmegaMatrix,
             cols = q1 @ np.column_stack(chain)
             entries.append((CanonicalBlock(c.centroid, len(chain), eta), cols))
     for c in nonreal:
-        q1, nd = _deflate_cluster(barr, c.centroid, radius, c.mult)
+        q1, nd = _deflate_cluster(barr, schur, c.centroid, radius, c.mult)
         phi = q1.T @ (np.conj(harr) @ kmat) @ q1
         bform = lambda x, y, _p=phi: x @ (_p @ y)
         chains = _nilpotent_chains(nd, c.mult, tol)
@@ -842,8 +885,8 @@ def canonicalize_nilpotent_copy(x: np.ndarray, g: np.ndarray,
     cols = [np.column_stack(normalized[i][1]) for i in order]
     blocks = tuple(blocks[i] for i in order)
     p = np.hstack(cols)
-    target_b = scipy.linalg.block_diag(*[jordan_block(0.0, b.size) for b in blocks])
-    target_h = scipy.linalg.block_diag(*[b.sign * sip_matrix(b.size) for b in blocks])
+    target_b = block_diag(*[jordan_block(0.0, b.size) for b in blocks])
+    target_h = block_diag(*[b.sign * sip_matrix(b.size) for b in blocks])
     res = (np.linalg.norm(np.linalg.solve(p, x @ p) - target_b)
            + np.linalg.norm(p.conj().T @ g @ p - target_h))
     if not np.isfinite(res) or res > tol.residual(x) + tol.residual(g):

@@ -15,11 +15,10 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .canonical import (CanonicalBlock, CanonicalSpec, Tolerances, DEFAULT_TOL,
-                        block_permutation, canonicalize_nilpotent_copy,
-                        canonicalize_pair, interleave_permutation,
+                        block_diag, block_index, canonicalize_nilpotent_copy,
+                        canonicalize_pair, interleave_index,
                         jordan_block, materialize_pair, sip_matrix)
 from .errors import (ClassMismatch, DegenerateCoefficient, DimensionMismatch,
                      NearSingularH, NoRealSolution, NotPartitionable,
@@ -393,7 +392,7 @@ def root_block_nonreal(lam: complex, k: int, m: int, branch: int = 0) -> np.ndar
     t_mat = np.linalg.matrix_power(jk, m) - lam * np.eye(k, dtype=complex)
     p1 = _chain_matrix(t_mat, _solve_hankel(t_mat, k))
     a1 = np.linalg.solve(p1, jk @ p1)
-    return scipy.linalg.block_diag(a1, np.conj(a1), np.conj(a1), a1)
+    return block_diag(a1, np.conj(a1), np.conj(a1), a1)
 
 
 def root_block_negative_even(lam: float, k: int, m: int, branch: int = 0,
@@ -407,8 +406,8 @@ def root_block_negative_even(lam: float, k: int, m: int, branch: int = 0,
     if lam >= 0 or m % 2:
         raise ClassMismatch("negative-even builder needs lam < 0 and m even")
     mu = _root_branch(complex(lam), m, branch)
-    jmat = scipy.linalg.block_diag(*[jordan_block(v, k) for v in (mu, np.conj(mu), np.conj(mu), mu)])
-    qhat = scipy.linalg.block_diag(sip_matrix(2 * k), sip_matrix(2 * k)).astype(complex)
+    jmat = block_diag(*[jordan_block(v, k) for v in (mu, np.conj(mu), np.conj(mu), mu)])
+    qhat = block_diag(sip_matrix(2 * k), sip_matrix(2 * k)).astype(complex)
     s, spec_out = canonicalize_pair(np.linalg.matrix_power(jmat, m), qhat, tol)
     want = [(k, 1), (k, -1)]
     got = [(b.size, b.sign) for b in spec_out.blocks]
@@ -429,10 +428,10 @@ def root_block_nilpotent(tuples: list[MTuple], m: int,
     if not ok:
         raise SignPatternViolation("tuples fail the sign rule")
     order = sorted(tuples, key=lambda t: (-t.total, -t.eta))
-    j0 = scipy.linalg.block_diag(*[jordan_block(0.0, t.total) for t in order]).astype(complex)
+    j0 = block_diag(*[jordan_block(0.0, t.total) for t in order]).astype(complex)
     if m == 1:
         return j0
-    g = scipy.linalg.block_diag(*[t.eta * sip_matrix(t.total) for t in order]).astype(complex)
+    g = block_diag(*[t.eta * sip_matrix(t.total) for t in order]).astype(complex)
     x = np.linalg.matrix_power(j0, m)
     p1, blocks = canonicalize_nilpotent_copy(x, g, tol)
     want = sorted((pair for t in tuples for pair in t.sizes_and_signs()),
@@ -466,13 +465,13 @@ def assemble_root(parts) -> OmegaMatrix:
         widths.append(w)
     if len(parts) == 1:
         return OmegaMatrix(parts[0][1], check=False)
-    stacked = scipy.linalg.block_diag(*[mat for _, mat in parts])
-    p = interleave_permutation(len(parts), widths)
-    return OmegaMatrix(p @ stacked @ p.T, check=False)
+    idx = interleave_index(widths)
+    stacked = block_diag(*[mat for _, mat in parts])
+    return OmegaMatrix(stacked[np.ix_(idx, idx)], check=False)
 
 
 def _doubled(a1: np.ndarray) -> np.ndarray:
-    return scipy.linalg.block_diag(a1, np.conj(a1))
+    return block_diag(a1, np.conj(a1))
 
 
 def _build_canonical_root(spec: CanonicalSpec, plan: _Plan, m: int,
@@ -505,9 +504,9 @@ def _build_canonical_root(spec: CanonicalSpec, plan: _Plan, m: int,
     build_order = [i for idxs, _, _ in parts for i in idxs]
     if build_order != list(range(len(blocks))):
         widths = [b.copy_width() for b in blocks]
-        p0 = block_permutation(build_order, widths)
-        phat = scipy.linalg.block_diag(p0, p0)
-        assembled = phat @ assembled @ phat.T
+        idx0 = block_index(build_order, widths)
+        idx = np.concatenate([idx0, idx0 + sum(widths)])  # both copies
+        assembled = assembled[np.ix_(idx, idx)]
     return assembled
 
 
@@ -551,18 +550,22 @@ def mth_root(b: QuatMatrix, h: QuatMatrix, m: int, tol: Tolerances | None = None
     if m < 1:
         raise SpecInvalid("m must be a positive integer")
     tol = tol or DEFAULT_TOL
-    b_om = omega_embed(b).array
-    h_om = omega_embed(h).array
+    b_om = omega_embed(b)
+    h_om = omega_embed(h)
+    if b_om.dim != h_om.dim:
+        raise DimensionMismatch("H and B must be square with equal shape")
     try:
-        res = selfadjoint_residual(h_om, b_om)  # validates H as well
+        if m == 1:
+            res = selfadjoint_residual(h_om, b_om)  # validates H as well
+        else:
+            s, spec = canonicalize_pair(b_om, h_om, tol)  # checks H and HB = B*H
     except Singular as exc:
         raise NearSingularH(str(exc)) from exc
-    if res > tol.selfadjoint_factor:
-        raise NotSelfadjoint(f"HB - B*H residual {res:.3e} exceeds tolerance")
-    eye = np.eye(b_om.shape[0], dtype=complex)
     if m == 1:
-        return _result_from_omega(b_om, b, h, 1, eye, tol)
-    s, spec = canonicalize_pair(b_om, h_om, tol)
+        if res > tol.selfadjoint_factor:
+            raise NotSelfadjoint(f"HB - B*H residual {res:.3e} exceeds tolerance")
+        eye = np.eye(b_om.dim, dtype=complex)
+        return _result_from_omega(b_om.array, b, h, 1, eye, tol)
     plan = _classify_and_plan(spec, m)
     if plan.certificate is not None:
         return RootDecision(False, plan.certificate)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from qroot.canonical import (CanonicalBlock, CanonicalSpec,
-                             canonicalize_pair, inertia,
+import qroot.canonical as canonical
+from qroot.canonical import (DEFAULT_TOL, CanonicalBlock, CanonicalSpec,
+                             block_diag, block_index, block_permutation,
+                             canonicalize_pair, inertia, interleave_index,
                              interleave_permutation, jordan_block,
                              materialize_pair, segre_characteristic,
-                             sip_matrix, block_permutation)
+                             sip_matrix)
 from qroot.errors import (NearSingular, NotSelfadjoint, SizeMismatch,
                           SpecInvalid)
 from qroot.omega import omega_embed, omega_membership
@@ -288,3 +291,153 @@ def test_canonicalize_detects_cluster_overlap():
     b, h = scrambled(spec, 24)
     with pytest.raises(QRootError):
         canonicalize_pair(b, h)
+
+
+# -- deflation: one Schur form reordered per cluster --------------------------
+
+def _reference_deflate(b, centroid, radius, expected):
+    """Per-cluster sorted Schur deflation, the form ztrsen reordering replaced."""
+    _, z, sdim = scipy.linalg.schur(
+        b, output="complex", sort=lambda x: abs(x - centroid) <= radius)
+    assert sdim == expected
+    q1 = z[:, :sdim]
+    return q1, q1.conj().T @ b @ q1 - centroid * np.eye(sdim, dtype=complex)
+
+
+def _many_cluster_spec(rng):
+    """At least 8 Omega eigenvalue clusters and n >= 24, gaps far above the radius."""
+    reals = rng.permutation([-3.2, -2.4, -1.6, -0.8, 0.0, 0.8, 1.6, 2.4, 3.2])
+    nonreal = rng.permutation([0.6 + 1.2j, -1.1 + 2.0j, 1.7 + 2.6j, -2.2 + 1.1j])
+    blocks = []
+    for lam in reals[:6]:
+        lam = 0.0 if lam == 0 else lam + rng.uniform(-0.05, 0.05)
+        blocks.append(CanonicalBlock(lam, int(rng.integers(1, 4)), int(rng.choice([-1, 1]))))
+    for lam in nonreal[:3]:
+        blocks.append(CanonicalBlock(lam + rng.uniform(-0.05, 0.05), int(rng.integers(1, 4))))
+    spec = CanonicalSpec(tuple(blocks))
+    while spec.copy_size() < 24:
+        blocks.append(CanonicalBlock(blocks[0].lam, int(rng.integers(1, 3)),
+                                     int(rng.choice([-1, 1]))))
+        spec = CanonicalSpec(tuple(blocks))
+    return spec.sorted()
+
+
+def _largest_principal_angle_sine(q, r):
+    return float(np.linalg.norm(r - q @ (q.conj().T @ r), 2))
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33, 34])
+def test_reordered_schur_matches_sorted_schur_reference(seed, monkeypatch):
+    spec = _many_cluster_spec(np.random.default_rng(seed))
+    b, h = scrambled(spec, seed)
+    assert b.shape[0] >= 48
+    radius = DEFAULT_TOL.cluster_radius(b)
+    schur = canonical._schur(b)
+    clusters = canonical._cluster_eigenvalues(np.diag(schur[0]), radius)
+    assert len(clusters) >= 8
+    for c in clusters:
+        q_new, n_new = canonical._deflate_cluster(b, schur, c.centroid, radius, c.mult)
+        q_ref, n_ref = _reference_deflate(b, c.centroid, radius, c.mult)
+        assert q_new.shape == q_ref.shape == (b.shape[0], c.mult)
+        assert np.allclose(q_new.conj().T @ q_new, np.eye(c.mult), atol=1e-12)
+        assert _largest_principal_angle_sine(q_ref, q_new) < 1e-10
+        resid = np.linalg.norm(b @ q_new - q_new @ (n_new + c.centroid * np.eye(c.mult)))
+        assert resid <= DEFAULT_TOL.residual(b)
+
+    s, out = canonicalize_pair(b, h)
+    monkeypatch.setattr(canonical, "_deflate_cluster",
+                        lambda b_, _schur, *args: _reference_deflate(b_, *args))
+    _, ref = canonicalize_pair(b, h)
+    assert [(x.size, x.sign) for x in out.blocks] == [(x.size, x.sign) for x in ref.blocks]
+    assert out.matches(ref, lam_tol=1e-9) and out.matches(spec)
+    bm, hm = materialize_pair(out)
+    res_b = np.linalg.norm(np.linalg.solve(s.array, b @ s.array) - bm.array)
+    res_h = np.linalg.norm(s.array.conj().T @ h @ s.array - hm.array)
+    assert res_b + res_h <= DEFAULT_TOL.residual(b) + DEFAULT_TOL.residual(h)
+
+
+def test_one_schur_per_canonicalization(monkeypatch):
+    calls = []
+    schur = scipy.linalg.schur
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    spec = _many_cluster_spec(np.random.default_rng(35))
+    canonicalize_pair(*scrambled(spec, 35))
+    assert len(calls) == 1
+    calls.clear()
+    canonicalize_pair(*materialize_pair(spec))  # exact-canonical fast path
+    assert calls == []
+
+
+def test_staircase_takes_one_svd_per_power(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    j33 = block_diag(jordan_block(0.0, 3), jordan_block(0.0, 3))
+    assert segre_characteristic(j33, 0.0).parts == (3, 3)
+    assert len(calls) == 3
+
+
+def _reference_clusters(eigs, radius):
+    """Pairwise double-loop single linkage, the form the vectorized scan replaced."""
+    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
+    parent = list(range(len(eigs)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(eigs)):
+        for j in range(i + 1, len(eigs)):
+            if abs(eigs[j] - eigs[i]) <= radius:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(eigs)):
+        groups.setdefault(find(i), []).append(eigs[i])
+    return sorted(((complex(np.mean(g)), len(g)) for g in groups.values()),
+                  key=lambda c: (c[0].real, c[0].imag))
+
+
+def test_cluster_eigenvalues_bit_identical_to_pairwise_scan():
+    rng = np.random.default_rng(36)
+    for _ in range(20):
+        centers = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        eigs = np.repeat(centers, rng.integers(1, 4, size=8))
+        eigs = eigs + 1e-3 * (rng.standard_normal(eigs.size) + 1j * rng.standard_normal(eigs.size))
+        got = canonical._cluster_eigenvalues(rng.permutation(eigs), 0.3)
+        want = _reference_clusters(rng.permutation(eigs), 0.3)
+        assert [(c.centroid, c.mult) for c in got] == want
+
+
+def test_block_diag_matches_scipy():
+    blocks = [np.arange(4.0).reshape(2, 2), jordan_block(1j, 3), -sip_matrix(1)]
+    got = block_diag(*blocks)
+    want = scipy.linalg.block_diag(*blocks)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_index_permutations_match_matrix_reference():
+    rng = np.random.default_rng(37)
+    for _ in range(10):
+        t = int(rng.integers(1, 5))
+        widths = [int(w) for w in rng.integers(1, 4, size=t)]
+        x = rng.standard_normal((2 * sum(widths),) * 2)
+        p = interleave_permutation(t, widths)
+        idx = interleave_index(widths)
+        assert np.array_equal(p @ x @ p.T, x[np.ix_(idx, idx)])
+        order = [int(i) for i in rng.permutation(t)]
+        p = block_permutation(order, widths)
+        idx = block_index(order, widths)
+        y = x[:sum(widths), :sum(widths)]
+        assert np.array_equal(p @ y @ p.T, y[np.ix_(idx, idx)])

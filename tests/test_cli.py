@@ -178,3 +178,12 @@ def test_canon_omega_format():
     rc, out, _ = run_cli(["canon", "--format", "omega"], inp=payload)
     assert rc == 0
     assert [b["sign"] for b in json.loads(out)["spec"]["blocks"]] == [1, -1]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import os
+    code = "import sys, qroot.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([PYTHON, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -403,6 +403,21 @@ def test_mth_root_near_singular_h():
         mth_root(b, h, 2)
 
 
+def test_mth_root_rejects_non_selfadjoint_b():
+    from qroot.errors import NotSelfadjoint
+    b = QuatMatrix.from_real(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    h = QuatMatrix.from_real(np.eye(2))
+    for m in (1, 2):
+        with pytest.raises(NotSelfadjoint):
+            mth_root(b, h, m)
+
+
+def test_mth_root_rejects_unequal_shapes():
+    from qroot.errors import DimensionMismatch
+    with pytest.raises(DimensionMismatch):
+        mth_root(QuatMatrix.eye(2), QuatMatrix.eye(3), 2)
+
+
 def _scrambled_instance(spec, seed):
     from qroot.verify import omega_similarity
     rng = np.random.default_rng(seed)
