@@ -18,7 +18,7 @@ from .roots import (Certificate, MTuple, RootDecision, RootResult,
                     assemble_root, m_tuple_partition, mth_root,
                     root_block_negative_even, root_block_nilpotent,
                     root_block_nonreal, root_block_real, root_exists,
-                    sign_pattern_check, solve_hankel_normalization)
+                    sign_pattern_check)
 from .verify import (VerificationReport, power_segre_oracle, random_instance,
                      verify_root)
 
@@ -31,7 +31,7 @@ __all__ = [
     "interleave_permutation", "canonicalize_pair", "inertia",
     "MTuple", "Certificate", "RootDecision", "RootResult",
     "root_exists", "m_tuple_partition", "sign_pattern_check",
-    "solve_hankel_normalization", "root_block_real", "root_block_nonreal",
+    "root_block_real", "root_block_nonreal",
     "root_block_negative_even", "root_block_nilpotent", "assemble_root",
     "mth_root",
     "VerificationReport", "verify_root", "power_segre_oracle", "random_instance",

@@ -520,40 +520,6 @@ def _nilpotent_chains(n_mat: np.ndarray, expected_dim: int, tol: Tolerances,
 # indefinite Gram normalization of chains
 # ---------------------------------------------------------------------------
 
-class _ComplexHermOps:
-    """Moments [x, y] = y^* G x for a Hermitian form G; scalars complex."""
-
-    def __init__(self, g: np.ndarray):
-        self.g = g
-
-    def form(self, x, y):
-        return complex(np.vdot(y, self.g @ x))
-
-    def rmul(self, v, s):
-        return v * s
-
-    def conj(self, s):
-        return np.conj(s)
-
-    def absval(self, s):
-        return abs(s)
-
-    def real(self, s):
-        return s.real
-
-    def nonreal_part(self, s):
-        return abs(s.imag)
-
-    def from_real(self, r):
-        return complex(r)
-
-    def unit_from(self, s):
-        return np.conj(s) / abs(s)
-
-    def div_real(self, s, r):
-        return s / r
-
-
 class _QuatHermOps:
     """Quaternion-valued moments; scalars are pairs (q1, q2) = q1 + j q2."""
 
@@ -568,17 +534,11 @@ class _QuatHermOps:
     def rmul(self, v, s):
         return s[0] * v + s[1] * self.partner(v)
 
-    def conj(self, s):
-        return qs_conj(s)
-
     def absval(self, s):
         return qs_abs(s)
 
     def real(self, s):
         return s[0].real
-
-    def nonreal_part(self, s):
-        return float(np.hypot(s[0].imag, abs(s[1])))
 
     def from_real(self, r):
         return (complex(r), 0j)
@@ -807,15 +767,16 @@ def canonicalize_pair(b, h, tol: Tolerances | None = None) -> tuple[OmegaMatrix,
     schur = _schur(barr)
     clusters = _cluster_eigenvalues(np.diag(schur[0]), radius)
 
-    # snap centroids to the axes at cluster resolution, pair conjugate clusters
+    # snap real centroids to the real axis (and to zero) at cluster
+    # resolution; a nonreal centroid keeps its real part, however small
     real_clusters: list[_Cluster] = []
     nonreal: list[_Cluster] = []
     for c in clusters:
-        re = 0.0 if abs(c.centroid.real) <= radius else c.centroid.real
         if abs(c.centroid.imag) <= radius:
+            re = 0.0 if abs(c.centroid.real) <= radius else c.centroid.real
             real_clusters.append(_Cluster(complex(re, 0.0), c.mult))
         elif c.centroid.imag > 0:
-            nonreal.append(_Cluster(complex(re, c.centroid.imag), c.mult))
+            nonreal.append(c)
     for c in nonreal:
         mate = [d for d in clusters if d.centroid.imag < -radius
                 and abs(np.conj(d.centroid) - c.centroid) <= 2 * radius]
@@ -864,31 +825,3 @@ def canonicalize_pair(b, h, tol: Tolerances | None = None) -> tuple[OmegaMatrix,
             f"canonicalization residual {res_b + res_h:.3e} exceeds {limit:.3e}")
     return OmegaMatrix(s, check=False), spec
 
-
-def canonicalize_nilpotent_copy(x: np.ndarray, g: np.ndarray,
-                                tol: Tolerances | None = None):
-    """Complex (single-copy) canonicalization of a nilpotent selfadjoint pair.
-
-    Returns (P, blocks) with P^-1 x P = sum of J_k(0) and P^* g P = sum of
-    eta Q_k, blocks sorted canonically.  Used by the nilpotent root builder,
-    which works per copy and doubles afterwards.
-    """
-    tol = tol or DEFAULT_TOL
-    x = np.asarray(x, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    n = x.shape[0]
-    chains = _nilpotent_chains(x, n, tol)
-    ops = _ComplexHermOps(g)
-    normalized = _normalize_hermitian_chains(chains, ops)
-    blocks = [CanonicalBlock(0.0, len(c), eta) for eta, c in normalized]
-    order = sorted(range(len(blocks)), key=lambda i: blocks[i].sort_key())
-    cols = [np.column_stack(normalized[i][1]) for i in order]
-    blocks = tuple(blocks[i] for i in order)
-    p = np.hstack(cols)
-    target_b = block_diag(*[jordan_block(0.0, b.size) for b in blocks])
-    target_h = block_diag(*[b.sign * sip_matrix(b.size) for b in blocks])
-    res = (np.linalg.norm(np.linalg.solve(p, x @ p) - target_b)
-           + np.linalg.norm(p.conj().T @ g @ p - target_h))
-    if not np.isfinite(res) or res > tol.residual(x) + tol.residual(g):
-        raise RankAmbiguous(f"nilpotent copy canonicalization residual {res:.3e}")
-    return p, blocks

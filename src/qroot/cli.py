@@ -18,7 +18,7 @@ from .canonical import CanonicalSpec, Tolerances
 from .errors import ParseError, QRootError
 from .omega import complex_from_json, omega_embed, omega_extract
 from .quaternion import QuatMatrix
-from .roots import RootDecision, mth_root, root_exists
+from .roots import RootDecision, mth_root, reduce_pair, root_exists
 from .verify import random_instance, verify_root
 
 DEFAULT_TOL = 1e-8
@@ -156,8 +156,7 @@ def _cmd_check(args) -> int:
         decision = root_exists(_spec_from_payload(payload), m)
     else:
         b, h = _pair_from(payload, args.format)
-        out = mth_root(b, h, m, _tolerances(args), args.branch)
-        decision = out if isinstance(out, RootDecision) else RootDecision(True)
+        decision = reduce_pair(b, h, m, _tolerances(args))[3].decision()
     _write(args.out, decision.to_json())
     return 0 if decision.exists else 2
 

@@ -72,14 +72,6 @@ class SignPatternViolation(QRootError):
     kind = "SignPatternViolation"
 
 
-class NoRealSolution(QRootError):
-    kind = "NoRealSolution"
-
-
-class DegenerateCoefficient(QRootError):
-    kind = "DegenerateCoefficient"
-
-
 class ClassMismatch(QRootError):
     kind = "ClassMismatch"
 

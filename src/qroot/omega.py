@@ -172,21 +172,9 @@ def chi(v: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
 
 # Quaternion scalars as complex pairs (q1, q2) meaning q1 + j*q2.
 
-def qs_mul(p: tuple[complex, complex], q: tuple[complex, complex]) -> tuple[complex, complex]:
-    p1, p2 = p
-    q1, q2 = q
-    return (p1 * q1 - np.conj(p2) * q2, np.conj(p1) * q2 + p2 * q1)
-
-
 def qs_conj(q: tuple[complex, complex]) -> tuple[complex, complex]:
     return (np.conj(q[0]), -q[1])
 
 
 def qs_abs(q: tuple[complex, complex]) -> float:
     return float(np.sqrt(abs(q[0]) ** 2 + abs(q[1]) ** 2))
-
-
-def qs_inv(q: tuple[complex, complex]) -> tuple[complex, complex]:
-    n2 = abs(q[0]) ** 2 + abs(q[1]) ** 2
-    c = qs_conj(q)
-    return (c[0] / n2, c[1] / n2)

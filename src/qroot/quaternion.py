@@ -143,11 +143,6 @@ class QuatMatrix:
         i, j = idx
         return Quaternion(*self.data[i, j])
 
-    def entries(self):
-        for i in range(self.n_rows):
-            for j in range(self.n_cols):
-                yield i, j, Quaternion(*self.data[i, j])
-
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "QuatMatrix") -> "QuatMatrix":

@@ -4,9 +4,9 @@ The decision follows the canonical-form conditions: positive, nonreal, and
 (for odd m) negative spectra are unconditional; negative eigenvalues with m
 even must pair identical blocks with opposite signs; zero eigenvalues must
 admit a grouping of the per-copy Segre parts into m-tuples of sizes a+1/a
-whose signs obey the half-and-half rule.  Builders construct one root per
-class and the block-assembly permutation glues them into a single member of
-Omega_2n.
+whose signs obey the half-and-half rule.  Builders write one root per class
+in closed form in canonical coordinates, and the block-assembly permutation
+glues them into a single member of Omega_2n.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canonical import (CanonicalBlock, CanonicalSpec, Tolerances, DEFAULT_TOL,
-                        block_diag, block_index, canonicalize_nilpotent_copy,
-                        canonicalize_pair, interleave_index,
-                        jordan_block, materialize_pair, sip_matrix)
-from .errors import (ClassMismatch, DegenerateCoefficient, DimensionMismatch,
-                     NearSingularH, NoRealSolution, NotPartitionable,
-                     NotSelfadjoint, OracleDisagreement, RankAmbiguous,
+                        block_diag, block_index, canonicalize_pair,
+                        interleave_index, jordan_block)
+from .errors import (ClassMismatch, DimensionMismatch, NearSingularH,
+                     NotPartitionable, NotSelfadjoint, RankAmbiguous,
                      SignPatternViolation, Singular, SpecInvalid)
 from .omega import (OmegaMatrix, omega_embed, omega_extract, omega_membership,
                     selfadjoint_residual)
@@ -235,6 +233,9 @@ class _Plan:
     zero_tuples: list[MTuple] = field(default_factory=list)
     certificate: Certificate | None = None
 
+    def decision(self) -> RootDecision:
+        return RootDecision(self.certificate is None, self.certificate)
+
 
 def _classify_and_plan(spec: CanonicalSpec, m: int) -> _Plan:
     blocks = spec.blocks
@@ -291,70 +292,25 @@ def root_exists(spec: CanonicalSpec, m: int) -> RootDecision:
     """Gate of the main theorem: decide existence from the canonical form."""
     if m < 1:
         raise SpecInvalid("m must be a positive integer")
-    plan = _classify_and_plan(spec, m)
-    if plan.certificate is not None:
-        return RootDecision(False, plan.certificate)
-    return RootDecision(True)
+    return _classify_and_plan(spec, m).decision()
 
 
 # ---------------------------------------------------------------------------
-# Hankel normalization and per-class builders
+# closed-form per-class builders
 # ---------------------------------------------------------------------------
 
-def _hankel_value(y: np.ndarray, q: np.ndarray, t_pow: np.ndarray) -> complex:
-    return complex(y @ (q @ (t_pow @ y)))
+def _primary_root(lam: complex, mu: complex, k: int, m: int) -> np.ndarray:
+    """The m-th root of J_k(lam) with eigenvalue mu (mu^m = lam, lam != 0).
 
-
-def _solve_hankel(t_mat: np.ndarray, n: int):
-    """Solve y^T Q_n T^(n-j) y = delta_{j1} sequentially (bilinear, no conj).
-
-    T must be nilpotent upper triangular with nonzero superdiagonal.  The
-    leading equation fixes y_n; each later equation is linear in one new
-    component.  Real T yields real y.
+    F = sum_j binom(1/m, j) mu lam^(-j) N^j (Higham, Functions of Matrices,
+    ch. 7).  F is upper-triangular Toeplitz, so Q_k F = F^T Q_k.
     """
-    q = sip_matrix(n).astype(t_mat.dtype)
-    powers = [np.eye(n, dtype=t_mat.dtype)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] @ t_mat)
-    y = np.zeros(n, dtype=t_mat.dtype)
-    lead = (q @ powers[n - 1])[n - 1, n - 1]
-    if abs(lead) < 1e-14:
-        raise DegenerateCoefficient("leading Hankel coefficient vanishes")
-    if np.isrealobj(t_mat) and lead.real < 0:
-        # unreachable for the positive / negative-odd classes (the leading
-        # coefficient is m*mu^(m-1) to an even power); kept as a guard
-        raise NoRealSolution("leading Hankel equation has negative coefficient")
-    y[n - 1] = complex(lead) ** (-0.5) if np.iscomplexobj(t_mat) else float(lead) ** (-0.5)
-    for j in range(2, n + 1):
-        idx = n - j
-        y[idx] = 0.0
-        e0 = _hankel_value(y, q, powers[n - j])
-        y[idx] = 1.0
-        e1 = _hankel_value(y, q, powers[n - j])
-        lin = e1 - e0
-        if abs(lin) < 1e-12 * max(1.0, abs(e0)):
-            raise DegenerateCoefficient(f"Hankel equation {j} has vanishing linear term")
-        val = -e0 / lin
-        y[idx] = val.real if np.isrealobj(t_mat) else val
-    return y
-
-
-def solve_hankel_normalization(mu: float, lam: float, m: int, n: int) -> np.ndarray:
-    """Real vector y normalizing P1 = [T^(n-1)y ... Ty y] to P1^T Q_n P1 = Q_n,
-
-    where T = (J_n(mu))^m - lam*I and mu is the real m-th root of lam."""
-    if abs(mu ** m - lam) > 1e-10 * max(1.0, abs(lam)):
-        raise SpecInvalid("mu must be an m-th root of lam")
-    t_mat = np.linalg.matrix_power(jordan_block(mu, n).real, m) - lam * np.eye(n)
-    return _solve_hankel(t_mat, n).real
-
-
-def _chain_matrix(t_mat: np.ndarray, y: np.ndarray) -> np.ndarray:
-    n = len(y)
-    cols = [y]
-    for _ in range(n - 1):
-        cols.append(t_mat @ cols[-1])
-    return np.column_stack(cols[::-1])
+    f = np.zeros((k, k), dtype=np.result_type(lam, mu))
+    coef = mu
+    for j in range(k):
+        f += coef * np.eye(k, k, j)
+        coef *= (1.0 / m - j) / ((j + 1) * lam)
+    return f
 
 
 def root_block_real(lam: float, k: int, eta: int, m: int) -> np.ndarray:
@@ -364,10 +320,7 @@ def root_block_real(lam: float, k: int, eta: int, m: int) -> np.ndarray:
     if eta not in (-1, 1):
         raise SpecInvalid("eta must be +-1")
     mu = lam ** (1.0 / m) if lam > 0 else -((-lam) ** (1.0 / m))
-    jk = jordan_block(mu, k).real
-    t_mat = np.linalg.matrix_power(jk, m) - lam * np.eye(k)
-    p1 = _chain_matrix(t_mat, _solve_hankel(t_mat, k).real)
-    return np.linalg.solve(p1, jk @ p1)
+    return _primary_root(lam, mu, k, m)
 
 
 def _root_branch(lam: complex, m: int, branch: int) -> complex:
@@ -381,66 +334,78 @@ def _root_branch(lam: complex, m: int, branch: int) -> complex:
 def root_block_nonreal(lam: complex, k: int, m: int, branch: int = 0) -> np.ndarray:
     """4k x 4k root block for a nonreal block (lam, k), selfadjoint for Q_2k + Q_2k.
 
-    P1 solves the bilinear normalization P1^T Q_k P1 = Q_k (transpose, not
-    conjugate transpose), so P = P1 + conj(P1) + conj(P1) + P1 fixes the sips.
+    F + conj(F) is Q_2k-selfadjoint because F is Toeplitz; the second copy
+    swaps the pair.
     """
     lam = complex(lam)
     if lam.imag <= 0:
         raise ClassMismatch("nonreal builder needs Im(lam) > 0")
-    mu = _root_branch(lam, m, branch)
-    jk = jordan_block(mu, k)
-    t_mat = np.linalg.matrix_power(jk, m) - lam * np.eye(k, dtype=complex)
-    p1 = _chain_matrix(t_mat, _solve_hankel(t_mat, k))
-    a1 = np.linalg.solve(p1, jk @ p1)
-    return block_diag(a1, np.conj(a1), np.conj(a1), a1)
+    f = _primary_root(lam, _root_branch(lam, m, branch), k, m)
+    return block_diag(f, np.conj(f), np.conj(f), f)
 
 
-def root_block_negative_even(lam: float, k: int, m: int, branch: int = 0,
-                             tol: Tolerances | None = None) -> np.ndarray:
+def root_block_negative_even(lam: float, k: int, m: int, branch: int = 0) -> np.ndarray:
     """4k x 4k root block for paired blocks (lam, k, +1), (lam, k, -1), m even.
 
-    The quadruple J(mu)+J(conj mu)+J(conj mu)+J(mu) with nonreal mu is
-    (Q_2k + Q_2k)-selfadjoint; canonicalizing its m-th power realizes the
-    Toeplitz-lemma similarity onto (J_k(lam)^4, Q_k + -Q_k + Q_k + -Q_k).
+    With the nonreal root F of J_k(lam), F + conj(F) is selfadjoint for
+    [[0, Q_k], [Q_k, 0]].  T = [[I, I], [I, -I]]/sqrt(2) commutes with
+    J_k(lam) + J_k(lam) and takes that form to Q_k + -Q_k, so the per-copy
+    root is T (F + conj F) T = [[Re F, i Im F], [i Im F, Re F]].
     """
     if lam >= 0 or m % 2:
         raise ClassMismatch("negative-even builder needs lam < 0 and m even")
-    mu = _root_branch(complex(lam), m, branch)
-    jmat = block_diag(*[jordan_block(v, k) for v in (mu, np.conj(mu), np.conj(mu), mu)])
-    qhat = block_diag(sip_matrix(2 * k), sip_matrix(2 * k)).astype(complex)
-    s, spec_out = canonicalize_pair(np.linalg.matrix_power(jmat, m), qhat, tol)
-    want = [(k, 1), (k, -1)]
-    got = [(b.size, b.sign) for b in spec_out.blocks]
-    if got != want or any(abs(b.lam - lam) > 1e-6 * max(1.0, abs(lam)) for b in spec_out.blocks):
-        raise OracleDisagreement(
-            f"negative-even power canonicalized to {got}, expected {want}")
-    return np.linalg.solve(s.array, jmat @ s.array)
+    f = _primary_root(lam, _root_branch(complex(lam), m, branch), k, m)
+    a1 = np.block([[f.real, 1j * f.imag], [1j * f.imag, f.real]])
+    return _doubled(a1)
 
 
-def root_block_nilpotent(tuples: list[MTuple], m: int,
-                         tol: Tolerances | None = None) -> np.ndarray:
+def canonicalize_nilpotent_copy(tuples: list[MTuple], m: int):
+    """Canonical basis of (J^m, G) for J = sum of J_t(0), G = sum of eta Q_t.
+
+    One block per tuple, in the given order, with t = a*m + r.  The residue
+    classes mod m of J_t(0)'s basis split J_t(0)^m into r chains of length
+    a+1 and m-r of length a, and eta*Q_t pairs class c with class
+    (r-1-c) mod m.  A self-paired class keeps eta; a pair u, v becomes
+    (u+v)/sqrt(2) with eta and (u-v)/sqrt(2) with -eta.
+
+    Returns (P, blocks): P is real orthogonal, P^T J^m P is the sum of
+    J_k(0) and P^T G P the sum of sign*Q_k over blocks, sorted canonically.
+    """
+    n = sum(t.total for t in tuples)
+    found = []  # (CanonicalBlock, n x size columns)
+    offset = 0
+    for t in tuples:
+        classes = [offset + np.arange(c, t.total, m) for c in range(m)]
+        for c in range(m):
+            d = (t.r - 1 - c) % m
+            size = len(classes[c])
+            if d < c or size == 0:
+                continue
+            signs = (t.eta,) if d == c else (t.eta, -t.eta)
+            for sign in signs:
+                cols = np.zeros((n, size))
+                cols[classes[c], np.arange(size)] = 1.0
+                cols[classes[d], np.arange(size)] = sign * t.eta  # same entries if d == c
+                found.append((CanonicalBlock(0.0, size, sign), cols / np.sqrt(len(signs))))
+        offset += t.total
+    found.sort(key=lambda e: e[0].sort_key())
+    return np.hstack([cols for _, cols in found]), tuple(b for b, _ in found)
+
+
+def root_block_nilpotent(tuples: list[MTuple], m: int) -> np.ndarray:
     """Per-copy root block for the zero part: J = sum of J_{t_j}(0).
 
-    P1 realizes the similarity of (J^m, sum of eta_j Q_{t_j}) onto the
-    canonical form carrying exactly the tuples' sizes and signs.
+    P from canonicalize_nilpotent_copy carries (J^m, sum of eta_j Q_{t_j})
+    to the canonical form with the tuples' sizes and signs, so P^T J P is
+    the root.
     """
     ok, _ = sign_pattern_check(tuples)
     if not ok:
         raise SignPatternViolation("tuples fail the sign rule")
     order = sorted(tuples, key=lambda t: (-t.total, -t.eta))
-    j0 = block_diag(*[jordan_block(0.0, t.total) for t in order]).astype(complex)
-    if m == 1:
-        return j0
-    g = block_diag(*[t.eta * sip_matrix(t.total) for t in order]).astype(complex)
-    x = np.linalg.matrix_power(j0, m)
-    p1, blocks = canonicalize_nilpotent_copy(x, g, tol)
-    want = sorted((pair for t in tuples for pair in t.sizes_and_signs()),
-                  key=lambda p: (-p[0], -p[1]))
-    got = [(b.size, b.sign) for b in blocks]
-    if got != want:
-        raise OracleDisagreement(
-            f"nilpotent power canonicalized to {got}, expected {want}")
-    return np.linalg.solve(p1, j0 @ p1)
+    j0 = block_diag(*[jordan_block(0.0, t.total) for t in order])
+    p, _ = canonicalize_nilpotent_copy(order, m)
+    return p.T @ j0 @ p
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +440,7 @@ def _doubled(a1: np.ndarray) -> np.ndarray:
 
 
 def _build_canonical_root(spec: CanonicalSpec, plan: _Plan, m: int,
-                          branch: int, tol: Tolerances) -> np.ndarray:
+                          branch: int) -> np.ndarray:
     """Root of materialize_pair(spec) assembled from per-class builders."""
     blocks = spec.blocks
     parts = []  # (canonical indices, blocks, matrix)
@@ -489,13 +454,13 @@ def _build_canonical_root(spec: CanonicalSpec, plan: _Plan, m: int,
     if m % 2 == 0:
         for ip, im_ in plan.neg_pairs:
             b = blocks[ip]
-            mat = root_block_negative_even(b.lam.real, b.size, m, branch, tol)
+            mat = root_block_negative_even(b.lam.real, b.size, m, branch)
             parts.append(([ip, im_], [blocks[ip], blocks[im_]], mat))
     for i in plan.nonreal:
         b = blocks[i]
         parts.append(([i], [b], root_block_nonreal(b.lam, b.size, m, branch)))
     if plan.zero:
-        a1 = root_block_nilpotent(plan.zero_tuples, m, tol)
+        a1 = root_block_nilpotent(plan.zero_tuples, m)
         zero_sorted = sorted(plan.zero, key=lambda i: blocks[i].sort_key())
         parts.append((zero_sorted, [blocks[i] for i in zero_sorted], _doubled(a1)))
 
@@ -540,12 +505,12 @@ def _result_from_omega(a_omega: np.ndarray, b: QuatMatrix, h: QuatMatrix, m: int
     )
 
 
-def mth_root(b: QuatMatrix, h: QuatMatrix, m: int, tol: Tolerances | None = None,
-             branch: int = 0):
-    """H-selfadjoint m-th root of an H-selfadjoint quaternion matrix B.
+def reduce_pair(b: QuatMatrix, h: QuatMatrix, m: int, tol: Tolerances | None = None):
+    """Everything a solve does before it builds: embed, check, canonicalize, plan.
 
-    Returns a RootResult on success and a RootDecision carrying the refusal
-    certificate when no root exists.
+    Returns (B in Omega, S, spec, plan); plan.decision() is the gate's answer.
+    For m = 1 every selfadjoint B is its own root, so canonicalization is
+    skipped and S and spec are None.
     """
     if m < 1:
         raise SpecInvalid("m must be a positive integer")
@@ -564,12 +529,25 @@ def mth_root(b: QuatMatrix, h: QuatMatrix, m: int, tol: Tolerances | None = None
     if m == 1:
         if res > tol.selfadjoint_factor:
             raise NotSelfadjoint(f"HB - B*H residual {res:.3e} exceeds tolerance")
+        return b_om, None, None, _Plan()
+    return b_om, s, spec, _classify_and_plan(spec, m)
+
+
+def mth_root(b: QuatMatrix, h: QuatMatrix, m: int, tol: Tolerances | None = None,
+             branch: int = 0):
+    """H-selfadjoint m-th root of an H-selfadjoint quaternion matrix B.
+
+    Returns a RootResult on success and a RootDecision carrying the refusal
+    certificate when no root exists.
+    """
+    tol = tol or DEFAULT_TOL
+    b_om, s, spec, plan = reduce_pair(b, h, m, tol)
+    if m == 1:
         eye = np.eye(b_om.dim, dtype=complex)
         return _result_from_omega(b_om.array, b, h, 1, eye, tol)
-    plan = _classify_and_plan(spec, m)
     if plan.certificate is not None:
-        return RootDecision(False, plan.certificate)
-    a_canon = _build_canonical_root(spec, plan, m, branch, tol)
+        return plan.decision()
+    a_canon = _build_canonical_root(spec, plan, m, branch)
     sa = s.array @ a_canon
     a_omega = np.linalg.solve(s.array.T, sa.T).T
     return _result_from_omega(a_omega, b, h, m, s.array, tol)

@@ -79,6 +79,20 @@ def test_check_spec_format():
     assert json.loads(out)["certificate"]["kind"] == "SignPatternViolation"
 
 
+def test_check_stops_after_the_gate(tmp_path, monkeypatch, capsys):
+    import qroot.cli
+    import qroot.roots
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("check must not build a root")
+
+    monkeypatch.setattr(qroot.roots, "_build_canonical_root", no_build)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"B": MINUS_I2, "H": DIAG_PM}))
+    assert qroot.cli.main(["check", "--m", "2", "--in", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"exists": True, "certificate": None}
+
+
 def test_canon_roundtrip():
     payload = json.dumps({"B": MINUS_I2, "H": DIAG_PM})
     rc, out, _ = run_cli(["canon"], inp=payload)

@@ -9,10 +9,10 @@ from qroot.errors import (ClassMismatch, NotPartitionable, SpecInvalid)
 from qroot.omega import omega_extract, omega_membership
 from qroot.quaternion import QuatMatrix
 from qroot.roots import (MTuple, RootDecision, RootResult, assemble_root,
-                         m_tuple_partition, mth_root, root_block_negative_even,
+                         canonicalize_nilpotent_copy, m_tuple_partition, mth_root, root_block_negative_even,
                          root_block_nilpotent, root_block_nonreal,
                          root_block_real, root_exists, sign_pattern_check,
-                         solve_hankel_normalization, _tuple_epsilons)
+                         _primary_root, _root_branch, _tuple_epsilons)
 from qroot.verify import random_instance, verify_root
 
 
@@ -124,39 +124,90 @@ def test_tuple_epsilons_satisfy_rule():
                     assert ok, (a, r, m, eta, diag)
 
 
-# -- Hankel normalization -----------------------------------------------------
+# -- closed-form builders: property grids --------------------------------------
 
-def test_hankel_n1():
-    assert solve_hankel_normalization(2.0, 4.0, 2, 1) == pytest.approx([1.0])
-
-
-def test_hankel_n2_unit():
-    y = solve_hankel_normalization(1.0, 1.0, 2, 2)
-    assert y == pytest.approx([0.0, 1.0 / np.sqrt(2.0)])
-    t = np.linalg.matrix_power(jordan_block(1.0, 2).real, 2) - np.eye(2)
-    p1 = np.column_stack([t @ y, y])
-    assert np.allclose(p1, np.diag([np.sqrt(2.0), 1.0 / np.sqrt(2.0)]))
-    assert np.allclose(p1.T @ sip_matrix(2) @ p1, sip_matrix(2), atol=1e-14)
+def _rel(x, y):
+    return np.linalg.norm(x - y) / max(1.0, np.linalg.norm(y))
 
 
-def test_hankel_n2_lam4():
-    y = solve_hankel_normalization(2.0, 4.0, 2, 2)
-    t = np.linalg.matrix_power(jordan_block(2.0, 2).real, 2) - 4.0 * np.eye(2)
-    p1 = np.column_stack([t @ y, y])
-    assert np.allclose(p1.T @ sip_matrix(2) @ p1, sip_matrix(2), atol=1e-13)
+def _selfadjoint_rel(h, a):
+    return np.linalg.norm(h @ a - a.conj().T @ h) / max(1.0, np.linalg.norm(a))
 
 
-def test_hankel_normalization_property_grid():
-    for lam, m in [(1.0, 2), (4.0, 2), (9.0, 3), (-8.0, 3), (2.5, 5)]:
-        mu = lam ** (1.0 / m) if lam > 0 else -((-lam) ** (1.0 / m))
-        for n in range(1, 6):
-            y = solve_hankel_normalization(mu, lam, m, n)
-            t = np.linalg.matrix_power(jordan_block(mu, n).real, m) - lam * np.eye(n)
-            cols = [y]
-            for _ in range(n - 1):
-                cols.append(t @ cols[-1])
-            p1 = np.column_stack(cols[::-1])
-            assert np.allclose(p1.T @ sip_matrix(n) @ p1, sip_matrix(n), atol=1e-10)
+def test_primary_root_matches_scipy_fractional_power():
+    # independent reference: scipy's Schur-Pade fractional power
+    for lam in (2.0, 0.3, -3.0, 1j, 0.4 + 1.1j, -2 + 0.5j):
+        for k in range(1, 7):
+            for m in range(1, 6):
+                f = _primary_root(lam, _root_branch(lam, m, 0), k, m)
+                ref = scipy.linalg.fractional_matrix_power(jordan_block(lam, k), 1.0 / m)
+                assert _rel(f, ref) <= 1e-12, (lam, k, m)
+
+
+def test_root_block_real_property_grid():
+    for lam in (2.0, 0.3, 5.0, -3.0, -0.4):
+        for k in range(1, 9):
+            for m in range(1, 6):
+                if lam < 0 and m % 2 == 0:
+                    continue
+                for eta in (1, -1):
+                    a = root_block_real(lam, k, eta, m)
+                    assert np.isrealobj(a)
+                    power = np.linalg.matrix_power(a, m)
+                    assert _rel(power, jordan_block(lam, k).real) <= 1e-12, (lam, k, m)
+                    assert _selfadjoint_rel(eta * sip_matrix(k), a) <= 1e-12
+
+
+def test_root_block_nonreal_property_grid():
+    for lam in (1j, 0.4 + 1.1j, -2 + 0.5j):
+        for k in range(1, 7):
+            bm, hm = materialize_pair(CanonicalSpec((CanonicalBlock(lam, k, None),)))
+            for m in range(1, 5):
+                for branch in range(m):
+                    a = root_block_nonreal(lam, k, m, branch)
+                    assert _rel(np.linalg.matrix_power(a, m), bm.array) <= 1e-12
+                    assert _selfadjoint_rel(hm.array, a) <= 1e-12
+                    assert omega_membership(a) <= 1e-12
+
+
+def test_root_block_negative_even_property_grid():
+    for lam in (-1.0, -4.0, -4.8):
+        for k in range(1, 7):
+            spec = CanonicalSpec((CanonicalBlock(lam, k, 1), CanonicalBlock(lam, k, -1)))
+            bm, hm = materialize_pair(spec)
+            for m in (2, 4, 6):
+                for branch in range(m):
+                    a = root_block_negative_even(lam, k, m, branch)
+                    assert _rel(np.linalg.matrix_power(a, m), bm.array) <= 1e-12
+                    assert _selfadjoint_rel(hm.array, a) <= 1e-12
+                    assert omega_membership(a) <= 1e-12
+
+
+def test_root_block_nilpotent_property_grid():
+    # every (a, r, eta) with a <= 3, alone and next to a second tuple: the
+    # root's m-th power and form are the canonical pair of the tuples' signed
+    # sizes, and the root itself is one Jordan block per tuple
+    for m in range(1, 7):
+        for r in range(1, m + 1):
+            for a_ in range(4):
+                for eta in (1, -1):
+                    t = MTuple(a_, r, eta, _tuple_epsilons(a_, r, m, eta), m)
+                    other = MTuple(1, 1, -eta, _tuple_epsilons(1, 1, m, -eta), m)
+                    for tuples in ([t], [t, other]):
+                        a = root_block_nilpotent(tuples, m)
+                        want = sorted((p for u in tuples for p in u.sizes_and_signs()),
+                                      key=lambda p: (-p[0], -p[1]))
+                        p, blocks = canonicalize_nilpotent_copy(tuples, m)
+                        assert [(blk.size, blk.sign) for blk in blocks] == want
+                        assert np.allclose(p.T @ p, np.eye(len(p)), rtol=0, atol=1e-15)
+                        spec = CanonicalSpec(tuple(CanonicalBlock(0.0, k, e) for k, e in want))
+                        bm, hm = materialize_pair(spec)
+                        w = bm.half_n
+                        b1, h1 = bm.array[:w, :w], hm.array[:w, :w]
+                        assert _rel(np.linalg.matrix_power(a, m), b1) <= 1e-12, (a_, r, m)
+                        assert _selfadjoint_rel(h1, a) <= 1e-12
+                        sizes = tuple(sorted((u.total for u in tuples), reverse=True))
+                        assert segre_characteristic(a, 0.0).parts == sizes
 
 
 # -- class builders -----------------------------------------------------------
@@ -372,17 +423,6 @@ def test_forced_builder_cannot_verify_on_refused_instance():
     assert report.residual_selfadjoint > 1e-4
 
 
-def test_bilinear_hankel_solve_k2():
-    # transpose normalization over complex y: P1^T Q_2 P1 = Q_2
-    from qroot.roots import _solve_hankel, _chain_matrix
-    lam = 1j
-    mu = lam ** 0.5
-    t = np.linalg.matrix_power(jordan_block(mu, 2), 2) - lam * np.eye(2)
-    y = _solve_hankel(t, 2)
-    p1 = _chain_matrix(t, y)
-    assert np.allclose(p1.T @ sip_matrix(2) @ p1, sip_matrix(2), atol=1e-12)
-
-
 def test_nilpotent_structural_oracle_doubled_grid():
     # Segre of (J_k(0) + J_k(0))^m equals the doubled (a, r) closed form
     for k in range(1, 13):
@@ -461,3 +501,54 @@ def test_mth_root_m6_all_classes():
     out = mth_root(b, h, 6)
     assert isinstance(out, RootResult)
     assert verify_root(out.root, b, h, 6).passed
+
+
+def test_mth_root_near_axis_nonreal_with_fillers():
+    # a nonreal centroid with |Re| below the cluster radius keeps its real
+    # part; snapping it to the axis left an empty staircase (ClusterOverlap)
+    spec = CanonicalSpec((
+        CanonicalBlock(0.1 + 1.0j, 1, None), CanonicalBlock(2.0, 2, 1),
+        CanonicalBlock(-1.5, 2, -1), CanonicalBlock(1.7 + 0.8j, 1, None))).sorted()
+    assert spec.copy_size() == 8
+    for seed in range(3):
+        b, h = _scrambled_instance(spec, seed)
+        out = mth_root(b, h, 3)
+        assert isinstance(out, RootResult)
+        assert out.residual_power <= 1e-12
+        assert verify_root(out.root, b, h, 3).passed
+
+
+def test_mth_root_negative_even_j6_pair_with_fillers():
+    # a J_6 +- pair at -4.5 with m = 4 was refused (RankAmbiguous) while the
+    # builder canonicalized the pair's power numerically
+    spec = CanonicalSpec((
+        CanonicalBlock(-4.5, 6, 1), CanonicalBlock(-4.5, 6, -1),
+        CanonicalBlock(-4.5, 3, 1), CanonicalBlock(-4.5, 3, -1),
+        CanonicalBlock(1.7, 3, 1))).sorted()
+    assert spec.copy_size() >= 21
+    for seed in (3, 4):
+        b, h = _scrambled_instance(spec, seed)
+        out = mth_root(b, h, 4)
+        assert isinstance(out, RootResult)
+        assert verify_root(out.root, b, h, 4).passed
+
+
+def test_mth_root_canonicalizes_once(monkeypatch):
+    import qroot.roots
+    calls = []
+    inner = qroot.roots.canonicalize_pair
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(qroot.roots, "canonicalize_pair", counting)
+    spec = CanonicalSpec((
+        CanonicalBlock(-2.0, 2, 1), CanonicalBlock(-2.0, 2, -1),
+        CanonicalBlock(0.0, 2, 1), CanonicalBlock(0.0, 1, 1),
+        CanonicalBlock(1.5, 1, -1))).sorted()
+    b, h = _scrambled_instance(spec, 11)
+    out = mth_root(b, h, 2)
+    assert isinstance(out, RootResult)
+    assert verify_root(out.root, b, h, 2).passed
+    assert len(calls) == 1
