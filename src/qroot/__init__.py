@@ -8,8 +8,7 @@ exists, and verifies the result independently.
 
 from . import errors
 from .canonical import (CanonicalBlock, CanonicalSpec, SegreSequence,
-                        Tolerances, canonicalize_pair, inertia,
-                        interleave_permutation, jordan_block,
+                        Tolerances, canonicalize_pair, inertia, jordan_block,
                         materialize_pair, segre_characteristic, sip_matrix)
 from .omega import (OmegaMatrix, omega_embed, omega_extract,
                     omega_membership, selfadjoint_residual)
@@ -28,7 +27,7 @@ __all__ = [
     "omega_embed", "omega_extract", "omega_membership", "selfadjoint_residual",
     "CanonicalBlock", "CanonicalSpec", "SegreSequence", "Tolerances",
     "jordan_block", "sip_matrix", "materialize_pair", "segre_characteristic",
-    "interleave_permutation", "canonicalize_pair", "inertia",
+    "canonicalize_pair", "inertia",
     "MTuple", "Certificate", "RootDecision", "RootResult",
     "root_exists", "m_tuple_partition", "sign_pattern_check",
     "root_block_real", "root_block_nonreal",

@@ -3,8 +3,8 @@
 A canonical spec lists Jordan blocks per copy: a real eigenvalue block
 (lambda, k, eta) materializes as J_k(lambda) against eta*Q_k, a nonreal
 block (lambda, k) as J_k(lambda) + J_k(conj lambda) against Q_2k; the
-Omega-level pair is always the copy doubled, with the nonreal pair order
-swapped in the second copy.
+Omega-level pair is always the copy (B1, H1) doubled to B1 + conj(B1)
+against H1 + H1, so the second copy swaps each nonreal pair.
 
 canonicalize_pair reduces an arbitrary selfadjoint pair to this form with a
 similarity that stays inside Omega_2n.  The similarity is assembled from
@@ -31,31 +31,38 @@ _EPS = np.finfo(float).eps
 # tolerances
 # ---------------------------------------------------------------------------
 
+CLUSTER_FACTOR = 1e-6    # eigenvalue clustering, relative to ||B||_F
+RANK_FACTOR = 1e-8       # rank decisions, relative to the matrix's Frobenius norm
+DEGENERATE_FACTOR = 1e-10  # leading Gram moments, relative to the chains' scale
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Tolerance factors; absolute thresholds are scaled by matrix norms."""
+    """The settable residual factor; absolute thresholds scale with matrix norms.
 
-    cluster_factor: float = 1e-6
-    rank_factor: float = 1e-8
+    It bounds the HB - B*H residual of the input, the canonicalization
+    residuals and the self-check of a constructed root.
+    """
+
     residual_factor: float = 1e-8
-    selfadjoint_factor: float = 1e-8
-    membership_factor: float = 1e-10
-
-    def cluster_radius(self, b: np.ndarray) -> float:
-        # Computed eigenvalues of a defective block scatter like
-        # (eps*||B||)^(1/k); the linkage radius must cover that blob for any
-        # block size the matrix can hold.
-        bnorm = float(np.linalg.norm(b, 2)) if b.size else 0.0
-        kbound = max(1, min(b.shape[0], 16))
-        blob = 2.0 * (max(_EPS * max(1.0, bnorm), 1e-300)) ** (1.0 / kbound)
-        blob = min(blob, 0.25)
-        return max(self.cluster_factor * max(1.0, float(np.linalg.norm(b))), blob)
-
-    def rank_threshold(self, m: np.ndarray) -> float:
-        return self.rank_factor * max(1.0, float(np.linalg.norm(m)))
 
     def residual(self, b: np.ndarray) -> float:
         return self.residual_factor * max(1.0, float(np.linalg.norm(b)))
+
+
+def _cluster_radius(b: np.ndarray) -> float:
+    # Computed eigenvalues of a defective block scatter like
+    # (eps*||B||)^(1/k); the linkage radius must cover that blob for any
+    # block size the matrix can hold.
+    bnorm = float(np.linalg.norm(b, 2)) if b.size else 0.0
+    kbound = max(1, min(b.shape[0], 16))
+    blob = 2.0 * (max(_EPS * max(1.0, bnorm), 1e-300)) ** (1.0 / kbound)
+    blob = min(blob, 0.25)
+    return max(CLUSTER_FACTOR * max(1.0, float(np.linalg.norm(b))), blob)
+
+
+def _rank_threshold(m: np.ndarray) -> float:
+    return RANK_FACTOR * max(1.0, float(np.linalg.norm(m)))
 
 
 DEFAULT_TOL = Tolerances()
@@ -202,104 +209,35 @@ def block_diag(*blocks) -> np.ndarray:
     return out
 
 
-def _copy_pair(blocks, swap: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One copy of the materialized pair; swap=True conjugates nonreal pairs."""
+def materialize_pair(spec: CanonicalSpec) -> tuple[OmegaMatrix, OmegaMatrix]:
+    """Doubled Omega-level pair for a spec; exact member of Omega_2n.
+
+    One copy (B1, H1) is built and doubled to (B1 + conj(B1), H1 + H1);
+    conjugation turns J_k(lam) + J_k(conj lam) into the swapped pair.
+    """
+    if not spec.blocks:
+        raise SpecInvalid("cannot materialize an empty spec")
     bparts, hparts = [], []
-    for blk in blocks:
+    for blk in spec.blocks:
         if blk.is_real:
             bparts.append(jordan_block(blk.lam.real, blk.size))
             hparts.append(blk.sign * sip_matrix(blk.size))
         else:
-            lam = blk.lam
-            first, second = (np.conj(lam), lam) if swap else (lam, np.conj(lam))
-            bparts.append(jordan_block(first, blk.size))
-            bparts.append(jordan_block(second, blk.size))
+            bparts.append(jordan_block(blk.lam, blk.size))
+            bparts.append(jordan_block(np.conj(blk.lam), blk.size))
             hparts.append(sip_matrix(2 * blk.size))
-    return block_diag(*bparts).astype(complex), block_diag(*hparts).astype(complex)
-
-
-def materialize_pair(spec: CanonicalSpec) -> tuple[OmegaMatrix, OmegaMatrix]:
-    """Doubled Omega-level pair for a spec; exact member of Omega_2n."""
-    blocks = spec.blocks
-    if not blocks:
-        raise SpecInvalid("cannot materialize an empty spec")
-    b1, h1 = _copy_pair(blocks, swap=False)
-    b2, _ = _copy_pair(blocks, swap=True)
-    return (OmegaMatrix(block_diag(b1, b2), check=False),
+    b1, h1 = block_diag(*bparts), block_diag(*hparts)
+    return (OmegaMatrix(block_diag(b1, np.conj(b1)), check=False),
             OmegaMatrix(block_diag(h1, h1), check=False))
 
 
-def interleave_permutation(t: int, sizes) -> np.ndarray:
-    """Permutation P with P (X1 + Y1 + ... ) P^-1 = (all X) + (all Y).
-
-    sizes[j] is the common width of the j-th pair (X_j, Y_j); P is the 2t x 2t
-    block matrix with identities at (i, 2i-1) for i <= t and (i, 2(i-t)) above.
-    """
-    sizes = [int(s) for s in sizes]
-    if len(sizes) != t:
-        raise SizeMismatch(f"expected {t} sizes, got {len(sizes)}")
-    if any(s <= 0 for s in sizes):
-        raise SizeMismatch("sizes must be positive")
-    total = 2 * sum(sizes)
-    p = np.zeros((total, total))
-    # offsets of the interleaved source blocks (X1 Y1 X2 Y2 ...)
-    src_off = np.cumsum([0] + [s for s in sizes for _ in range(2)])
-    row = 0
-    for i in range(t):          # rows 0..t-1 pick the X_j (odd source blocks)
-        s = sizes[i]
-        p[row:row + s, src_off[2 * i]:src_off[2 * i] + s] = np.eye(s)
-        row += s
-    for i in range(t):          # rows t..2t-1 pick the Y_j
-        s = sizes[i]
-        p[row:row + s, src_off[2 * i + 1]:src_off[2 * i + 1] + s] = np.eye(s)
-        row += s
-    return p
-
-
-def block_permutation(order_from: list[int], widths: list[int]) -> np.ndarray:
-    """Per-copy permutation gathering blocks listed in order_from into 0..t-1.
-
-    order_from[p] = target index of the block sitting at source position p.
-    Conjugation by the result moves diagonal blocks accordingly.
-    """
-    t = len(order_from)
-    if sorted(order_from) != list(range(t)):
-        raise SizeMismatch("order_from must be a permutation")
-    src_off = np.cumsum([0] + [widths[b] for b in order_from])
-    dst_off = np.cumsum([0] + list(widths))
-    total = int(dst_off[-1])
-    p = np.zeros((total, total))
-    for pos, b in enumerate(order_from):
-        w = widths[b]
-        p[dst_off[b]:dst_off[b] + w, src_off[pos]:src_off[pos] + w] = np.eye(w)
-    return p
-
-
-def interleave_index(sizes) -> np.ndarray:
-    """Index form of interleave_permutation: P X P^T == X[np.ix_(idx, idx)]."""
-    src_off = np.cumsum([0] + [s for s in sizes for _ in range(2)])
-    return np.concatenate(
-        [np.arange(src_off[2 * i + half], src_off[2 * i + half] + s)
-         for half in (0, 1) for i, s in enumerate(sizes)])
-
-
-def block_index(order_from: list[int], widths: list[int]) -> np.ndarray:
-    """Index form of block_permutation: P X P^T == X[np.ix_(idx, idx)]."""
-    src_off = np.cumsum([0] + [widths[b] for b in order_from])
-    return np.concatenate(
-        [np.arange(src_off[pos], src_off[pos] + widths[b])
-         for b, pos in enumerate(np.argsort(order_from))])
-
-
-def inertia(h: np.ndarray, rank_tol: float | None = None) -> tuple[int, int]:
+def inertia(h: np.ndarray) -> tuple[int, int]:
     """(n_plus, n_minus) of a Hermitian matrix; congruence invariant."""
     h = h.array if isinstance(h, OmegaMatrix) else np.asarray(h, dtype=complex)
     if np.linalg.norm(h - h.conj().T) > 1e-10 * max(1.0, np.linalg.norm(h)):
         raise NotHermitian("inertia expects a Hermitian matrix")
-    if rank_tol is None:
-        rank_tol = DEFAULT_TOL.rank_threshold(h)
     w = np.linalg.eigvalsh(h)
-    if np.any(np.abs(w) <= rank_tol):
+    if np.any(np.abs(w) <= _rank_threshold(h)):
         raise NearSingular("eigenvalue within rank tolerance of zero")
     return int(np.sum(w > 0)), int(np.sum(w < 0))
 
@@ -317,8 +255,7 @@ def _rank_with_guard(s: np.ndarray, thr: float) -> int:
     return int(np.sum(s > thr))
 
 
-def _staircase(n_mat: np.ndarray, expected_dim: int,
-               tol: Tolerances) -> tuple[list[int], list[np.ndarray]]:
+def _staircase(n_mat: np.ndarray, expected_dim: int) -> tuple[list[int], list[np.ndarray]]:
     """Jordan part sizes of a (numerically) nilpotent matrix via rank drops.
 
     One SVD per power N^p yields both its guarded rank and an orthonormal
@@ -332,7 +269,7 @@ def _staircase(n_mat: np.ndarray, expected_dim: int,
     for _ in range(n):
         power = power @ n_mat
         _, s, vh = np.linalg.svd(power)
-        rank = _rank_with_guard(s, tol.rank_threshold(power))
+        rank = _rank_with_guard(s, _rank_threshold(power))
         d = n - rank
         if d == dims[-1]:
             break
@@ -386,11 +323,10 @@ def _deflate_cluster(b: np.ndarray, schur: tuple[np.ndarray, np.ndarray],
     return q1, t11 - centroid * np.eye(sdim, dtype=complex)
 
 
-def segre_characteristic(m: np.ndarray, lam: complex, rank_tol: float | None = None) -> SegreSequence:
+def segre_characteristic(m: np.ndarray, lam: complex) -> SegreSequence:
     """Segre characteristic of m at lam from the rank staircase of (m - lam I)."""
     m = m.array if isinstance(m, OmegaMatrix) else np.asarray(m, dtype=complex)
-    tol = DEFAULT_TOL if rank_tol is None else Tolerances(rank_factor=rank_tol)
-    radius = tol.cluster_radius(m)
+    radius = _cluster_radius(m)
     schur = _schur(m)
     eigs = np.diag(schur[0])
     mult = int(np.sum(np.abs(eigs - lam) <= radius))
@@ -400,7 +336,7 @@ def segre_characteristic(m: np.ndarray, lam: complex, rank_tol: float | None = N
     if abs(centroid.imag) <= radius:
         centroid = complex(centroid.real, 0.0)
     _, n_defl = _deflate_cluster(m, schur, centroid, radius, mult)
-    parts, _ = _staircase(n_defl, mult, tol)
+    parts, _ = _staircase(n_defl, mult)
     return SegreSequence(lam, tuple(parts))
 
 
@@ -460,7 +396,7 @@ def _append_orth(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.hstack([q, (v / nv)[:, None]])
 
 
-def _nilpotent_chains(n_mat: np.ndarray, expected_dim: int, tol: Tolerances,
+def _nilpotent_chains(n_mat: np.ndarray, expected_dim: int,
                       partner=None) -> list[list[np.ndarray]]:
     """Jordan chains [c_1, ..., c_k] of nilpotent N with N c_i = c_{i-1}.
 
@@ -468,7 +404,7 @@ def _nilpotent_chains(n_mat: np.ndarray, expected_dim: int, tol: Tolerances,
     are one representative per quaternionic block; the partner images span
     the remaining half of each kernel level.
     """
-    parts, kernels = _staircase(n_mat, expected_dim, tol)
+    parts, kernels = _staircase(n_mat, expected_dim)
     kappa = parts[0] if parts else 0
     counts = [sum(1 for p in parts if p >= q) for q in range(1, kappa + 2)]
 
@@ -520,40 +456,11 @@ def _nilpotent_chains(n_mat: np.ndarray, expected_dim: int, tol: Tolerances,
 # indefinite Gram normalization of chains
 # ---------------------------------------------------------------------------
 
-class _QuatHermOps:
-    """Quaternion-valued moments; scalars are pairs (q1, q2) = q1 + j q2."""
+def _chain_moment(form, c, d, s, zero):
+    """Moment form(d_i, c_j) with i + j = s (Hankel in s); c, d bottom-up lists.
 
-    def __init__(self, g: np.ndarray, partner):
-        self.g = g
-        self.partner = partner
-
-    def form(self, x, y):
-        gx = self.g @ x
-        return (complex(np.vdot(y, gx)), complex(np.vdot(self.partner(y), gx)))
-
-    def rmul(self, v, s):
-        return s[0] * v + s[1] * self.partner(v)
-
-    def absval(self, s):
-        return qs_abs(s)
-
-    def real(self, s):
-        return s[0].real
-
-    def from_real(self, r):
-        return (complex(r), 0j)
-
-    def unit_from(self, s):
-        a = qs_abs(s)
-        c = qs_conj(s)
-        return (c[0] / a, c[1] / a)
-
-    def div_real(self, s, r):
-        return (s[0] / r, s[1] / r)
-
-
-def _chain_moment(ops, c, d, s):
-    """Moment [d_i, c_j] with i + j = s (Hankel in s); c, d bottom-up lists."""
+    Returns zero when no index pair of the two chains sums to s.
+    """
     k, l = len(c), len(d)
     i = min(l, s - 1)
     j = s - i
@@ -561,16 +468,28 @@ def _chain_moment(ops, c, d, s):
         j = k
         i = s - j
     if not (1 <= i <= l and 1 <= j <= k):
-        return ops.from_real(0.0)
-    return ops.form(d[i - 1], c[j - 1])
+        return zero
+    return form(d[i - 1], c[j - 1])
 
 
-def _normalize_hermitian_chains(chains, ops, degenerate_tol=1e-10):
+def _normalize_hermitian_chains(chains, g, partner):
     """Transform Jordan chains so the Gram against the form becomes +-sips.
 
+    Moments are quaternions q1 + j q2, held as pairs (q1, q2): [x, y] is
+    (<y, G x>, <partner(y), G x>), and v q is q1 v + q2 partner(v).
     Returns [(eta, chain)] with [c_i, c_j] = eta when i + j = k + 1 and 0
     otherwise, and all cross-chain moments annihilated.
     """
+    def form(x, y):
+        gx = g @ x
+        return (complex(np.vdot(y, gx)), complex(np.vdot(partner(y), gx)))
+
+    def moment(c, d, s):
+        return _chain_moment(form, c, d, s, (0j, 0j))
+
+    def rmul(v, q):
+        return q[0] * v + q[1] * partner(v)
+
     chains = [list(c) for c in chains]
     out = []
     while chains:
@@ -579,9 +498,9 @@ def _normalize_hermitian_chains(chains, ops, degenerate_tol=1e-10):
         scale = max(max(np.linalg.norm(v) for v in c) for c in chains) ** 2
         best_self = (0.0, None)
         for i in tops:
-            h = _chain_moment(ops, chains[i], chains[i], kappa + 1)
-            if ops.absval(h) > best_self[0]:
-                best_self = (ops.absval(h), i)
+            h = qs_abs(moment(chains[i], chains[i], kappa + 1))
+            if h > best_self[0]:
+                best_self = (h, i)
         # recombination partners must share the maximal length: adding a
         # shorter chain cannot stay a Jordan chain and cannot feed the
         # leading moment anyway
@@ -590,11 +509,11 @@ def _normalize_hermitian_chains(chains, ops, degenerate_tol=1e-10):
             for j in tops:
                 if j == i:
                     continue
-                m = _chain_moment(ops, chains[i], chains[j], kappa + 1)
-                if ops.absval(m) > best_cross[0]:
-                    best_cross = (ops.absval(m), i, j)
+                m = qs_abs(moment(chains[i], chains[j], kappa + 1))
+                if m > best_cross[0]:
+                    best_cross = (m, i, j)
         peak = max(best_self[0], best_cross[0])
-        if peak <= degenerate_tol * max(1.0, scale):
+        if peak <= DEGENERATE_FACTOR * max(1.0, scale):
             raise RankAmbiguous("degenerate leading moments in Gram normalization")
         if best_self[0] >= 0.1 * peak:
             i = best_self[1]
@@ -602,50 +521,41 @@ def _normalize_hermitian_chains(chains, ops, degenerate_tol=1e-10):
             # fold chain j into chain i; the folded self-moment is
             # h + 2|m| + h_j with |h|, |h_j| < 0.1 |m|, hence nonzero
             _, i, j = best_cross
-            m = _chain_moment(ops, chains[i], chains[j], kappa + 1)
-            q = ops.unit_from(m)
+            m = moment(chains[i], chains[j], kappa + 1)
+            a = qs_abs(m)
+            q = tuple(x / a for x in qs_conj(m))
             for idx in range(kappa):
-                chains[i][idx] = chains[i][idx] + ops.rmul(chains[j][idx], q)
+                chains[i][idx] = chains[i][idx] + rmul(chains[j][idx], q)
         c = chains.pop(i)
         k = len(c)
-        h = _chain_moment(ops, c, c, k + 1)
-        eta = 1 if ops.real(h) > 0 else -1
-        s = ops.from_real(1.0 / np.sqrt(abs(ops.real(h))))
-        c = [ops.rmul(v, s) for v in c]
+        h = moment(c, c, k + 1)[0].real
+        eta = 1 if h > 0 else -1
+        s = (complex(1.0 / np.sqrt(abs(h))), 0j)
+        c = [rmul(v, s) for v in c]
         # kill the higher self-moments h_{k+1+t} with real chain corrections
         for t in range(1, k):
-            h_t = _chain_moment(ops, c, c, k + 1 + t)
-            alpha = -ops.real(h_t) / (2.0 * eta)
+            alpha = -moment(c, c, k + 1 + t)[0].real / (2.0 * eta)
             for idx in range(t, k):
                 c[idx] = c[idx] + alpha * c[idx - t]
         # annihilate every remaining chain against c
         for d in chains:
             l = len(d)
             for t in range(l):
-                g = _chain_moment(ops, c, d, k + 1 + t)
-                q = ops.div_real(g, float(eta))
+                q = tuple(x / eta for x in moment(c, d, k + 1 + t))
                 for idx in range(t, l):
-                    d[idx] = d[idx] - ops.rmul(c[idx - t], q)
+                    d[idx] = d[idx] - rmul(c[idx - t], q)
         out.append((eta, c))
     return out
 
 
-def _normalize_symplectic_chains(chains, bform, degenerate_tol=1e-10):
+def _normalize_symplectic_chains(chains, bform):
     """Pair chains against an antisymmetric bilinear form.
 
     Returns [(c, d)] with phi(d_i, c_j) = 1 when i + j = k + 1, 0 otherwise,
     and all other moments annihilated; self-moments vanish identically.
     """
     def moment(d, c, s):
-        l, k = len(d), len(c)
-        i = min(l, s - 1)
-        j = s - i
-        if j > k:
-            j = k
-            i = s - j
-        if not (1 <= i <= l and 1 <= j <= k):
-            return 0.0 + 0j
-        return complex(bform(d[i - 1], c[j - 1]))
+        return complex(_chain_moment(bform, c, d, s, 0j))
 
     chains = [list(c) for c in chains]
     out = []
@@ -661,7 +571,7 @@ def _normalize_symplectic_chains(chains, bform, degenerate_tol=1e-10):
                 m = moment(chains[b], chains[a], kappa + 1)
                 if abs(m) > best[0]:
                     best = (abs(m), a, b)
-        if best[1] is None or best[0] <= degenerate_tol * max(1.0, scale):
+        if best[1] is None or best[0] <= DEGENERATE_FACTOR * max(1.0, scale):
             raise RankAmbiguous("degenerate symplectic pairing of chains")
         _, ia, ib = best
         c = chains[ia]
@@ -752,7 +662,7 @@ def canonicalize_pair(b, h, tol: Tolerances | None = None) -> tuple[OmegaMatrix,
     if barr.shape != harr.shape:
         raise SizeMismatch("B and H must have equal shape")
     res = selfadjoint_residual(harr, barr)  # validates Hermitian + invertible
-    if res > tol.selfadjoint_factor:
+    if res > tol.residual_factor:
         raise NotSelfadjoint(f"selfadjoint residual {res:.3e} exceeds tolerance")
 
     scale = max(1.0, float(np.max(np.abs(barr))), float(np.max(np.abs(harr))))
@@ -763,7 +673,7 @@ def canonicalize_pair(b, h, tol: Tolerances | None = None) -> tuple[OmegaMatrix,
 
     n = barr.shape[0] // 2
     kmat = structure_matrix(n)
-    radius = tol.cluster_radius(barr)
+    radius = _cluster_radius(barr)
     schur = _schur(barr)
     clusters = _cluster_eigenvalues(np.diag(schur[0]), radius)
 
@@ -777,10 +687,13 @@ def canonicalize_pair(b, h, tol: Tolerances | None = None) -> tuple[OmegaMatrix,
             real_clusters.append(_Cluster(complex(re, 0.0), c.mult))
         elif c.centroid.imag > 0:
             nonreal.append(c)
+    # the mate is the nearest conjugate cluster; a neighbour's conjugate
+    # may lie within 2*radius as well
     for c in nonreal:
-        mate = [d for d in clusters if d.centroid.imag < -radius
-                and abs(np.conj(d.centroid) - c.centroid) <= 2 * radius]
-        if not mate or mate[0].mult != c.mult:
+        gaps = [(abs(np.conj(d.centroid) - c.centroid), d.mult) for d in clusters
+                if d.centroid.imag < -radius]
+        gap, mult = min(gaps, default=(np.inf, 0))
+        if gap > 2 * radius or mult != c.mult:
             raise ClusterOverlap("conjugate eigenvalue clusters do not match")
 
     entries = []  # (CanonicalBlock, columns) in extraction order
@@ -791,16 +704,15 @@ def canonicalize_pair(b, h, tol: Tolerances | None = None) -> tuple[OmegaMatrix,
         x_c = q1.conj().T @ (kmat @ np.conj(q1))
         partner = lambda v, _x=x_c: _x @ np.conj(v)
         g_c = q1.conj().T @ harr @ q1
-        chains = _nilpotent_chains(nd, c.mult, tol, partner=partner)
-        ops = _QuatHermOps(g_c, partner)
-        for eta, chain in _normalize_hermitian_chains(chains, ops):
+        chains = _nilpotent_chains(nd, c.mult, partner=partner)
+        for eta, chain in _normalize_hermitian_chains(chains, g_c, partner):
             cols = q1 @ np.column_stack(chain)
             entries.append((CanonicalBlock(c.centroid, len(chain), eta), cols))
     for c in nonreal:
         q1, nd = _deflate_cluster(barr, schur, c.centroid, radius, c.mult)
         phi = q1.T @ (np.conj(harr) @ kmat) @ q1
         bform = lambda x, y, _p=phi: x @ (_p @ y)
-        chains = _nilpotent_chains(nd, c.mult, tol)
+        chains = _nilpotent_chains(nd, c.mult)
         for cc, dd in _normalize_symplectic_chains(chains, bform):
             u_cols = q1 @ np.column_stack(dd)
             w_cols = chi(q1 @ np.column_stack(cc), kmat)

@@ -96,7 +96,7 @@ def _tolerances(args) -> Tolerances:
         tol = float(env) if env else DEFAULT_TOL
     if tol <= 0:
         raise ParseError("tolerance must be positive")
-    return Tolerances(residual_factor=tol, selfadjoint_factor=tol)
+    return Tolerances(residual_factor=tol)
 
 
 def _matrix_from(obj, fmt: str) -> QuatMatrix:
@@ -185,11 +185,7 @@ def _cmd_verify(args) -> int:
     m = args.m if args.m is not None else payload.get("m")
     if m is None:
         raise ParseError("--m is required when the payload carries no m")
-    tol = args.tol
-    if tol is None:
-        env = os.environ.get("QROOT_TOL")
-        tol = float(env) if env else DEFAULT_TOL
-    report = verify_root(a, b, h, int(m), tol)
+    report = verify_root(a, b, h, int(m), _tolerances(args).residual_factor)
     _write(args.out, report.to_json())
     return 0 if report.passed else 1
 

@@ -16,6 +16,7 @@ from .errors import (DimensionMismatch, NotHermitian, NotInOmega,
 from .quaternion import QuatMatrix
 
 MEMBERSHIP_FACTOR = 1e-10  # default tau_Omega = factor * max(1, inf-norm)
+COND_LIMIT = 1e12  # an H with a larger condition estimate counts as singular
 
 
 class OmegaMatrix:
@@ -77,10 +78,10 @@ def complex_from_json(obj: dict) -> np.ndarray:
     return (re + 1j * im).reshape(dim, dim)
 
 
-def membership_tolerance(m: np.ndarray, factor: float = MEMBERSHIP_FACTOR) -> float:
+def membership_tolerance(m: np.ndarray) -> float:
     m = np.asarray(m)
     scale = np.max(np.abs(m)) if m.size else 0.0
-    return factor * max(1.0, float(scale))
+    return MEMBERSHIP_FACTOR * max(1.0, float(scale))
 
 
 def omega_embed(a: QuatMatrix) -> OmegaMatrix:
@@ -136,7 +137,7 @@ def omega_extract(m, tol: float | None = None) -> QuatMatrix:
     return QuatMatrix.from_complex_pair(a1, a2)
 
 
-def selfadjoint_residual(h, a, cond_threshold: float = 1e12) -> float:
+def selfadjoint_residual(h, a) -> float:
     """||HA - A*H||_F / max(1, ||H||_F * ||A||_F) for Hermitian invertible H."""
     h = h.array if isinstance(h, OmegaMatrix) else np.asarray(h, dtype=complex)
     a = a.array if isinstance(a, OmegaMatrix) else np.asarray(a, dtype=complex)
@@ -146,7 +147,7 @@ def selfadjoint_residual(h, a, cond_threshold: float = 1e12) -> float:
     if np.linalg.norm(h - h.conj().T) > 1e-10 * max(1.0, hn):
         raise NotHermitian("H is not Hermitian at working tolerance")
     sv = np.linalg.svd(h, compute_uv=False)
-    if sv[-1] * cond_threshold <= max(1.0, sv[0]):
+    if sv[-1] * COND_LIMIT <= max(1.0, sv[0]):
         raise Singular("H condition estimate beyond threshold")
     num = np.linalg.norm(h @ a - a.conj().T @ h)
     return float(num / max(1.0, hn * np.linalg.norm(a)))

@@ -5,8 +5,8 @@ The decision follows the canonical-form conditions: positive, nonreal, and
 even must pair identical blocks with opposite signs; zero eigenvalues must
 admit a grouping of the per-copy Segre parts into m-tuples of sizes a+1/a
 whose signs obey the half-and-half rule.  Builders write one root per class
-in closed form in canonical coordinates, and the block-assembly permutation
-glues them into a single member of Omega_2n.
+in closed form on one copy of the canonical pair; assemble_root places them
+on that copy and doubles it into a single member of Omega_2n.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canonical import (CanonicalBlock, CanonicalSpec, Tolerances, DEFAULT_TOL,
-                        block_diag, block_index, canonicalize_pair,
-                        interleave_index, jordan_block)
+                        block_diag, canonicalize_pair, jordan_block)
 from .errors import (ClassMismatch, DimensionMismatch, NearSingularH,
                      NotPartitionable, NotSelfadjoint, RankAmbiguous,
                      SignPatternViolation, Singular, SpecInvalid)
-from .omega import (OmegaMatrix, omega_embed, omega_extract, omega_membership,
-                    selfadjoint_residual)
+from .omega import (OmegaMatrix, membership_tolerance, omega_embed, omega_extract,
+                    omega_membership, selfadjoint_residual)
 from .quaternion import QuatMatrix
 
 ZERO_CLASS_FACTOR = 1e-8  # |lambda| below this (relative) counts as zero
@@ -332,20 +331,19 @@ def _root_branch(lam: complex, m: int, branch: int) -> complex:
 
 
 def root_block_nonreal(lam: complex, k: int, m: int, branch: int = 0) -> np.ndarray:
-    """4k x 4k root block for a nonreal block (lam, k), selfadjoint for Q_2k + Q_2k.
+    """Per-copy 2k x 2k root of (J_k(lam) + J_k(conj lam), Q_2k).
 
-    F + conj(F) is Q_2k-selfadjoint because F is Toeplitz; the second copy
-    swaps the pair.
+    F + conj(F) is Q_2k-selfadjoint because F is Toeplitz.
     """
     lam = complex(lam)
     if lam.imag <= 0:
         raise ClassMismatch("nonreal builder needs Im(lam) > 0")
     f = _primary_root(lam, _root_branch(lam, m, branch), k, m)
-    return block_diag(f, np.conj(f), np.conj(f), f)
+    return block_diag(f, np.conj(f))
 
 
 def root_block_negative_even(lam: float, k: int, m: int, branch: int = 0) -> np.ndarray:
-    """4k x 4k root block for paired blocks (lam, k, +1), (lam, k, -1), m even.
+    """Per-copy 2k x 2k root of paired blocks (lam, k, +1), (lam, k, -1), m even.
 
     With the nonreal root F of J_k(lam), F + conj(F) is selfadjoint for
     [[0, Q_k], [Q_k, 0]].  T = [[I, I], [I, -I]]/sqrt(2) commutes with
@@ -355,8 +353,7 @@ def root_block_negative_even(lam: float, k: int, m: int, branch: int = 0) -> np.
     if lam >= 0 or m % 2:
         raise ClassMismatch("negative-even builder needs lam < 0 and m even")
     f = _primary_root(lam, _root_branch(complex(lam), m, branch), k, m)
-    a1 = np.block([[f.real, 1j * f.imag], [1j * f.imag, f.real]])
-    return _doubled(a1)
+    return np.block([[f.real, 1j * f.imag], [1j * f.imag, f.real]])
 
 
 def canonicalize_nilpotent_copy(tuples: list[MTuple], m: int):
@@ -412,67 +409,44 @@ def root_block_nilpotent(tuples: list[MTuple], m: int) -> np.ndarray:
 # assembly
 # ---------------------------------------------------------------------------
 
-def assemble_root(parts) -> OmegaMatrix:
-    """Interleave per-class doubled blocks into one member of Omega.
+def assemble_root(widths, parts) -> OmegaMatrix:
+    """Place per-class roots on one copy and double it into a member of Omega.
 
-    Each part is (blocks, matrix) with matrix the 2w x 2w Omega-level root of
-    the part's doubled sub-pair; the result is the root of the concatenated
-    sub-pairs' materialization.
+    widths[i] is the per-copy width of canonical block i.  Each part is
+    (indices, root): root is the one-copy root of the blocks at those
+    indices, taken in that order, and every block lies in exactly one part.
+    Like materialize_pair, the result is the copy A1 doubled to A1 + conj(A1).
     """
-    parts = list(parts)
-    if not parts:
-        raise DimensionMismatch("assemble_root needs at least one part")
-    widths = []
-    for blocks, mat in parts:
-        w = sum(b.copy_width() for b in blocks)
-        if mat.shape != (2 * w, 2 * w):
-            raise DimensionMismatch(f"part matrix must be {2 * w} x {2 * w}")
-        widths.append(w)
-    if len(parts) == 1:
-        return OmegaMatrix(parts[0][1], check=False)
-    idx = interleave_index(widths)
-    stacked = block_diag(*[mat for _, mat in parts])
-    return OmegaMatrix(stacked[np.ix_(idx, idx)], check=False)
-
-
-def _doubled(a1: np.ndarray) -> np.ndarray:
-    return block_diag(a1, np.conj(a1))
+    if sorted(i for indices, _ in parts for i in indices) != list(range(len(widths))):
+        raise DimensionMismatch("assemble_root parts must cover every block once")
+    offsets = np.cumsum([0] + list(widths))
+    a1 = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
+    for indices, root in parts:
+        cols = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in indices])
+        if root.shape != (len(cols), len(cols)):
+            raise DimensionMismatch(f"part root must be {len(cols)} x {len(cols)}")
+        a1[np.ix_(cols, cols)] = root
+    return OmegaMatrix(block_diag(a1, np.conj(a1)), check=False)
 
 
 def _build_canonical_root(spec: CanonicalSpec, plan: _Plan, m: int,
                           branch: int) -> np.ndarray:
     """Root of materialize_pair(spec) assembled from per-class builders."""
     blocks = spec.blocks
-    parts = []  # (canonical indices, blocks, matrix)
-    for i in plan.positive:
+    parts = []  # (canonical indices, root on one copy)
+    for i in plan.positive + (plan.negative if m % 2 else []):
         b = blocks[i]
-        parts.append(([i], [b], _doubled(root_block_real(b.lam.real, b.size, b.sign, m))))
-    for i in plan.negative:
-        if m % 2 == 1:
-            b = blocks[i]
-            parts.append(([i], [b], _doubled(root_block_real(b.lam.real, b.size, b.sign, m))))
-    if m % 2 == 0:
-        for ip, im_ in plan.neg_pairs:
-            b = blocks[ip]
-            mat = root_block_negative_even(b.lam.real, b.size, m, branch)
-            parts.append(([ip, im_], [blocks[ip], blocks[im_]], mat))
+        parts.append(([i], root_block_real(b.lam.real, b.size, b.sign, m)))
+    for ip, im_ in plan.neg_pairs:
+        b = blocks[ip]
+        parts.append(([ip, im_], root_block_negative_even(b.lam.real, b.size, m, branch)))
     for i in plan.nonreal:
         b = blocks[i]
-        parts.append(([i], [b], root_block_nonreal(b.lam, b.size, m, branch)))
+        parts.append(([i], root_block_nonreal(b.lam, b.size, m, branch)))
     if plan.zero:
-        a1 = root_block_nilpotent(plan.zero_tuples, m)
         zero_sorted = sorted(plan.zero, key=lambda i: blocks[i].sort_key())
-        parts.append((zero_sorted, [blocks[i] for i in zero_sorted], _doubled(a1)))
-
-    parts.sort(key=lambda p: p[0][0])
-    assembled = assemble_root([(blks, mat) for _, blks, mat in parts]).array
-    build_order = [i for idxs, _, _ in parts for i in idxs]
-    if build_order != list(range(len(blocks))):
-        widths = [b.copy_width() for b in blocks]
-        idx0 = block_index(build_order, widths)
-        idx = np.concatenate([idx0, idx0 + sum(widths)])  # both copies
-        assembled = assembled[np.ix_(idx, idx)]
-    return assembled
+        parts.append((zero_sorted, root_block_nilpotent(plan.zero_tuples, m)))
+    return assemble_root([b.copy_width() for b in blocks], parts).array
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +456,7 @@ def _build_canonical_root(spec: CanonicalSpec, plan: _Plan, m: int,
 def _result_from_omega(a_omega: np.ndarray, b: QuatMatrix, h: QuatMatrix, m: int,
                        similarity: np.ndarray, tol: Tolerances) -> RootResult:
     omega_res = omega_membership(a_omega)
-    a_quat = omega_extract(a_omega, tol=max(tol.membership_factor *
-                                            max(1.0, float(np.max(np.abs(a_omega)))),
+    a_quat = omega_extract(a_omega, tol=max(membership_tolerance(a_omega),
                                             omega_res * 1.001))
     power = a_quat.power(m)
     res_power = (power - b).norm() / max(1.0, b.norm())
@@ -527,7 +500,7 @@ def reduce_pair(b: QuatMatrix, h: QuatMatrix, m: int, tol: Tolerances | None = N
     except Singular as exc:
         raise NearSingularH(str(exc)) from exc
     if m == 1:
-        if res > tol.selfadjoint_factor:
+        if res > tol.residual_factor:
             raise NotSelfadjoint(f"HB - B*H residual {res:.3e} exceeds tolerance")
         return b_om, None, None, _Plan()
     return b_om, s, spec, _classify_and_plan(spec, m)

@@ -4,13 +4,10 @@ import scipy.linalg
 
 import qroot.canonical as canonical
 from qroot.canonical import (DEFAULT_TOL, CanonicalBlock, CanonicalSpec,
-                             block_diag, block_index, block_permutation,
-                             canonicalize_pair, inertia, interleave_index,
-                             interleave_permutation, jordan_block,
-                             materialize_pair, segre_characteristic,
-                             sip_matrix)
-from qroot.errors import (NearSingular, NotSelfadjoint, SizeMismatch,
-                          SpecInvalid)
+                             block_diag, canonicalize_pair, inertia,
+                             jordan_block, materialize_pair,
+                             segre_characteristic, sip_matrix)
+from qroot.errors import NearSingular, NotSelfadjoint, SpecInvalid
 from qroot.omega import omega_embed, omega_membership
 from qroot.quaternion import QuatMatrix
 
@@ -156,49 +153,6 @@ def test_doubling_for_general_real_eigenvalue():
             assert parts.count(value) % 2 == 0
 
 
-# -- interleave permutation ---------------------------------------------------
-
-def test_interleave_identity():
-    assert np.array_equal(interleave_permutation(1, [3]), np.eye(6))
-
-
-def test_interleave_block_order():
-    p = interleave_permutation(2, [1, 1])
-    d = np.diag([1.0, 2.0, 3.0, 4.0])
-    got = p @ d @ p.T
-    assert np.array_equal(np.diag(got), np.array([1.0, 3.0, 2.0, 4.0]))
-
-
-def test_interleave_is_unitary_and_preserves_omega():
-    rng = np.random.default_rng(14)
-    n, m = 2, 3
-    p = interleave_permutation(2, [n, m])
-    assert np.array_equal(p @ p.T, np.eye(2 * (n + m)))
-    a1 = omega_embed(QuatMatrix(rng.standard_normal((n, n, 4)))).array
-    a2 = omega_embed(QuatMatrix(rng.standard_normal((m, m, 4)))).array
-    import scipy.linalg
-    stacked = scipy.linalg.block_diag(a1, a2)
-    assert omega_membership(p @ stacked @ p.T) == 0.0
-
-
-def test_interleave_size_mismatch():
-    with pytest.raises(SizeMismatch):
-        interleave_permutation(2, [1])
-    with pytest.raises(SizeMismatch):
-        interleave_permutation(1, [0])
-
-
-def test_block_permutation_gathers():
-    widths = [1, 2, 1]
-    order = [2, 0, 1]  # block 2 first, then 0, then 1
-    p = block_permutation(order, widths)
-    import scipy.linalg
-    blocks = [np.full((w, w), float(i + 1)) for i, w in enumerate(widths)]
-    src = scipy.linalg.block_diag(*[blocks[b] for b in order])
-    dst = scipy.linalg.block_diag(*blocks)
-    assert np.array_equal(p @ src @ p.T, dst)
-
-
 # -- inertia ------------------------------------------------------------------
 
 def test_inertia_examples():
@@ -331,7 +285,7 @@ def test_reordered_schur_matches_sorted_schur_reference(seed, monkeypatch):
     spec = _many_cluster_spec(np.random.default_rng(seed))
     b, h = scrambled(spec, seed)
     assert b.shape[0] >= 48
-    radius = DEFAULT_TOL.cluster_radius(b)
+    radius = canonical._cluster_radius(b)
     schur = canonical._schur(b)
     clusters = canonical._cluster_eigenvalues(np.diag(schur[0]), radius)
     assert len(clusters) >= 8
@@ -425,19 +379,3 @@ def test_block_diag_matches_scipy():
     got = block_diag(*blocks)
     want = scipy.linalg.block_diag(*blocks)
     assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
-def test_index_permutations_match_matrix_reference():
-    rng = np.random.default_rng(37)
-    for _ in range(10):
-        t = int(rng.integers(1, 5))
-        widths = [int(w) for w in rng.integers(1, 4, size=t)]
-        x = rng.standard_normal((2 * sum(widths),) * 2)
-        p = interleave_permutation(t, widths)
-        idx = interleave_index(widths)
-        assert np.array_equal(p @ x @ p.T, x[np.ix_(idx, idx)])
-        order = [int(i) for i in rng.permutation(t)]
-        p = block_permutation(order, widths)
-        idx = block_index(order, widths)
-        y = x[:sum(widths), :sum(widths)]
-        assert np.array_equal(p @ y @ p.T, y[np.ix_(idx, idx)])

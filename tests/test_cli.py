@@ -161,6 +161,19 @@ def test_env_tolerance_override():
     assert rc == 1
 
 
+def test_verify_rejects_nonpositive_tolerance():
+    # a non-positive tolerance is a usage error for verify as for root, not
+    # a failed check of a valid root
+    payload = json.dumps({"B": quat_json([[16, 0, 0, 0]], 1),
+                          "H": quat_json([[1, 0, 0, 0]], 1)})
+    rc, doc, _ = run_cli(["root", "--m", "4"], inp=payload)
+    assert rc == 0
+    for args, env in ((["--tol", "-1"], None), ([], {"QROOT_TOL": "0"})):
+        rc, out, _ = run_cli(["verify", "--m", "4"] + args, inp=doc, env=env)
+        assert rc == 1
+        assert json.loads(out) == {"error": "ParseError"}
+
+
 def test_gen_profile_file(tmp_path):
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps({"classes": ["positive"], "m": 3,

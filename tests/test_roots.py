@@ -3,9 +3,10 @@ import pytest
 import scipy.linalg
 
 from qroot.canonical import (CanonicalBlock, CanonicalSpec, SegreSequence,
-                             jordan_block, materialize_pair,
+                             block_diag, jordan_block, materialize_pair,
                              segre_characteristic, sip_matrix)
-from qroot.errors import (ClassMismatch, NotPartitionable, SpecInvalid)
+from qroot.errors import (ClassMismatch, DimensionMismatch, NotPartitionable,
+                          SpecInvalid)
 from qroot.omega import omega_extract, omega_membership
 from qroot.quaternion import QuatMatrix
 from qroot.roots import (MTuple, RootDecision, RootResult, assemble_root,
@@ -134,6 +135,13 @@ def _selfadjoint_rel(h, a):
     return np.linalg.norm(h @ a - a.conj().T @ h) / max(1.0, np.linalg.norm(a))
 
 
+def _one_copy(spec):
+    """(B1, H1): the first copy of materialize_pair(spec)."""
+    bm, hm = materialize_pair(spec)
+    w = bm.half_n
+    return bm.array[:w, :w], hm.array[:w, :w]
+
+
 def test_primary_root_matches_scipy_fractional_power():
     # independent reference: scipy's Schur-Pade fractional power
     for lam in (2.0, 0.3, -3.0, 1j, 0.4 + 1.1j, -2 + 0.5j):
@@ -161,26 +169,24 @@ def test_root_block_real_property_grid():
 def test_root_block_nonreal_property_grid():
     for lam in (1j, 0.4 + 1.1j, -2 + 0.5j):
         for k in range(1, 7):
-            bm, hm = materialize_pair(CanonicalSpec((CanonicalBlock(lam, k, None),)))
+            b1, h1 = _one_copy(CanonicalSpec((CanonicalBlock(lam, k, None),)))
             for m in range(1, 5):
                 for branch in range(m):
                     a = root_block_nonreal(lam, k, m, branch)
-                    assert _rel(np.linalg.matrix_power(a, m), bm.array) <= 1e-12
-                    assert _selfadjoint_rel(hm.array, a) <= 1e-12
-                    assert omega_membership(a) <= 1e-12
+                    assert _rel(np.linalg.matrix_power(a, m), b1) <= 1e-12
+                    assert _selfadjoint_rel(h1, a) <= 1e-12
 
 
 def test_root_block_negative_even_property_grid():
     for lam in (-1.0, -4.0, -4.8):
         for k in range(1, 7):
-            spec = CanonicalSpec((CanonicalBlock(lam, k, 1), CanonicalBlock(lam, k, -1)))
-            bm, hm = materialize_pair(spec)
+            b1, h1 = _one_copy(CanonicalSpec((CanonicalBlock(lam, k, 1),
+                                              CanonicalBlock(lam, k, -1))))
             for m in (2, 4, 6):
                 for branch in range(m):
                     a = root_block_negative_even(lam, k, m, branch)
-                    assert _rel(np.linalg.matrix_power(a, m), bm.array) <= 1e-12
-                    assert _selfadjoint_rel(hm.array, a) <= 1e-12
-                    assert omega_membership(a) <= 1e-12
+                    assert _rel(np.linalg.matrix_power(a, m), b1) <= 1e-12
+                    assert _selfadjoint_rel(h1, a) <= 1e-12
 
 
 def test_root_block_nilpotent_property_grid():
@@ -200,10 +206,8 @@ def test_root_block_nilpotent_property_grid():
                         p, blocks = canonicalize_nilpotent_copy(tuples, m)
                         assert [(blk.size, blk.sign) for blk in blocks] == want
                         assert np.allclose(p.T @ p, np.eye(len(p)), rtol=0, atol=1e-15)
-                        spec = CanonicalSpec(tuple(CanonicalBlock(0.0, k, e) for k, e in want))
-                        bm, hm = materialize_pair(spec)
-                        w = bm.half_n
-                        b1, h1 = bm.array[:w, :w], hm.array[:w, :w]
+                        b1, h1 = _one_copy(CanonicalSpec(
+                            tuple(CanonicalBlock(0.0, k, e) for k, e in want)))
                         assert _rel(np.linalg.matrix_power(a, m), b1) <= 1e-12, (a_, r, m)
                         assert _selfadjoint_rel(h1, a) <= 1e-12
                         sizes = tuple(sorted((u.total for u in tuples), reverse=True))
@@ -238,45 +242,42 @@ def test_root_block_real_class_mismatch():
 def test_root_block_nonreal_k1():
     a = root_block_nonreal(1j, 1, 2)
     mu = np.exp(1j * np.pi / 4)
-    assert np.allclose(np.diag(a), [mu, np.conj(mu), np.conj(mu), mu])
-    assert np.allclose(a @ a, np.diag([1j, -1j, -1j, 1j]))
+    assert np.allclose(np.diag(a), [mu, np.conj(mu)])
+    assert np.allclose(a @ a, np.diag([1j, -1j]))
 
 
 def test_root_block_nonreal_k2():
     lam, k, m = 1j, 2, 2
     a = root_block_nonreal(lam, k, m)
-    spec = CanonicalSpec((CanonicalBlock(lam, k, None),))
-    bm, hm = materialize_pair(spec)
+    b1, h1 = _one_copy(CanonicalSpec((CanonicalBlock(lam, k, None),)))
     power = np.linalg.matrix_power(a, m)
-    assert np.linalg.norm(power - bm.array) <= 1e-10
-    assert np.linalg.norm(hm.array @ a - a.conj().T @ hm.array) <= 1e-10
-    assert omega_membership(a) <= 1e-12
-    assert segre_characteristic(power, lam).parts == (2, 2)
+    assert np.linalg.norm(power - b1) <= 1e-10
+    assert np.linalg.norm(h1 @ a - a.conj().T @ h1) <= 1e-10
+    assert segre_characteristic(power, lam).parts == (2,)
 
 
 def test_root_block_nonreal_branches_differ():
     a0 = root_block_nonreal(1j, 1, 4, branch=0)
     a1 = root_block_nonreal(1j, 1, 4, branch=1)
     assert not np.allclose(a0, a1)
-    assert np.allclose(np.linalg.matrix_power(a1, 4), np.diag([1j, -1j, -1j, 1j]))
+    assert np.allclose(np.linalg.matrix_power(a1, 4), np.diag([1j, -1j]))
 
 
 def test_root_block_negative_even_k1():
     a = root_block_negative_even(-1.0, 1, 2)
-    h = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
-    assert np.allclose(a @ a, -np.eye(4), atol=1e-12)
+    h = np.diag([1.0, -1.0]).astype(complex)
+    assert np.allclose(a @ a, -np.eye(2), atol=1e-12)
     assert np.allclose(h @ a, a.conj().T @ h, atol=1e-12)
-    assert omega_membership(a) <= 1e-12
 
 
 def test_root_block_negative_even_k2():
     a = root_block_negative_even(-4.0, 2, 2)
     power = np.linalg.matrix_power(a, 2)
-    spec = CanonicalSpec((CanonicalBlock(-4.0, 2, 1), CanonicalBlock(-4.0, 2, -1)))
-    bm, hm = materialize_pair(spec)
-    assert np.linalg.norm(power - bm.array) <= 1e-9
-    assert np.linalg.norm(hm.array @ a - a.conj().T @ hm.array) <= 1e-9
-    assert segre_characteristic(power, -4.0).parts == (2, 2, 2, 2)
+    b1, h1 = _one_copy(CanonicalSpec((CanonicalBlock(-4.0, 2, 1),
+                                      CanonicalBlock(-4.0, 2, -1))))
+    assert np.linalg.norm(power - b1) <= 1e-9
+    assert np.linalg.norm(h1 @ a - a.conj().T @ h1) <= 1e-9
+    assert segre_characteristic(power, -4.0).parts == (2, 2)
 
 
 def test_root_block_negative_even_class_mismatch():
@@ -314,23 +315,57 @@ def test_root_block_nilpotent_paper_example():
 # -- assembly -----------------------------------------------------------------
 
 def test_assemble_single_part_unchanged():
-    mat = np.diag([2.0, 2.0]).astype(complex)
-    out = assemble_root([([CanonicalBlock(4.0, 1, 1)], mat)])
-    assert np.array_equal(out.array, mat)
+    out = assemble_root([1], [([0], np.array([[2.0]]))])
+    assert np.array_equal(out.array, np.diag([2.0, 2.0]))
 
 
 def test_assemble_two_scalar_parts():
-    p1 = ([CanonicalBlock(4.0, 1, 1)], np.diag([2.0, 2.0]).astype(complex))
-    p2 = ([CanonicalBlock(9.0, 1, 1)], np.diag([3.0, 3.0]).astype(complex))
-    out = assemble_root([p1, p2])
+    out = assemble_root([1, 1], [([1], np.array([[3.0]])), ([0], np.array([[2.0]]))])
     assert np.array_equal(out.array, np.diag([2.0, 3.0, 2.0, 3.0]))
 
 
 def test_assemble_mixed_parts_membership():
-    real_part = ([CanonicalBlock(4.0, 1, 1)], np.diag([2.0, 2.0]).astype(complex))
     nr = root_block_nonreal(1j, 1, 2)
-    out = assemble_root([real_part, ([CanonicalBlock(1j, 1, None)], nr)])
+    out = assemble_root([1, 2], [([0], np.array([[2.0]])), ([1], nr)])
     assert omega_membership(out.array) == 0.0
+
+
+def test_assemble_split_pairs_and_zero_tuple_between_classes():
+    # canonical order lists the two +- pairs at -1.5 as (+, +, -, -), so
+    # neither pair's blocks are adjacent; the zero tuple lies between the
+    # nonreal and the positive blocks
+    spec = CanonicalSpec((
+        CanonicalBlock(-1.5, 1, 1), CanonicalBlock(-1.5, 1, 1),
+        CanonicalBlock(-1.5, 1, -1), CanonicalBlock(-1.5, 1, -1),
+        CanonicalBlock(-0.9 + 1.1j, 2, None),
+        CanonicalBlock(0.0, 2, 1), CanonicalBlock(0.0, 1, 1),
+        CanonicalBlock(0.8, 2, -1)))
+    assert spec.sorted() == spec
+    m = 2
+    pair = root_block_negative_even(-1.5, 1, m)
+    nonreal = root_block_nonreal(-0.9 + 1.1j, 2, m)
+    zero = root_block_nilpotent([MTuple(1, 1, 1, (1, 1), m)], m)
+    positive = root_block_real(0.8, 2, -1, m)
+    widths = [b.copy_width() for b in spec.blocks]
+    out = assemble_root(widths, [([7], positive), ([0, 2], pair), ([5, 6], zero),
+                                 ([1, 3], pair), ([4], nonreal)])
+    a1 = block_diag(np.kron(pair, np.eye(2)), nonreal, zero, positive)
+    assert np.array_equal(out.array, block_diag(a1, np.conj(a1)))
+    bm, hm = materialize_pair(spec)
+    assert _rel(np.linalg.matrix_power(out.array, m), bm.array) <= 1e-12
+    assert _selfadjoint_rel(hm.array, out.array) <= 1e-12
+    for seed in range(2):
+        b, h = _scrambled_instance(spec, seed)
+        root = mth_root(b, h, m)
+        assert isinstance(root, RootResult)
+        assert verify_root(root.root, b, h, m).passed
+
+
+def test_assemble_rejects_uncovered_or_misshapen_parts():
+    with pytest.raises(DimensionMismatch):
+        assemble_root([1, 1], [([0], np.array([[2.0]]))])
+    with pytest.raises(DimensionMismatch):
+        assemble_root([2], [([0], np.array([[2.0]]))])
 
 
 # -- full pipeline ------------------------------------------------------------
@@ -416,7 +451,7 @@ def test_forced_builder_cannot_verify_on_refused_instance():
     b = QuatMatrix.from_real(-np.eye(2))
     h = QuatMatrix.eye(2)  # actual H: both signs +1 -> no root
     forged = root_block_negative_even(-1.0, 1, 2)  # root for the paired signs
-    a = omega_extract(forged)
+    a = omega_extract(block_diag(forged, np.conj(forged)))
     report = verify_root(a, b, h, 2)
     assert report.residual_power <= 1e-12  # it is a square root of -I
     assert not report.passed  # but not H-selfadjoint for this H
@@ -472,7 +507,7 @@ def _scrambled_instance(spec, seed):
 
 def test_mth_root_two_pairs_same_eigenvalue_and_size():
     # canonical order groups signs (+,+,-,-); builder pairs (+,-),(+,-), so
-    # the result must be permuted back before undoing the similarity
+    # each pair's root lands on two blocks that are not adjacent
     spec = CanonicalSpec((
         CanonicalBlock(-1.5, 1, 1), CanonicalBlock(-1.5, 1, 1),
         CanonicalBlock(-1.5, 1, -1), CanonicalBlock(-1.5, 1, -1))).sorted()
@@ -516,6 +551,24 @@ def test_mth_root_near_axis_nonreal_with_fillers():
         assert isinstance(out, RootResult)
         assert out.residual_power <= 1e-12
         assert verify_root(out.root, b, h, 3).passed
+
+
+def test_mth_root_pairs_nonreal_cluster_with_nearest_conjugate():
+    # -0.10+1.94i lies within twice the cluster radius of conj(-0.57-1.99i);
+    # taking the first conjugate cluster in that window instead of the
+    # nearest paired it with the double one (ClusterOverlap)
+    spec = CanonicalSpec((
+        CanonicalBlock(-0.10 + 1.94j, 1, None),
+        CanonicalBlock(-0.57 + 1.99j, 1, None), CanonicalBlock(-0.57 + 1.99j, 1, None),
+        CanonicalBlock(1.2, 1, 1), CanonicalBlock(2.4, 1, -1),
+        CanonicalBlock(1.8 + 0.6j, 1, None))).sorted()
+    assert spec.copy_size() == 10
+    for seed in range(3):
+        b, h = _scrambled_instance(spec, seed)
+        out = mth_root(b, h, 2)
+        assert isinstance(out, RootResult)
+        assert out.residual_power <= 1e-12
+        assert verify_root(out.root, b, h, 2).passed
 
 
 def test_mth_root_negative_even_j6_pair_with_fillers():
