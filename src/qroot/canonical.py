@@ -15,6 +15,10 @@ so S = [C | -chi(C)] is automatically a member of Omega_2n.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -289,14 +293,47 @@ def _staircase(n_mat: np.ndarray, expected_dim: int) -> tuple[list[int], list[np
     return parts, kernels
 
 
-def _schur(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form (T, Z), B = Z T Z^*.
+@functools.cache
+def _lapack():
+    """scipy's compiled LAPACK module, loaded without the scipy.linalg package.
 
-    scipy is imported here and in _deflate_cluster only, on first use, so
-    the commands that never canonicalize do not load it.
+    Importing scipy.linalg also loads its array-API layer, which pulls in
+    numpy.f2py, numpy.testing and numpy.ma; the f2py extension _flapack
+    alone loads in milliseconds. It is loaded under its real name, so an
+    import of scipy.linalg before or after shares it. Only the commands that
+    canonicalize reach this, on first use.
     """
-    import scipy.linalg
-    return scipy.linalg.schur(b, output="complex")
+    import scipy
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(scipy.__path__[0], "linalg", "_flapack" + suffix)
+        if os.path.exists(path):
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    from scipy.linalg import lapack  # same f2py functions
+    return lapack
+
+
+def _no_select(x):
+    return None
+
+
+def _schur(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form (T, Z), B = Z T Z^*, by LAPACK zgees.
+
+    The same calls as scipy.linalg.schur(b, output="complex"): a workspace
+    query, then the unsorted factorization.
+    """
+    a = np.asarray_chkfinite(b).astype(complex, copy=False)
+    if a.size == 0:  # zgees rejects n = 0
+        return a.copy(), a.copy()
+    zgees = _lapack().zgees
+    lwork = int(zgees(_no_select, a, lwork=-1)[-2][0].real)
+    t, _, _, z, _, info = zgees(_no_select, a, lwork=lwork, sort_t=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Schur form not found (zgees info {info})")
+    return t, z
 
 
 def _deflate_cluster(b: np.ndarray, schur: tuple[np.ndarray, np.ndarray],
@@ -310,10 +347,9 @@ def _deflate_cluster(b: np.ndarray, schur: tuple[np.ndarray, np.ndarray],
     rank decisions on powers of the full matrix would drown in the growth of
     the other eigenvalues, so all staircase work happens on N.
     """
-    from scipy.linalg.lapack import ztrsen
     t, z = schur
     select = np.abs(np.diag(t) - centroid) <= radius
-    _, zs, _, sdim, _, _, info = ztrsen(select, t, z, job="N")
+    _, zs, _, sdim, _, _, info = _lapack().ztrsen(select, t, z, job="N")
     if sdim != expected or info != 0:
         raise ClusterOverlap(
             f"Schur selection found {sdim} eigenvalues, expected {expected} "

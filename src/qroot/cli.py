@@ -81,12 +81,13 @@ def _write(out: str, obj) -> None:
             fh.write(text)
 
 
-def _require_m(args) -> int:
-    if args.m is None:
+def _require_m(m) -> int:
+    """--m, or the payload's m for verify: an integer >= 1 (a bool is not)."""
+    if m is None:
         raise ParseError("--m is required (no implicit root order)")
-    if args.m < 1:
-        raise ParseError("--m must be a positive integer")
-    return args.m
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        raise ParseError("m must be a positive integer")
+    return m
 
 
 def _tolerances(args) -> Tolerances:
@@ -150,7 +151,7 @@ def _spec_from_payload(payload) -> CanonicalSpec:
 
 
 def _cmd_check(args) -> int:
-    m = _require_m(args)
+    m = _require_m(args.m)
     payload = _read_payload(args.inp)
     if args.format == "spec":
         decision = root_exists(_spec_from_payload(payload), m)
@@ -162,7 +163,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_root(args) -> int:
-    m = _require_m(args)
+    m = _require_m(args.m)
     payload = _read_payload(args.inp)
     b, h = _pair_from(payload, args.format)
     out = mth_root(b, h, m, _tolerances(args), args.branch)
@@ -182,10 +183,8 @@ def _cmd_verify(args) -> int:
     fmt = args.format if args.format != "spec" else "quaternion"
     a = _matrix_from(payload["root"], fmt)
     b, h = _pair_from(payload, fmt)
-    m = args.m if args.m is not None else payload.get("m")
-    if m is None:
-        raise ParseError("--m is required when the payload carries no m")
-    report = verify_root(a, b, h, int(m), _tolerances(args).residual_factor)
+    m = _require_m(args.m if args.m is not None else payload.get("m"))
+    report = verify_root(a, b, h, m, _tolerances(args).residual_factor)
     _write(args.out, report.to_json())
     return 0 if report.passed else 1
 

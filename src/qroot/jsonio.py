@@ -7,19 +7,24 @@ double bit-faithful on round trip and makes output byte-stable.
 from __future__ import annotations
 
 import json
-import math
 
 from .errors import ParseError
 
 
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
+def _format_floats(xs) -> str:
+    # one %-pass over a whole list of floats; "inf" and "nan" are the only
+    # outputs that contain an "n"
+    s = ("%.17g," * len(xs))[:-1] % tuple(xs)
+    if "n" in s:
         raise ParseError("cannot serialize non-finite float")
-    s = f"{x:.17g}"
     return s
 
 
 def _encode(obj) -> str:
+    if isinstance(obj, (list, tuple)):
+        if obj and all(type(v) is float for v in obj):
+            return "[" + _format_floats(obj) + "]"
+        return "[" + ",".join(_encode(v) for v in obj) + "]"
     if obj is None:
         return "null"
     if obj is True:
@@ -29,11 +34,9 @@ def _encode(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _format_float(obj)
+        return _format_floats((obj,))
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_encode(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = []
         for key in sorted(obj):

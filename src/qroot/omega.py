@@ -61,8 +61,8 @@ def complex_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     return {
         "dim": m.shape[0],
-        "re": [float(v) for v in m.real.ravel()],
-        "im": [float(v) for v in m.imag.ravel()],
+        "re": m.real.ravel().tolist(),
+        "im": m.imag.ravel().tolist(),
     }
 
 
@@ -75,6 +75,8 @@ def complex_from_json(obj: dict) -> np.ndarray:
         raise ParseError(f"bad complex matrix JSON: {exc}") from exc
     if re.size != dim * dim or im.size != dim * dim:
         raise ParseError("complex matrix JSON needs dim*dim re and im values")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):  # null reads as nan
+        raise ParseError("complex matrix JSON needs finite numbers")
     return (re + 1j * im).reshape(dim, dim)
 
 

@@ -228,9 +228,7 @@ class QuatMatrix:
         """{"n": n, "entries": [[w,x,y,z], ...]} row-major, square only."""
         if self.n_rows != self.n_cols:
             raise DimensionMismatch("JSON format covers square matrices")
-        entries = [[float(v) for v in self.data[i, j]]
-                   for i in range(self.n_rows) for j in range(self.n_cols)]
-        return {"n": self.n_rows, "entries": entries}
+        return {"n": self.n_rows, "entries": self.data.reshape(-1, 4).tolist()}
 
     @staticmethod
     def from_json(obj: dict) -> "QuatMatrix":
@@ -239,11 +237,14 @@ class QuatMatrix:
             entries = obj["entries"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad quaternion matrix JSON: {exc}") from exc
-        if n <= 0 or len(entries) != n * n:
-            raise ParseError("quaternion matrix JSON needs n*n entries")
-        data = np.zeros((n, n, 4))
-        for k, ent in enumerate(entries):
-            if len(ent) != 4:
-                raise ParseError("each entry must be [w, x, y, z]")
-            data[k // n, k % n] = [float(v) for v in ent]
-        return QuatMatrix(data)
+        if n <= 0:
+            raise ParseError("quaternion matrix JSON needs n >= 1")
+        try:
+            data = np.asarray(entries, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"quaternion matrix entries must be numbers: {exc}") from exc
+        if data.shape != (n * n, 4):
+            raise ParseError("quaternion matrix JSON needs n*n entries [w, x, y, z]")
+        if not np.isfinite(data).all():  # null reads as nan
+            raise ParseError("quaternion matrix entries must be finite numbers")
+        return QuatMatrix(data.reshape(n, n, 4))

@@ -312,19 +312,78 @@ def test_reordered_schur_matches_sorted_schur_reference(seed, monkeypatch):
 
 def test_one_schur_per_canonicalization(monkeypatch):
     calls = []
-    schur = scipy.linalg.schur
+    schur = canonical._schur
 
     def counting(*args, **kwargs):
         calls.append(1)
         return schur(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    monkeypatch.setattr(canonical, "_schur", counting)
     spec = _many_cluster_spec(np.random.default_rng(35))
     canonicalize_pair(*scrambled(spec, 35))
     assert len(calls) == 1
     calls.clear()
     canonicalize_pair(*materialize_pair(spec))  # exact-canonical fast path
     assert calls == []
+
+
+def _schur_inputs():
+    rng = np.random.default_rng(37)
+    complex_inputs = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                      for n in (1, 7, 40)]
+    return complex_inputs + [rng.standard_normal((n, n)) for n in (2, 9, 33)]
+
+
+def _assert_schur_matches_scipy():
+    for b in _schur_inputs():
+        t, z = canonical._schur(b)
+        want_t, want_z = scipy.linalg.schur(b, output="complex")
+        assert t.dtype == z.dtype == np.complex128
+        assert np.array_equal(t, want_t) and np.array_equal(z, want_z)
+
+
+_SCHUR_FIRST = """
+import sys
+import numpy as np
+import qroot.canonical as c
+inputs = np.load(sys.argv[1])
+first = [c._schur(inputs[k]) for k in inputs.files]
+assert "scipy.linalg" not in sys.modules
+import scipy.linalg
+for k, (t, z) in zip(inputs.files, first):
+    want_t, want_z = scipy.linalg.schur(inputs[k], output="complex")
+    assert np.array_equal(t, want_t) and np.array_equal(z, want_z), k
+    again_t, again_z = c._schur(inputs[k])
+    assert np.array_equal(again_t, want_t) and np.array_equal(again_z, want_z), k
+"""
+
+
+def test_schur_is_bitwise_scipy_schur_before_and_after_scipy_linalg_loads(tmp_path):
+    import os
+    import subprocess
+    import sys
+    # a fresh process runs _schur before scipy.linalg is imported, then after
+    path = tmp_path / "inputs.npz"
+    np.savez(path, *_schur_inputs())
+    proc = subprocess.run([sys.executable, "-c", _SCHUR_FIRST, str(path)],
+                          capture_output=True, text=True, env=dict(os.environ))
+    assert proc.returncode == 0, proc.stderr
+    _assert_schur_matches_scipy()  # in this process scipy.linalg loaded first
+
+
+def test_schur_fallback_to_scipy_linalg_lapack(monkeypatch):
+    import importlib.machinery
+    import scipy.linalg.lapack
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    canonical._lapack.cache_clear()
+    try:
+        assert canonical._lapack() is scipy.linalg.lapack
+        _assert_schur_matches_scipy()
+        spec = _many_cluster_spec(np.random.default_rng(35))
+        _, out = canonicalize_pair(*scrambled(spec, 35))
+        assert out.matches(spec)
+    finally:
+        canonical._lapack.cache_clear()
 
 
 def test_staircase_takes_one_svd_per_power(monkeypatch):

@@ -214,3 +214,51 @@ def test_cli_import_leaves_scipy_unloaded():
                           env=dict(os.environ))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_CANONICALIZING = {"root": ["root", "--m", "2"], "check": ["check", "--m", "2"],
+                   "canon": ["canon"]}
+
+
+@pytest.mark.parametrize("command", sorted(_CANONICALIZING))
+def test_canonicalizing_commands_leave_scipy_linalg_unloaded(command):
+    # the Schur kernels come from scipy's compiled LAPACK module alone
+    import os
+    rc, bundle, _ = run_cli(["gen", "--seed", "2", "--m", "2"])
+    assert rc == 0
+    code = ("import io, sys, qroot.cli; sys.stdin = io.StringIO(sys.argv[1]); "
+            "rc = qroot.cli.main(sys.argv[2:]); "
+            "print('scipy.linalg' in sys.modules, file=sys.stderr); sys.exit(rc)")
+    proc = subprocess.run([PYTHON, "-c", code, bundle, *_CANONICALIZING[command]],
+                          capture_output=True, text=True, env=dict(os.environ))
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "error" not in json.loads(proc.stdout)
+    assert proc.stderr.strip().splitlines()[-1] == "False"
+
+
+def _main_on(tmp_path, capsys, args, payload):
+    import qroot.cli
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    rc = qroot.cli.main(args + ["--in", str(path)])
+    return rc, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("entries", [[[None, 0, 0, 0]], 5, [["x", 0, 0, 0]]])
+def test_malformed_entries_are_parse_errors(tmp_path, capsys, entries):
+    payload = {"B": {"n": 1, "entries": entries}, "H": quat_json([[1, 0, 0, 0]], 1)}
+    assert _main_on(tmp_path, capsys, ["root", "--m", "2"], payload) == (
+        1, {"error": "ParseError"})
+
+
+@pytest.mark.parametrize("m, flag", [(2.7, []), ("abc", []), (0, []), (True, []),
+                                     (2, ["--m", "0"])])
+def test_verify_rejects_m_that_is_not_a_positive_integer(tmp_path, capsys, m, flag):
+    payload = {"B": quat_json([[16, 0, 0, 0]], 1), "H": quat_json([[1, 0, 0, 0]], 1)}
+    rc, doc = _main_on(tmp_path, capsys, ["root", "--m", "2"], payload)
+    assert rc == 0
+    doc["m"] = m
+    assert _main_on(tmp_path, capsys, ["verify"] + flag, doc) == (1, {"error": "ParseError"})
+    doc["m"] = 2
+    rc, report = _main_on(tmp_path, capsys, ["verify"], doc)
+    assert rc == 0 and report["passed"] is True

@@ -124,3 +124,11 @@ def test_omega_matrix_constructor_validates():
         OmegaMatrix(np.array([[0, 1], [1, 0]], dtype=complex))
     good = OmegaMatrix(np.eye(4, dtype=complex))
     assert good.half_n == 2
+
+
+def test_complex_json_rejects_malformed_values():
+    from qroot.errors import ParseError
+    from qroot.omega import complex_from_json
+    for re in ([None, 0, 0, 1], ["x", 0, 0, 1], [float("nan"), 0, 0, 1], [1, 0, 0]):
+        with pytest.raises(ParseError):
+            complex_from_json({"dim": 2, "re": re, "im": [0, 0, 0, 0]})

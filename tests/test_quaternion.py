@@ -114,3 +114,7 @@ def test_json_errors():
         QuatMatrix.from_json({"n": 2, "entries": [[1, 0, 0, 0]]})
     with pytest.raises(ParseError):
         QuatMatrix.from_json({"entries": []})
+    for entries in ([[None, 0, 0, 0]], 5, [["x", 0, 0, 0]], [[1, 0, 0]], [[1, 0, 0, 0, 0]],
+                    [[[1], [0], [0], [0]]], [[float("nan"), 0, 0, 0]], [[10 ** 400, 0, 0, 0]]):
+        with pytest.raises(ParseError):
+            QuatMatrix.from_json({"n": 1, "entries": entries})
