@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (ClusterOverlap, NotHermitian, NotSelfadjoint, ParseError,
                      RankAmbiguous, SizeMismatch, SpecInvalid, NearSingular)
+from .jsonio import integer
 from .omega import (OmegaMatrix, chi, qs_abs, qs_conj, selfadjoint_residual,
                     structure_matrix)
 
@@ -116,12 +117,12 @@ class CanonicalBlock:
     def from_json(obj: dict) -> "CanonicalBlock":
         try:
             re, im = obj["lambda"]
-            size = int(obj["size"])
+            size = integer(obj["size"], "canonical block size")
             sign = obj["sign"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad canonical block JSON: {exc}") from exc
         if sign is not None:
-            sign = int(sign)
+            sign = integer(sign, "canonical block sign")
         return CanonicalBlock(complex(re, im), size, sign)
 
 
@@ -384,6 +385,7 @@ def segre_characteristic(m: np.ndarray, lam: complex) -> SegreSequence:
 class _Cluster:
     centroid: complex
     mult: int
+    members: np.ndarray  # indices into the clustered eigenvalues
 
 
 def _cluster_eigenvalues(eigs: np.ndarray, radius: float) -> list[_Cluster]:
@@ -402,10 +404,11 @@ def _cluster_eigenvalues(eigs: np.ndarray, radius: float) -> list[_Cluster]:
     rows, cols = np.nonzero(np.triu(close, 1))  # i < j pairs, row-major
     for i, j in zip(rows.tolist(), cols.tolist()):
         parent[find(i)] = find(j)
-    groups: dict[int, list[complex]] = {}
+    groups: dict[int, list[int]] = {}
     for i in range(len(eigs)):
-        groups.setdefault(find(i), []).append(eigs[i])
-    clusters = [_Cluster(complex(np.mean(g)), len(g)) for g in groups.values()]
+        groups.setdefault(find(i), []).append(i)
+    clusters = [_Cluster(complex(np.mean(eigs[g])), len(g), order[g])
+                for g in groups.values()]
     clusters.sort(key=lambda c: (c.centroid.real, c.centroid.imag))
     return clusters
 
@@ -692,9 +695,24 @@ def canonicalize_pair(b, h, tol: Tolerances | None = None) -> tuple[OmegaMatrix,
     materialize_pair(spec) within the residual tolerance, and spec sorted
     canonically.
     """
-    tol = tol or DEFAULT_TOL
     barr = b.array if isinstance(b, OmegaMatrix) else OmegaMatrix(np.asarray(b, dtype=complex)).array
     harr = h.array if isinstance(h, OmegaMatrix) else OmegaMatrix(np.asarray(h, dtype=complex)).array
+    spec, s, _, _ = _canonicalize(barr, harr, tol or DEFAULT_TOL)
+    return OmegaMatrix(s, check=False), spec
+
+
+def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: Tolerances, keep=None):
+    """The canonicalization engine, on the eigenvalue clusters keep selects.
+
+    Checks H and HB = B*H and takes one Schur form B = Z T Z^*.  keep(c)
+    says whether the cluster with snapped centroid c is canonicalized; None
+    keeps every cluster.  Returns (spec, S, (T, Z), clusters): the sorted
+    canonical blocks of the kept clusters, their columns S = [C | -chi(C)],
+    square only when every cluster is kept, and every cluster, snapped, with
+    its members on diag(T).  An exactly canonical pair skips the Schur form:
+    spec then lists every block, S is the identity, and the Schur form and
+    clusters are None.
+    """
     if barr.shape != harr.shape:
         raise SizeMismatch("B and H must have equal shape")
     res = selfadjoint_residual(harr, barr)  # validates Hermitian + invertible
@@ -704,25 +722,23 @@ def canonicalize_pair(b, h, tol: Tolerances | None = None) -> tuple[OmegaMatrix,
     scale = max(1.0, float(np.max(np.abs(barr))), float(np.max(np.abs(harr))))
     spec = _try_parse_canonical(barr, harr, 1e-12 * scale)
     if spec is not None:
-        s = np.eye(barr.shape[0], dtype=complex)
-        return OmegaMatrix(s, check=False), spec
+        return spec, np.eye(barr.shape[0], dtype=complex), None, None
 
     n = barr.shape[0] // 2
     kmat = structure_matrix(n)
     radius = _cluster_radius(barr)
     schur = _schur(barr)
-    clusters = _cluster_eigenvalues(np.diag(schur[0]), radius)
-
-    # snap real centroids to the real axis (and to zero) at cluster
-    # resolution; a nonreal centroid keeps its real part, however small
-    real_clusters: list[_Cluster] = []
-    nonreal: list[_Cluster] = []
-    for c in clusters:
+    clusters = []
+    for c in _cluster_eigenvalues(np.diag(schur[0]), radius):
+        # snap real centroids to the real axis (and to zero) at cluster
+        # resolution; a nonreal centroid keeps its real part, however small
         if abs(c.centroid.imag) <= radius:
             re = 0.0 if abs(c.centroid.real) <= radius else c.centroid.real
-            real_clusters.append(_Cluster(complex(re, 0.0), c.mult))
-        elif c.centroid.imag > 0:
-            nonreal.append(c)
+            c = _Cluster(complex(re, 0.0), c.mult, c.members)
+        clusters.append(c)
+    kept = [c for c in clusters if keep is None or keep(c.centroid)]
+    real_clusters = [c for c in kept if c.centroid.imag == 0]
+    nonreal = [c for c in kept if c.centroid.imag > 0]
     # the mate is the nearest conjugate cluster; a neighbour's conjugate
     # may lie within 2*radius as well
     for c in nonreal:
@@ -754,22 +770,28 @@ def canonicalize_pair(b, h, tol: Tolerances | None = None) -> tuple[OmegaMatrix,
             w_cols = chi(q1 @ np.column_stack(cc), kmat)
             entries.append((CanonicalBlock(c.centroid, len(cc), None),
                             np.hstack([u_cols, w_cols])))
+    if not entries:
+        return CanonicalSpec(()), np.zeros((2 * n, 0), dtype=complex), schur, clusters
 
     entries.sort(key=lambda e: e[0].sort_key())
     blocks = tuple(e[0] for e in entries)
     cmat = np.hstack([e[1] for e in entries])
-    if cmat.shape[1] != n:
+    # the chains of a kept cluster fill its share of the columns by
+    # construction; only the full set can miss an unmatched conjugate cluster
+    if keep is None and cmat.shape[1] != n:
         raise ClusterOverlap(
             f"collected {cmat.shape[1]} canonical columns, expected {n}")
     s = np.hstack([cmat, -chi(cmat, kmat)])
     spec = CanonicalSpec(blocks)
 
     bm, hm = materialize_pair(spec)
-    res_b = np.linalg.norm(np.linalg.solve(s, barr @ s) - bm.array)
+    if keep is None:
+        res_b = np.linalg.norm(np.linalg.solve(s, barr @ s) - bm.array)
+    else:
+        res_b = np.linalg.norm(barr @ s - s @ bm.array)
     res_h = np.linalg.norm(s.conj().T @ harr @ s - hm.array)
     limit = tol.residual(barr) + tol.residual(harr)
     if not np.isfinite(res_b + res_h) or res_b + res_h > limit:
         raise RankAmbiguous(
             f"canonicalization residual {res_b + res_h:.3e} exceeds {limit:.3e}")
-    return OmegaMatrix(s, check=False), spec
-
+    return spec, s, schur, clusters

@@ -85,7 +85,7 @@ def _require_m(m) -> int:
     """--m, or the payload's m for verify: an integer >= 1 (a bool is not)."""
     if m is None:
         raise ParseError("--m is required (no implicit root order)")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    if jsonio.integer(m, "m") < 1:
         raise ParseError("m must be a positive integer")
     return m
 

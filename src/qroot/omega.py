@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NotHermitian, NotInOmega,
                      OddDimension, ParseError, Singular)
+from .jsonio import integer
 from .quaternion import QuatMatrix
 
 MEMBERSHIP_FACTOR = 1e-10  # default tau_Omega = factor * max(1, inf-norm)
@@ -68,7 +69,7 @@ def complex_to_json(m: np.ndarray) -> dict:
 
 def complex_from_json(obj: dict) -> np.ndarray:
     try:
-        dim = int(obj["dim"])
+        dim = integer(obj["dim"], "complex matrix dim")
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError
+from .jsonio import integer
 
 
 @dataclass(frozen=True)
@@ -233,7 +234,7 @@ class QuatMatrix:
     @staticmethod
     def from_json(obj: dict) -> "QuatMatrix":
         try:
-            n = int(obj["n"])
+            n = integer(obj["n"], "quaternion matrix n")
             entries = obj["entries"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad quaternion matrix JSON: {exc}") from exc

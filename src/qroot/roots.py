@@ -6,7 +6,10 @@ even must pair identical blocks with opposite signs; zero eigenvalues must
 admit a grouping of the per-copy Segre parts into m-tuples of sizes a+1/a
 whose signs obey the half-and-half rule.  Builders write one root per class
 in closed form on one copy of the canonical pair; assemble_root places them
-on that copy and doubles it into a single member of Omega_2n.
+on that copy and doubles it into a single member of Omega_2n.  A solve
+canonicalizes only the constrained part X of the spectrum (zero, and
+negative when m is even) and takes the root of the rest as a primary matrix
+function of B, straight from its Schur form.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# canonicalize_pair stays importable from here; bench/spans.py wraps it by this name
 from .canonical import (CanonicalBlock, CanonicalSpec, Tolerances, DEFAULT_TOL,
-                        block_diag, canonicalize_pair, jordan_block)
+                        _canonicalize, _lapack, block_diag, canonicalize_pair,
+                        jordan_block, materialize_pair)
 from .errors import (ClassMismatch, DimensionMismatch, NearSingularH,
                      NotPartitionable, NotSelfadjoint, RankAmbiguous,
                      SignPatternViolation, Singular, SpecInvalid)
@@ -91,8 +96,10 @@ class RootDecision:
 
 @dataclass(frozen=True)
 class RootResult:
+    """A verified root; similarity is S_X, the 2n x 2d_X canonical columns of X."""
+
     root: QuatMatrix
-    similarity: OmegaMatrix
+    similarity: np.ndarray
     residual_power: float
     residual_selfadjoint: float
     omega_residual: float
@@ -101,7 +108,6 @@ class RootResult:
     def to_json(self) -> dict:
         return {"exists": True,
                 "root": self.root.to_json(),
-                "similarity": self.similarity.to_json(),
                 "residual_power": self.residual_power,
                 "residual_selfadjoint": self.residual_selfadjoint,
                 "omega_residual": self.omega_residual,
@@ -450,6 +456,104 @@ def _build_canonical_root(spec: CanonicalSpec, plan: _Plan, m: int,
 
 
 # ---------------------------------------------------------------------------
+# the primary root of the unconstrained spectrum, from the Schur form
+# ---------------------------------------------------------------------------
+
+def _constrained(c: complex, m: int) -> bool:
+    """Whether the theorem constrains eigenvalue c: zero, or negative with m even."""
+    return c == 0 or (c.imag == 0 and c.real < 0 and m % 2 == 0)
+
+
+def _cluster_root(c: complex, m: int, branch: int) -> complex:
+    """The root an unconstrained cluster with (snapped) centroid c gets.
+
+    The same branch as the builders: real for real c, the branch root for
+    Im c > 0 and its conjugate for Im c < 0, so g(conj z) = conj g(z).
+    """
+    if c.imag > 0:
+        return _root_branch(c, m, branch)
+    if c.imag < 0:
+        return np.conj(_root_branch(np.conj(c), m, branch))
+    return c.real ** (1.0 / m) if c.real > 0 else -((-c.real) ** (1.0 / m))
+
+
+def _smith_root(t: np.ndarray, mu: np.ndarray, m: int) -> np.ndarray:
+    """Upper triangular U with U^m = T and diag(U) = mu, for upper triangular T.
+
+    Smith's recurrence (SIMAX 24(4), 2003), one superdiagonal at a time.
+    With P_q = U^q for q < m, entry (i, j) of U^q splits into
+    mu_i^(q-1) u_ij + mu_j (U^(q-1))_ij + M_q, where M_q sums
+    (U^(q-1))_ik u_kj over i < k < j and needs only nearer diagonals.  So
+    (U^q)_ij = a_q u_ij + c_q, and U^m = T gives u_ij = (t_ij - c_m) / a_m,
+    with a_m = sum_h mu_i^(m-1-h) mu_j^h nonzero while equal eigenvalues
+    share a branch.
+    """
+    n = t.shape[0]
+    powers = mu ** np.arange(1, m)[:, None]  # mu^q for q < m
+    p = np.zeros((m - 1, n, n), dtype=complex)
+    p[:, np.arange(n), np.arange(n)] = powers
+    flat = p.reshape(-1)
+    nn, sz = n * n, p.itemsize
+    for d in range(1, n):
+        w = n - d
+        mu_j = mu[d:]
+        a = np.ones(w, dtype=complex)
+        c = np.zeros(w, dtype=complex)
+        if d > 1:
+            # views of p: left[q, i, k] = (U^(q+1))[i, i+1+k], right[i, k] = U[i+1+k, i+d]
+            left = np.ndarray((m - 1, w, d - 1), complex, p, sz, (nn * sz, (n + 1) * sz, sz))
+            right = np.ndarray((w, d - 1), complex, p, (n + d) * sz, ((n + 1) * sz, n * sz))
+            mq = np.einsum("qik,ik->qi", left, right)
+        coefs = []
+        for q in range(1, m):
+            coefs.append((a, c))
+            a = powers[q - 1][:w] + mu_j * a
+            c = mu_j * c + mq[q - 1] if d > 1 else mu_j * c
+        u = (np.diagonal(t, d) - c) / a
+        for q, (a, c) in enumerate(coefs):
+            flat[q * nn + d:(q + 1) * nn:n + 1][:w] = a * u + c  # diagonal d of U^(q+1)
+    return p[0]
+
+
+def _schur_root(schur, clusters, m: int, branch: int) -> np.ndarray:
+    """g(B) from B = Z T Z^*: the primary root off the constrained clusters, 0 on them.
+
+    Each eigenvalue gets mu_c (lambda / c)^(1/m) from its cluster's centroid
+    c and root mu_c, so the branch is constant on every cluster.  With
+    constrained clusters X, ztrsen moves them to the lead, R11 = 0, R22 is
+    the root of T22 and R12 solves T11 R12 - R12 T22 = -T12 R22 (ztrsyl).
+    """
+    t, z = schur
+    lam = np.diag(t)
+    cent = np.ones(len(lam), dtype=complex)
+    mu_c = np.zeros(len(lam), dtype=complex)
+    x = np.zeros(len(lam), dtype=bool)
+    for c in clusters:
+        if _constrained(c.centroid, m):
+            x[c.members] = True
+        else:
+            cent[c.members] = c.centroid
+            mu_c[c.members] = _cluster_root(c.centroid, m, branch)
+    if not x.any():
+        r = _smith_root(t, mu_c * (lam / cent) ** (1.0 / m), m)
+        return z @ r @ z.conj().T
+    if x.all():
+        return np.zeros_like(t)
+    lapack = _lapack()
+    ts, zs, _, k, _, _, info = lapack.ztrsen(x, t, z, job="N")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Schur reordering failed (ztrsen info {info})")
+    # ztrsen keeps the order within the selected and within the other eigenvalues
+    rest = ~x
+    r22 = _smith_root(ts[k:, k:], mu_c[rest] * (np.diag(ts)[k:] / cent[rest]) ** (1.0 / m), m)
+    r12, scale, info = lapack.ztrsyl(ts[:k, :k], ts[k:, k:], -ts[:k, k:] @ r22, isgn=-1)
+    if info < 0:
+        raise np.linalg.LinAlgError(f"Sylvester solve failed (ztrsyl info {info})")
+    g = (zs[:, :k] @ (r12 / scale) + zs[:, k:] @ r22) @ zs[:, k:].conj().T
+    return g
+
+
+# ---------------------------------------------------------------------------
 # the full pipeline
 # ---------------------------------------------------------------------------
 
@@ -464,26 +568,29 @@ def _result_from_omega(a_omega: np.ndarray, b: QuatMatrix, h: QuatMatrix, m: int
     bh = a_quat.adjoint() @ h
     res_self = (hb - bh).norm() / max(1.0, h.norm() * a_quat.norm())
     limit = tol.residual_factor
-    if res_power > limit or res_self > limit:
+    if not (res_power <= limit and res_self <= limit):  # a NaN fails too
         raise RankAmbiguous(
             f"constructed root failed verification: power {res_power:.3e}, "
             f"selfadjoint {res_self:.3e} (limit {limit:.1e})")
     return RootResult(
         root=a_quat,
-        similarity=OmegaMatrix(similarity, check=False),
+        similarity=similarity,
         residual_power=float(res_power),
         residual_selfadjoint=float(res_self),
         omega_residual=float(omega_res),
-        cond_similarity=float(np.linalg.cond(similarity)),
+        cond_similarity=float(np.linalg.cond(similarity)) if similarity.size else 1.0,
     )
 
 
 def reduce_pair(b: QuatMatrix, h: QuatMatrix, m: int, tol: Tolerances | None = None):
-    """Everything a solve does before it builds: embed, check, canonicalize, plan.
+    """Everything a solve does before it builds: embed, check, Schur form, X, plan.
 
-    Returns (B in Omega, S, spec, plan); plan.decision() is the gate's answer.
-    For m = 1 every selfadjoint B is its own root, so canonicalization is
-    skipped and S and spec are None.
+    X is the part of the spectrum the theorem constrains: zero, and negative
+    when m is even.  Only its clusters are canonicalized.  Returns
+    (B, H in Omega, (spec, S_X, schur, clusters) from the canonicalization
+    engine, plan); plan.decision() is the gate's answer.  For m = 1 every
+    selfadjoint B is its own root, so nothing is canonicalized and the third
+    item is None.
     """
     if m < 1:
         raise SpecInvalid("m must be a positive integer")
@@ -496,14 +603,15 @@ def reduce_pair(b: QuatMatrix, h: QuatMatrix, m: int, tol: Tolerances | None = N
         if m == 1:
             res = selfadjoint_residual(h_om, b_om)  # validates H as well
         else:
-            s, spec = canonicalize_pair(b_om, h_om, tol)  # checks H and HB = B*H
+            part = _canonicalize(b_om.array, h_om.array, tol,
+                                 keep=lambda c: _constrained(c, m))  # checks H, HB = B*H
     except Singular as exc:
         raise NearSingularH(str(exc)) from exc
     if m == 1:
         if res > tol.residual_factor:
             raise NotSelfadjoint(f"HB - B*H residual {res:.3e} exceeds tolerance")
-        return b_om, None, None, _Plan()
-    return b_om, s, spec, _classify_and_plan(spec, m)
+        return b_om, h_om, None, _Plan()
+    return b_om, h_om, part, _classify_and_plan(part[0], m)
 
 
 def mth_root(b: QuatMatrix, h: QuatMatrix, m: int, tol: Tolerances | None = None,
@@ -511,16 +619,24 @@ def mth_root(b: QuatMatrix, h: QuatMatrix, m: int, tol: Tolerances | None = None
     """H-selfadjoint m-th root of an H-selfadjoint quaternion matrix B.
 
     Returns a RootResult on success and a RootDecision carrying the refusal
-    certificate when no root exists.
+    certificate when no root exists.  The root is g(B) + S_X A_c H_X S_X^* H:
+    g is the primary root off X and zero on X, S_X holds the canonical
+    columns of X, A_c is the closed-form root of X's canonical blocks and
+    H_X = S_X^* H S_X, a signed sum of sip matrices and its own inverse.
     """
     tol = tol or DEFAULT_TOL
-    b_om, s, spec, plan = reduce_pair(b, h, m, tol)
+    b_om, h_om, part, plan = reduce_pair(b, h, m, tol)
     if m == 1:
-        eye = np.eye(b_om.dim, dtype=complex)
-        return _result_from_omega(b_om.array, b, h, 1, eye, tol)
+        return _result_from_omega(b_om.array, b, h, 1, np.eye(b_om.dim, dtype=complex), tol)
     if plan.certificate is not None:
         return plan.decision()
-    a_canon = _build_canonical_root(spec, plan, m, branch)
-    sa = s.array @ a_canon
-    a_omega = np.linalg.solve(s.array.T, sa.T).T
-    return _result_from_omega(a_omega, b, h, m, s.array, tol)
+    spec, s_x, schur, clusters = part
+    if schur is None:  # exactly canonical: spec lists every block and S = I
+        return _result_from_omega(_build_canonical_root(spec, plan, m, branch),
+                                  b, h, m, s_x, tol)
+    a = _schur_root(schur, clusters, m, branch)
+    if spec.blocks:
+        a_c = _build_canonical_root(spec, plan, m, branch)
+        h_x = materialize_pair(spec)[1].array
+        a = a + s_x @ (a_c @ (h_x @ (s_x.conj().T @ h_om.array)))
+    return _result_from_omega(a, b, h, m, s_x, tol)

@@ -262,3 +262,31 @@ def test_verify_rejects_m_that_is_not_a_positive_integer(tmp_path, capsys, m, fl
     doc["m"] = 2
     rc, report = _main_on(tmp_path, capsys, ["verify"], doc)
     assert rc == 0 and report["passed"] is True
+
+
+@pytest.mark.parametrize("n_b, n_h", [(1.9, 1), (1, True), ("1", 1), (1.0, 1)])
+def test_quaternion_n_must_be_an_integer(tmp_path, capsys, n_b, n_h):
+    # n was read through int(), so 1.9, true and "1" all solved as n = 1
+    payload = {"B": {"n": n_b, "entries": [[16, 0, 0, 0]]},
+               "H": {"n": n_h, "entries": [[1, 0, 0, 0]]}}
+    assert _main_on(tmp_path, capsys, ["root", "--m", "2"], payload) == (
+        1, {"error": "ParseError"})
+
+
+@pytest.mark.parametrize("size, sign", [(2.9, 1), (2, 1.5), (2, True), (True, 1)])
+def test_canonical_block_size_and_sign_must_be_integers(tmp_path, capsys, size, sign):
+    # size 2.9 and sign 1.5 were truncated to 2 and 1
+    payload = {"blocks": [{"lambda": [4.0, 0.0], "size": size, "sign": sign}]}
+    assert _main_on(tmp_path, capsys, ["check", "--m", "2", "--format", "spec"],
+                    payload) == (1, {"error": "ParseError"})
+    payload["blocks"][0].update(size=2, sign=1)
+    assert _main_on(tmp_path, capsys, ["check", "--m", "2", "--format", "spec"],
+                    payload) == (0, {"exists": True, "certificate": None})
+
+
+@pytest.mark.parametrize("dim", [2.0, "2", True])
+def test_complex_matrix_dim_must_be_an_integer(tmp_path, capsys, dim):
+    payload = {"dim": dim, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0, 0.0, 0.0, 0.0]}
+    assert _main_on(tmp_path, capsys, ["extract"], payload) == (1, {"error": "ParseError"})
+    payload["dim"] = 2
+    assert _main_on(tmp_path, capsys, ["extract"], payload)[0] == 0

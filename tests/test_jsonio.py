@@ -54,8 +54,28 @@ def test_dumps_matches_per_element_reference():
                for x, v in zip(jsonio.dumps(floats)[1:-1].split(","), floats))
 
 
+def test_dumps_matches_per_element_reference_on_float_rows():
+    # lists of equal-length float lists (quaternion entries) take one pass
+    rng = np.random.default_rng(43)
+    floats = EDGES + (rng.standard_normal(64) * 10.0 ** rng.integers(-300, 300, 64)).tolist()
+    docs = [
+        [floats[i:i + 4] for i in range(0, 64, 4)],
+        [floats[i:i + 1] for i in range(10)],
+        [[-0.0, 0.0, -0.0, -5e-324]] * 3,
+        [(1.0, -0.0), [2.5, 1e308]],           # tuple rows
+        [[1.0, 2.0], [3.0]],                    # unequal lengths: per item
+        [[1.0, 2.0], [3.0, 4]],                 # an int item: per item
+        [[1.0, np.float64(-0.0)], [0.5, 0.25]],  # a float subclass: per item
+        [[1.0, 2.0], 3.0], [[], []], [[[1.0]], [[2.0]]],
+        {"n": 2, "entries": [[0.1, -0.0, 1e-5, 1 / 3]] * 4},
+    ]
+    for doc in docs:
+        assert jsonio.dumps(doc) == _reference(doc)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_dumps_refuses_non_finite_floats(bad):
-    for doc in (bad, [bad], [1.0, bad, 2.0], [1, bad], {"k": [[0.0, bad]]}):
+    for doc in (bad, [bad], [1.0, bad, 2.0], [1, bad], {"k": [[0.0, bad]]},
+                [[0.0, 1.0], [2.0, bad]], [[bad, -0.0, 0.0, 1.0]] * 3):
         with pytest.raises(ParseError):
             jsonio.dumps(doc)

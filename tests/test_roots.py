@@ -13,7 +13,8 @@ from qroot.roots import (MTuple, RootDecision, RootResult, assemble_root,
                          canonicalize_nilpotent_copy, m_tuple_partition, mth_root, root_block_negative_even,
                          root_block_nilpotent, root_block_nonreal,
                          root_block_real, root_exists, sign_pattern_check,
-                         _primary_root, _root_branch, _tuple_epsilons)
+                         _build_canonical_root, _classify_and_plan, _primary_root,
+                         _root_branch, _smith_root, _tuple_epsilons)
 from qroot.verify import random_instance, verify_root
 
 
@@ -405,7 +406,7 @@ def test_mth_root_determinism():
     out1 = mth_root(b, h, 3)
     out2 = mth_root(b, h, 3)
     assert np.array_equal(out1.root.data, out2.root.data)
-    assert np.array_equal(out1.similarity.array, out2.similarity.array)
+    assert np.array_equal(out1.similarity, out2.similarity)
 
 
 def test_mth_root_branch_changes_root_but_verifies():
@@ -587,15 +588,16 @@ def test_mth_root_negative_even_j6_pair_with_fillers():
 
 
 def test_mth_root_canonicalizes_once(monkeypatch):
+    # the solve reaches the canonicalization engine through _canonicalize
     import qroot.roots
     calls = []
-    inner = qroot.roots.canonicalize_pair
+    inner = qroot.roots._canonicalize
 
     def counting(*args, **kwargs):
         calls.append(1)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(qroot.roots, "canonicalize_pair", counting)
+    monkeypatch.setattr(qroot.roots, "_canonicalize", counting)
     spec = CanonicalSpec((
         CanonicalBlock(-2.0, 2, 1), CanonicalBlock(-2.0, 2, -1),
         CanonicalBlock(0.0, 2, 1), CanonicalBlock(0.0, 1, 1),
@@ -605,3 +607,149 @@ def test_mth_root_canonicalizes_once(monkeypatch):
     assert isinstance(out, RootResult)
     assert verify_root(out.root, b, h, 2).passed
     assert len(calls) == 1
+
+
+# -- the primary root from the Schur form ---------------------------------------
+
+def test_smith_root_of_triangular_forms():
+    rng = np.random.default_rng(50)
+    for n, m in [(1, 2), (2, 3), (9, 2), (17, 3), (30, 4)]:
+        lam = rng.uniform(0.5, 3.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+        lam[: n // 3] = lam[0]  # a repeated eigenvalue, as in a Jordan block
+        t = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+        t += np.diag(lam)
+        mu = lam ** (1.0 / m)
+        u = _smith_root(t, mu, m)
+        assert np.array_equal(np.tril(u, -1), np.zeros((n, n)))
+        assert np.array_equal(np.diag(u), mu)
+        power = np.linalg.matrix_power(u, m)
+        assert np.linalg.norm(power - t) <= 1e-13 * np.linalg.norm(t), (n, m)
+
+
+def _reference_root(b, h, m, branch):
+    """The full-canonicalization root S A_c S^-1 every solve built before."""
+    from qroot.canonical import canonicalize_pair
+    from qroot.omega import omega_embed
+    s, spec = canonicalize_pair(omega_embed(b), omega_embed(h))
+    plan = _classify_and_plan(spec, m)
+    if plan.certificate is not None:
+        return plan.decision()
+    a_c = _build_canonical_root(spec, plan, m, branch)
+    return np.linalg.solve(s.array.T, (s.array @ a_c).T).T
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_mth_root_matches_full_canonicalization_reference(m):
+    from qroot.omega import omega_embed
+    classes = ["positive", "negative", "nonreal", "zero"]
+    roots = 0
+    for seed in range(8):
+        b, h, spec = random_instance(9100 + 10 * m + seed, {
+            "classes": classes, "m": m, "force": "admit", "max_size": 12})
+        branch = seed % 2
+        want = _reference_root(b, h, m, branch)
+        got = mth_root(b, h, m, branch=branch)
+        assert isinstance(want, np.ndarray) and isinstance(got, RootResult)
+        a = omega_embed(got.root).array
+        assert np.linalg.norm(a - want) <= 1e-10 * np.linalg.norm(want), seed
+        x_width = sum(2 * blk.copy_width() for blk in spec.blocks
+                      if blk.lam == 0 or (blk.lam.real < 0 and blk.is_real and m % 2 == 0))
+        assert got.similarity.shape == (a.shape[0], x_width)
+        roots += 1
+    assert roots == 8
+
+
+@pytest.mark.parametrize("gap", [0.1, 0.2, 0.3])
+def test_mth_root_close_simple_positive_eigenvalues(gap):
+    # two simple positive eigenvalues closer than the cluster radius (about
+    # 0.24 at this size) share a cluster; they were ClusterOverlap
+    fillers = [CanonicalBlock(0.6, 2, 1), CanonicalBlock(1.2, 2, -1),
+               CanonicalBlock(1.8, 1, 1), CanonicalBlock(2.4, 2, -1),
+               CanonicalBlock(3.0, 2, 1), CanonicalBlock(3.6, 2, -1),
+               CanonicalBlock(4.2, 1, 1), CanonicalBlock(0.6 + 0.8j, 2, None),
+               CanonicalBlock(-1.2 + 1.4j, 1, None), CanonicalBlock(1.8 + 2.0j, 2, None)]
+    spec = CanonicalSpec(tuple(fillers) + (CanonicalBlock(5.5, 1, 1),
+                                           CanonicalBlock(5.5 + gap, 1, -1))).sorted()
+    assert spec.copy_size() >= 24
+    for m in (2, 3):
+        b, h = _scrambled_instance(spec, 60 + m)
+        out = mth_root(b, h, m)
+        assert isinstance(out, RootResult)
+        assert verify_root(out.root, b, h, m).passed
+        assert out.similarity.shape[1] == 0 and out.cond_similarity == 1.0
+
+
+def _jittered_spec(rng, n):
+    """Blocks of 1-2 at a few positive and nonreal values, each repeated under +-0.05 jitter."""
+    bases = [0.8, 1.6, 2.4, 0.6 + 1.2j, -1.1 + 2.0j, 1.7 + 2.6j]
+    blocks, width = [], 0
+    while width < n:
+        base = complex(bases[int(rng.integers(len(bases)))])
+        k = int(rng.integers(1, 3))
+        if base.imag:
+            if width + 2 * k > n:
+                continue
+            lam = base + complex(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
+            blocks.append(CanonicalBlock(lam, k, None))
+        else:
+            k = min(k, n - width)
+            blocks.append(CanonicalBlock(base.real + rng.uniform(-0.05, 0.05), k,
+                                         int(rng.choice([-1, 1]))))
+        width = sum(blk.copy_width() for blk in blocks)
+    return CanonicalSpec(tuple(blocks)).sorted()
+
+
+@pytest.mark.parametrize("i, n", list(enumerate([24, 32, 40, 48, 56, 64])))
+def test_mth_root_jittered_unconstrained_spectra(i, n):
+    rng = np.random.default_rng(70 + i)
+    spec = _jittered_spec(rng, n)
+    assert spec.copy_size() == n
+    m = 2 + i % 2
+    b, h = _scrambled_instance(spec, 70 + i)
+    out = mth_root(b, h, m)
+    assert isinstance(out, RootResult)
+    assert verify_root(out.root, b, h, m).passed
+
+
+def test_unconstrained_solve_takes_one_schur_form_and_no_deflation(tmp_path, monkeypatch, capsys):
+    import json
+    import qroot.canonical
+    import qroot.cli
+    calls = {"_schur": 0, "_deflate_cluster": 0}
+    for name in calls:
+        inner = getattr(qroot.canonical, name)
+
+        def counting(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(qroot.canonical, name, counting)
+    spec = CanonicalSpec((CanonicalBlock(1.5, 2, 1), CanonicalBlock(-0.7, 1, -1),
+                          CanonicalBlock(0.5 + 1.0j, 2, None))).sorted()
+    b, h = _scrambled_instance(spec, 80)
+    out = mth_root(b, h, 3)
+    assert isinstance(out, RootResult) and verify_root(out.root, b, h, 3).passed
+    assert calls == {"_schur": 1, "_deflate_cluster": 0}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"B": b.to_json(), "H": h.to_json()}))
+    assert qroot.cli.main(["check", "--m", "3", "--in", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"exists": True, "certificate": None}
+    assert calls == {"_schur": 2, "_deflate_cluster": 0}
+    # with m even the negative eigenvalue is constrained: only its cluster deflates
+    assert qroot.cli.main(["check", "--m", "2", "--in", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["certificate"]["kind"] == "NegativeSignPairing"
+    assert calls == {"_schur": 3, "_deflate_cluster": 1}
+
+
+def test_mth_root_branch_changes_nonreal_part_next_to_constrained_part():
+    spec = CanonicalSpec((
+        CanonicalBlock(-1.5, 1, 1), CanonicalBlock(-1.5, 1, -1),
+        CanonicalBlock(0.0, 2, 1), CanonicalBlock(0.0, 1, 1),
+        CanonicalBlock(0.8 + 1.3j, 2, None))).sorted()
+    b, h = _scrambled_instance(spec, 90)
+    out0 = mth_root(b, h, 2, branch=0)
+    out1 = mth_root(b, h, 2, branch=1)
+    assert not np.allclose(out0.root.data, out1.root.data)
+    for out in (out0, out1):
+        assert verify_root(out.root, b, h, 2).passed
+        assert out.similarity.shape == (2 * spec.copy_size(), 2 * 5)
