@@ -131,12 +131,9 @@ class CanonicalSpec:
     """Ordered block list of ONE copy; the Omega pair is the copy doubled."""
 
     blocks: tuple[CanonicalBlock, ...]
-    doubled: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        if not self.doubled:
-            raise SpecInvalid("Omega-level specs are always doubled")
 
     def sorted(self) -> "CanonicalSpec":
         return CanonicalSpec(tuple(sorted(self.blocks, key=CanonicalBlock.sort_key)))
@@ -167,7 +164,9 @@ class CanonicalSpec:
             blocks = [CanonicalBlock.from_json(b) for b in obj["blocks"]]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad canonical spec JSON: {exc}") from exc
-        return CanonicalSpec(tuple(blocks), bool(obj.get("doubled", True)))
+        if not obj.get("doubled", True):
+            raise SpecInvalid("Omega-level specs are always doubled")
+        return CanonicalSpec(tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -389,26 +388,28 @@ class _Cluster:
 
 
 def _cluster_eigenvalues(eigs: np.ndarray, radius: float) -> list[_Cluster]:
-    """Single-linkage clustering with the given merge radius."""
+    """Single-linkage clustering with the given merge radius.
+
+    The clusters are the connected components of the graph of eigenvalue
+    pairs within radius.  Each sorted index takes the smallest label among
+    its neighbours, then jumps to its label's label, until nothing moves;
+    every component is then labelled by its smallest index.
+    """
     order = np.lexsort((eigs.imag, eigs.real))
     eigs = eigs[order]
-    parent = list(range(len(eigs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     close = np.abs(eigs[:, None] - eigs[None, :]) <= radius
-    rows, cols = np.nonzero(np.triu(close, 1))  # i < j pairs, row-major
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(eigs)):
-        groups.setdefault(find(i), []).append(i)
+    index = np.arange(len(eigs))
+    labels = index
+    while True:
+        new = np.where(close, labels, labels[:, None]).min(axis=1, initial=len(eigs))
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    # np.unique would do, but its first call imports numpy.ma (1.4 MB)
+    roots = index[labels == index]
     clusters = [_Cluster(complex(np.mean(eigs[g])), len(g), order[g])
-                for g in groups.values()]
+                for g in (np.flatnonzero(labels == root) for root in roots)]
     clusters.sort(key=lambda c: (c.centroid.real, c.centroid.imag))
     return clusters
 
@@ -638,53 +639,6 @@ def _normalize_symplectic_chains(chains, bform):
 
 
 # ---------------------------------------------------------------------------
-# exact-canonical fast path
-# ---------------------------------------------------------------------------
-
-def _try_parse_canonical(b: np.ndarray, h: np.ndarray, tol_abs: float):
-    """Recognize an exactly canonical pair; returns its block list or None."""
-    n = b.shape[0] // 2
-    b1, h1 = b[:n, :n], h[:n, :n]
-    blocks = []
-    i = 0
-    while i < n:
-        lam = b1[i, i]
-        k = 1
-        while (i + k < n and abs(b1[i + k - 1, i + k] - 1.0) <= tol_abs
-               and abs(b1[i + k, i + k] - lam) <= tol_abs):
-            k += 1
-        if abs(lam.imag) <= tol_abs:
-            lam = complex(lam.real, 0.0)
-            hblk = h1[i:i + k, i:i + k].real
-            if np.max(np.abs(hblk - sip_matrix(k))) <= tol_abs:
-                sign = 1
-            elif np.max(np.abs(hblk + sip_matrix(k))) <= tol_abs:
-                sign = -1
-            else:
-                return None
-            blocks.append(CanonicalBlock(lam, k, sign))
-            i += k
-        else:
-            if lam.imag < 0 or i + 2 * k > n:
-                return None
-            conj_blk = b1[i + k:i + 2 * k, i + k:i + 2 * k]
-            if np.max(np.abs(conj_blk - jordan_block(np.conj(lam), k))) > tol_abs:
-                return None
-            if np.max(np.abs(h1[i:i + 2 * k, i:i + 2 * k] - sip_matrix(2 * k))) > tol_abs:
-                return None
-            blocks.append(CanonicalBlock(lam, k, None))
-            i += 2 * k
-    spec = CanonicalSpec(tuple(blocks))
-    if spec.sorted().blocks != spec.blocks:
-        return None
-    bm, hm = materialize_pair(spec)
-    if (np.max(np.abs(bm.array - b)) > tol_abs
-            or np.max(np.abs(hm.array - h)) > tol_abs):
-        return None
-    return spec
-
-
-# ---------------------------------------------------------------------------
 # the canonicalization engine
 # ---------------------------------------------------------------------------
 
@@ -697,7 +651,7 @@ def canonicalize_pair(b, h, tol: Tolerances | None = None) -> tuple[OmegaMatrix,
     """
     barr = b.array if isinstance(b, OmegaMatrix) else OmegaMatrix(np.asarray(b, dtype=complex)).array
     harr = h.array if isinstance(h, OmegaMatrix) else OmegaMatrix(np.asarray(h, dtype=complex)).array
-    spec, s, _, _ = _canonicalize(barr, harr, tol or DEFAULT_TOL)
+    spec, s, _, _, _ = _canonicalize(barr, harr, tol or DEFAULT_TOL)
     return OmegaMatrix(s, check=False), spec
 
 
@@ -706,23 +660,17 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: Tolerances, keep=None
 
     Checks H and HB = B*H and takes one Schur form B = Z T Z^*.  keep(c)
     says whether the cluster with snapped centroid c is canonicalized; None
-    keeps every cluster.  Returns (spec, S, (T, Z), clusters): the sorted
-    canonical blocks of the kept clusters, their columns S = [C | -chi(C)],
-    square only when every cluster is kept, and every cluster, snapped, with
-    its members on diag(T).  An exactly canonical pair skips the Schur form:
-    spec then lists every block, S is the identity, and the Schur form and
-    clusters are None.
+    keeps every cluster.  Returns (spec, S, (T, Z), clusters, (res_b,
+    res_h)): the sorted canonical blocks of the kept clusters, their columns
+    S = [C | -chi(C)], square only when every cluster is kept, every
+    cluster, snapped, with its members on diag(T), and the residuals of B
+    and H against the canonical pair that the gate accepted.
     """
     if barr.shape != harr.shape:
         raise SizeMismatch("B and H must have equal shape")
     res = selfadjoint_residual(harr, barr)  # validates Hermitian + invertible
     if res > tol.residual_factor:
         raise NotSelfadjoint(f"selfadjoint residual {res:.3e} exceeds tolerance")
-
-    scale = max(1.0, float(np.max(np.abs(barr))), float(np.max(np.abs(harr))))
-    spec = _try_parse_canonical(barr, harr, 1e-12 * scale)
-    if spec is not None:
-        return spec, np.eye(barr.shape[0], dtype=complex), None, None
 
     n = barr.shape[0] // 2
     kmat = structure_matrix(n)
@@ -771,7 +719,8 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: Tolerances, keep=None
             entries.append((CanonicalBlock(c.centroid, len(cc), None),
                             np.hstack([u_cols, w_cols])))
     if not entries:
-        return CanonicalSpec(()), np.zeros((2 * n, 0), dtype=complex), schur, clusters
+        return (CanonicalSpec(()), np.zeros((2 * n, 0), dtype=complex), schur, clusters,
+                (0.0, 0.0))
 
     entries.sort(key=lambda e: e[0].sort_key())
     blocks = tuple(e[0] for e in entries)
@@ -794,4 +743,4 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: Tolerances, keep=None
     if not np.isfinite(res_b + res_h) or res_b + res_h > limit:
         raise RankAmbiguous(
             f"canonicalization residual {res_b + res_h:.3e} exceeds {limit:.3e}")
-    return spec, s, schur, clusters
+    return spec, s, schur, clusters, (res_b, res_h)

@@ -16,7 +16,7 @@ import numpy as np
 from . import jsonio
 from .canonical import CanonicalSpec, Tolerances
 from .errors import ParseError, QRootError
-from .omega import complex_from_json, omega_embed, omega_extract
+from .omega import complex_from_json, complex_to_json, omega_embed, omega_extract
 from .quaternion import QuatMatrix
 from .roots import RootDecision, mth_root, reduce_pair, root_exists
 from .verify import random_instance, verify_root
@@ -127,20 +127,17 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    from .canonical import canonicalize_pair, materialize_pair
+    from .canonical import _canonicalize
     payload = _read_payload(args.inp)
     b, h = _pair_from(payload, args.format)
     tol = _tolerances(args)
-    s, spec = canonicalize_pair(omega_embed(b).array, omega_embed(h).array, tol)
-    bm, hm = materialize_pair(spec)
-    barr = omega_embed(b).array
-    harr = omega_embed(h).array
-    res_b = float(np.linalg.norm(np.linalg.solve(s.array, barr @ s.array) - bm.array))
-    res_h = float(np.linalg.norm(s.array.conj().T @ harr @ s.array - hm.array))
+    barr, harr = omega_embed(b).array, omega_embed(h).array
+    # every cluster is kept, so the engine's residuals are those of the full S
+    spec, s, _, _, (res_b, res_h) = _canonicalize(barr, harr, tol)
     _write(args.out, {"spec": spec.to_json(),
-                      "similarity": s.to_json(),
-                      "residual_b": res_b,
-                      "residual_h": res_h})
+                      "similarity": complex_to_json(s),
+                      "residual_b": float(res_b),
+                      "residual_h": float(res_h)})
     return 0
 
 

@@ -587,10 +587,10 @@ def reduce_pair(b: QuatMatrix, h: QuatMatrix, m: int, tol: Tolerances | None = N
 
     X is the part of the spectrum the theorem constrains: zero, and negative
     when m is even.  Only its clusters are canonicalized.  Returns
-    (B, H in Omega, (spec, S_X, schur, clusters) from the canonicalization
-    engine, plan); plan.decision() is the gate's answer.  For m = 1 every
-    selfadjoint B is its own root, so nothing is canonicalized and the third
-    item is None.
+    (B, H in Omega, (spec, S_X, schur, clusters, residuals) from the
+    canonicalization engine, plan); plan.decision() is the gate's answer.
+    For m = 1 every selfadjoint B is its own root, so nothing is
+    canonicalized and the third item is None.
     """
     if m < 1:
         raise SpecInvalid("m must be a positive integer")
@@ -626,14 +626,12 @@ def mth_root(b: QuatMatrix, h: QuatMatrix, m: int, tol: Tolerances | None = None
     """
     tol = tol or DEFAULT_TOL
     b_om, h_om, part, plan = reduce_pair(b, h, m, tol)
-    if m == 1:
-        return _result_from_omega(b_om.array, b, h, 1, np.eye(b_om.dim, dtype=complex), tol)
+    if m == 1:  # nothing is constrained: X is empty
+        return _result_from_omega(b_om.array, b, h, 1,
+                                  np.zeros((b_om.dim, 0), dtype=complex), tol)
     if plan.certificate is not None:
         return plan.decision()
-    spec, s_x, schur, clusters = part
-    if schur is None:  # exactly canonical: spec lists every block and S = I
-        return _result_from_omega(_build_canonical_root(spec, plan, m, branch),
-                                  b, h, m, s_x, tol)
+    spec, s_x, schur, clusters, _ = part
     a = _schur_root(schur, clusters, m, branch)
     if spec.blocks:
         a_c = _build_canonical_root(spec, plan, m, branch)

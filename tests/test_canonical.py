@@ -184,20 +184,30 @@ def test_inertia_matches_spec_prediction():
 
 # -- canonicalization ---------------------------------------------------------
 
-def test_canonicalize_already_canonical_fast_path():
+def _assert_canonical_residuals(s, b, h, out):
+    bm, hm = materialize_pair(out)
+    res_b = np.linalg.norm(np.linalg.solve(s, b @ s) - bm.array)
+    res_h = np.linalg.norm(s.conj().T @ h @ s - hm.array)
+    assert res_b + res_h <= DEFAULT_TOL.residual(b) + DEFAULT_TOL.residual(h)
+
+
+def test_canonicalize_already_canonical():
+    # a canonical pair goes through the engine like any other and comes back
+    # as its own spec
     spec = CanonicalSpec((CanonicalBlock(-1.0, 1, 1), CanonicalBlock(2.0, 2, -1),
                           CanonicalBlock(1j, 1, None))).sorted()
     bm, hm = materialize_pair(spec)
     s, out = canonicalize_pair(bm, hm)
-    assert np.array_equal(s.array, np.eye(bm.dim))
     assert out == spec
+    assert omega_membership(s.array) == 0.0
+    _assert_canonical_residuals(s.array, bm.array, hm.array, out)
 
 
 def test_canonicalize_nonreal_already_canonical():
     bm, hm = materialize_pair(CanonicalSpec((CanonicalBlock(1j, 1, None),)))
     s, out = canonicalize_pair(bm.array, hm.array)
     assert out.blocks == (CanonicalBlock(1j, 1, None),)
-    assert np.array_equal(s.array, np.eye(4))
+    _assert_canonical_residuals(s.array, bm.array, hm.array, out)
 
 
 def test_canonicalize_scrambled_real_block():
@@ -323,8 +333,8 @@ def test_one_schur_per_canonicalization(monkeypatch):
     canonicalize_pair(*scrambled(spec, 35))
     assert len(calls) == 1
     calls.clear()
-    canonicalize_pair(*materialize_pair(spec))  # exact-canonical fast path
-    assert calls == []
+    canonicalize_pair(*materialize_pair(spec))  # a canonical input takes the same path
+    assert len(calls) == 1
 
 
 def _schur_inputs():
@@ -431,6 +441,52 @@ def test_cluster_eigenvalues_bit_identical_to_pairwise_scan():
         got = canonical._cluster_eigenvalues(rng.permutation(eigs), 0.3)
         want = _reference_clusters(rng.permutation(eigs), 0.3)
         assert [(c.centroid, c.mult) for c in got] == want
+
+
+def _bfs_clusters(eigs, radius):
+    """Connected components by breadth-first search over the sorted eigenvalues."""
+    order = np.lexsort((eigs.imag, eigs.real))
+    eigs = eigs[order]
+    seen, groups = set(), []
+    for start in range(len(eigs)):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, group = [start], []
+        while queue:
+            i = queue.pop(0)
+            group.append(i)
+            for j in range(len(eigs)):
+                if j not in seen and abs(eigs[j] - eigs[i]) <= radius:
+                    seen.add(j)
+                    queue.append(j)
+        group.sort()
+        groups.append((complex(np.mean(eigs[group])), len(group), order[group].tolist()))
+    return sorted(groups, key=lambda c: (c[0].real, c[0].imag))
+
+
+def test_cluster_eigenvalues_match_breadth_first_components():
+    rng = np.random.default_rng(37)
+    for trial in range(30):
+        kind = trial % 3
+        if kind == 0:  # scattered points
+            eigs = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+        elif kind == 1:  # chains whose ends lie far apart, in random directions
+            starts = 3.0 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+            steps = 0.2 * np.exp(2j * np.pi * rng.random(4))
+            eigs = np.concatenate([s + d * np.arange(int(rng.integers(2, 9)))
+                                   for s, d in zip(starts, steps)])
+        else:  # blobs with their conjugates, one of them near the real axis
+            centers = rng.standard_normal(5) + 1j * rng.uniform(0.0, 2.0, 5)
+            centers[0] = centers[0].real + 0.1j
+            blob = np.repeat(centers, rng.integers(1, 5, size=5))
+            blob = blob + 0.05 * (rng.standard_normal(blob.size)
+                                  + 1j * rng.standard_normal(blob.size))
+            eigs = np.concatenate([blob, blob.conj()])
+        eigs = rng.permutation(eigs)
+        got = canonical._cluster_eigenvalues(eigs, 0.25)
+        want = _bfs_clusters(eigs, 0.25)
+        assert [(c.centroid, c.mult, c.members.tolist()) for c in got] == want, trial
 
 
 def test_block_diag_matches_scipy():

@@ -77,6 +77,11 @@ def test_check_spec_format():
                          inp=json.dumps(spec))
     assert rc == 2
     assert json.loads(out)["certificate"]["kind"] == "SignPatternViolation"
+    # Omega-level specs are always doubled
+    spec["spec"]["doubled"] = False
+    rc, out, _ = run_cli(["check", "--m", "2", "--format", "spec"],
+                         inp=json.dumps(spec))
+    assert (rc, json.loads(out)) == (1, {"error": "SpecInvalid"})
 
 
 def test_check_stops_after_the_gate(tmp_path, monkeypatch, capsys):

@@ -398,6 +398,9 @@ def test_mth_root_m1_returns_input():
     out = mth_root(b, h, 1)
     assert out.root.allclose(b, atol=0.0)
     assert out.residual_power == 0.0
+    # nothing is constrained at m = 1, so S_X has no columns
+    assert out.similarity.shape == (2 * b.n_rows, 0)
+    assert out.cond_similarity == 1.0
 
 
 def test_mth_root_determinism():
@@ -607,6 +610,52 @@ def test_mth_root_canonicalizes_once(monkeypatch):
     assert isinstance(out, RootResult)
     assert verify_root(out.root, b, h, 2).passed
     assert len(calls) == 1
+
+
+def _outcome_kind(b, h, m):
+    """root, the refusal certificate's kind, or the error's kind."""
+    from qroot.errors import QRootError
+    try:
+        out = mth_root(b, h, m)
+    except QRootError as exc:
+        return exc.kind
+    return "root" if isinstance(out, RootResult) else out.certificate.kind
+
+
+def _canonical_twin(spec):
+    bm, hm = materialize_pair(spec)
+    return omega_extract(bm.array), omega_extract(hm.array)
+
+
+_FILLERS = (CanonicalBlock(0.6, 2, 1), CanonicalBlock(1.8, 1, -1), CanonicalBlock(3.0, 1, 1),
+            CanonicalBlock(0.6 + 0.8j, 2, None))
+
+
+@pytest.mark.parametrize("spec", [
+    # +- pairs at -1.0 and -1.2, closer than the cluster radius at n = 12
+    CanonicalSpec((CanonicalBlock(-1.0, 1, 1), CanonicalBlock(-1.0, 1, -1),
+                   CanonicalBlock(-1.2, 1, 1), CanonicalBlock(-1.2, 1, -1)) + _FILLERS),
+    # a Jordan block at 1e-7: a positive eigenvalue inside the zero cluster's radius
+    CanonicalSpec((CanonicalBlock(1e-7, 2, 1), CanonicalBlock(1.0, 1, 1))),
+    # zero and 0.15, closer than the cluster radius at n = 12
+    CanonicalSpec((CanonicalBlock(0.0, 1, 1), CanonicalBlock(0.15, 1, 1),
+                   CanonicalBlock(4.0, 2, -1)) + _FILLERS),
+])
+def test_outcome_does_not_depend_on_presentation(spec):
+    # the canonical pair itself and its scrambled twins reach the same outcome
+    spec = spec.sorted()
+    want = _outcome_kind(*_canonical_twin(spec), 2)
+    for seed in range(3):
+        assert _outcome_kind(*_scrambled_instance(spec, seed), 2) == want, seed
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_outcome_does_not_depend_on_presentation_stock_specs(m):
+    classes = ["positive", "negative", "nonreal", "zero"]
+    for seed in range(4):
+        b, h, spec = random_instance(9300 + 10 * m + seed, {
+            "classes": classes, "m": m, "force": "any", "max_size": 8})
+        assert _outcome_kind(*_canonical_twin(spec), m) == _outcome_kind(b, h, m), seed
 
 
 # -- the primary root from the Schur form ---------------------------------------
