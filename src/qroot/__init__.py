@@ -8,7 +8,7 @@ exists, and verifies the result independently.
 
 from . import errors
 from .canonical import (CanonicalBlock, CanonicalSpec, SegreSequence,
-                        Tolerances, canonicalize_pair, inertia, jordan_block,
+                        canonicalize_pair, inertia, jordan_block,
                         materialize_pair, segre_characteristic, sip_matrix)
 from .omega import (OmegaMatrix, omega_embed, omega_extract,
                     omega_membership, selfadjoint_residual)
@@ -25,7 +25,7 @@ __all__ = [
     "errors",
     "Quaternion", "QuatMatrix", "OmegaMatrix",
     "omega_embed", "omega_extract", "omega_membership", "selfadjoint_residual",
-    "CanonicalBlock", "CanonicalSpec", "SegreSequence", "Tolerances",
+    "CanonicalBlock", "CanonicalSpec", "SegreSequence",
     "jordan_block", "sip_matrix", "materialize_pair", "segre_characteristic",
     "canonicalize_pair", "inertia",
     "MTuple", "Certificate", "RootDecision", "RootResult",

@@ -39,20 +39,9 @@ _EPS = np.finfo(float).eps
 CLUSTER_FACTOR = 1e-6    # eigenvalue clustering, relative to ||B||_F
 RANK_FACTOR = 1e-8       # rank decisions, relative to the matrix's Frobenius norm
 DEGENERATE_FACTOR = 1e-10  # leading Gram moments, relative to the chains' scale
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """The settable residual factor; absolute thresholds scale with matrix norms.
-
-    It bounds the HB - B*H residual of the input, the canonicalization
-    residuals and the self-check of a constructed root.
-    """
-
-    residual_factor: float = 1e-8
-
-    def residual(self, b: np.ndarray) -> float:
-        return self.residual_factor * max(1.0, float(np.linalg.norm(b)))
+# the one settable tolerance: relative HB - B*H of the input, the
+# canonicalization residuals and a root's residuals in verify_root
+DEFAULT_TOL = 1e-8
 
 
 def _cluster_radius(b: np.ndarray) -> float:
@@ -68,9 +57,6 @@ def _cluster_radius(b: np.ndarray) -> float:
 
 def _rank_threshold(m: np.ndarray) -> float:
     return RANK_FACTOR * max(1.0, float(np.linalg.norm(m)))
-
-
-DEFAULT_TOL = Tolerances()
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +628,7 @@ def _normalize_symplectic_chains(chains, bform):
 # the canonicalization engine
 # ---------------------------------------------------------------------------
 
-def canonicalize_pair(b, h, tol: Tolerances | None = None) -> tuple[OmegaMatrix, CanonicalSpec]:
+def canonicalize_pair(b, h, tol: float = DEFAULT_TOL) -> tuple[OmegaMatrix, CanonicalSpec]:
     """Reduce an H-selfadjoint pair in Omega_2n to canonical form.
 
     Returns (S, spec) with S in Omega_2n, S^-1 B S and S^* H S equal to
@@ -651,11 +637,11 @@ def canonicalize_pair(b, h, tol: Tolerances | None = None) -> tuple[OmegaMatrix,
     """
     barr = b.array if isinstance(b, OmegaMatrix) else OmegaMatrix(np.asarray(b, dtype=complex)).array
     harr = h.array if isinstance(h, OmegaMatrix) else OmegaMatrix(np.asarray(h, dtype=complex)).array
-    spec, s, _, _, _ = _canonicalize(barr, harr, tol or DEFAULT_TOL)
+    spec, s, _, _, _ = _canonicalize(barr, harr, tol)
     return OmegaMatrix(s, check=False), spec
 
 
-def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: Tolerances, keep=None):
+def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None):
     """The canonicalization engine, on the eigenvalue clusters keep selects.
 
     Checks H and HB = B*H and takes one Schur form B = Z T Z^*.  keep(c)
@@ -669,7 +655,7 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: Tolerances, keep=None
     if barr.shape != harr.shape:
         raise SizeMismatch("B and H must have equal shape")
     res = selfadjoint_residual(harr, barr)  # validates Hermitian + invertible
-    if res > tol.residual_factor:
+    if res > tol:
         raise NotSelfadjoint(f"selfadjoint residual {res:.3e} exceeds tolerance")
 
     n = barr.shape[0] // 2
@@ -739,7 +725,8 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: Tolerances, keep=None
     else:
         res_b = np.linalg.norm(barr @ s - s @ bm.array)
     res_h = np.linalg.norm(s.conj().T @ harr @ s - hm.array)
-    limit = tol.residual(barr) + tol.residual(harr)
+    limit = (tol * max(1.0, float(np.linalg.norm(barr)))
+             + tol * max(1.0, float(np.linalg.norm(harr))))
     if not np.isfinite(res_b + res_h) or res_b + res_h > limit:
         raise RankAmbiguous(
             f"canonicalization residual {res_b + res_h:.3e} exceeds {limit:.3e}")

@@ -1,8 +1,10 @@
 """Command-line surface: embed, extract, canon, check, root, verify, gen.
 
-Exit codes: 0 on success (root exists for check/root), 2 for a structured
-no-root decision, 1 for usage, parse, or numeric errors (with a single
-machine-readable {"error": kind} object on stdout).
+Each command accepts --in and --out and only the other flags its handler
+reads.  Exit codes: 0 on success (root exists for check/root), 2 for a
+structured no-root decision, 1 for usage, parse, or numeric errors.  A usage
+error writes only its message to stderr; a parse or numeric error also
+writes a single machine-readable {"error": kind} object on stdout.
 """
 
 from __future__ import annotations
@@ -14,14 +16,12 @@ import sys
 import numpy as np
 
 from . import jsonio
-from .canonical import CanonicalSpec, Tolerances
+from .canonical import DEFAULT_TOL, CanonicalSpec, _canonicalize
 from .errors import ParseError, QRootError
 from .omega import complex_from_json, complex_to_json, omega_embed, omega_extract
 from .quaternion import QuatMatrix
 from .roots import RootDecision, mth_root, reduce_pair, root_exists
 from .verify import random_instance, verify_root
-
-DEFAULT_TOL = 1e-8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -30,29 +30,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_FLAGS = {
+    "--m": dict(type=int, default=None, help="root order"),
+    "--tol": dict(type=float, default=None,
+                  help="residual tolerance (default 1e-8 or QROOT_TOL)"),
+    "--branch": dict(type=int, default=0, help="m-th root branch index (default 0)"),
+    "--seed": dict(type=int, default=0, help="generator seed"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qroot",
                      description="H-selfadjoint m-th roots of H-selfadjoint "
                                  "quaternion matrices")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("embed", "embed a quaternion matrix into its 2n x 2n complex form"),
-        ("extract", "extract a quaternion matrix from a member of Omega_2n"),
-        ("canon", "canonical form of a pair (B, H)"),
-        ("check", "decide whether an H-selfadjoint m-th root exists"),
-        ("root", "construct and verify an H-selfadjoint m-th root"),
-        ("verify", "verify a candidate root independently"),
-        ("gen", "generate a seeded random instance"),
-    ]:
+    for name, (_, helptext, flags, formats) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--m", type=int, default=None, help="root order")
-        p.add_argument("--tol", type=float, default=None,
-                       help="residual tolerance (default 1e-8 or QROOT_TOL)")
-        p.add_argument("--branch", type=int, default=0,
-                       help="m-th root branch index (default 0)")
-        p.add_argument("--seed", type=int, default=0, help="generator seed")
-        p.add_argument("--format", choices=["quaternion", "omega", "spec"],
-                       default="quaternion", help="input payload format")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        if formats:
+            p.add_argument("--format", choices=formats, default="quaternion",
+                           help="input payload format")
         p.add_argument("--in", dest="inp", default="-", metavar="PATH",
                        help="input file (default stdin)")
         p.add_argument("--out", dest="out", default="-", metavar="PATH",
@@ -90,22 +88,24 @@ def _require_m(m) -> int:
     return m
 
 
-def _tolerances(args) -> Tolerances:
+def _tolerance(args) -> float:
+    """--tol, else QROOT_TOL, else DEFAULT_TOL: a positive finite number."""
     tol = args.tol
     if tol is None:
         env = os.environ.get("QROOT_TOL")
-        tol = float(env) if env else DEFAULT_TOL
-    if tol <= 0:
-        raise ParseError("tolerance must be positive")
-    return Tolerances(residual_factor=tol)
+        try:
+            tol = float(env) if env else DEFAULT_TOL
+        except ValueError:
+            raise ParseError(f"QROOT_TOL={env!r} is not a number") from None
+    if not 0 < tol < np.inf:  # NaN fails too
+        raise ParseError("tolerance must be a positive finite number")
+    return tol
 
 
 def _matrix_from(obj, fmt: str) -> QuatMatrix:
-    if fmt == "quaternion":
-        return QuatMatrix.from_json(obj)
     if fmt == "omega":
         return omega_extract(complex_from_json(obj))
-    raise ParseError(f"format {fmt} does not describe a matrix")
+    return QuatMatrix.from_json(obj)
 
 
 def _pair_from(payload, fmt: str) -> tuple[QuatMatrix, QuatMatrix]:
@@ -127,10 +127,9 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    from .canonical import _canonicalize
     payload = _read_payload(args.inp)
     b, h = _pair_from(payload, args.format)
-    tol = _tolerances(args)
+    tol = _tolerance(args)
     barr, harr = omega_embed(b).array, omega_embed(h).array
     # every cluster is kept, so the engine's residuals are those of the full S
     spec, s, _, _, (res_b, res_h) = _canonicalize(barr, harr, tol)
@@ -149,12 +148,13 @@ def _spec_from_payload(payload) -> CanonicalSpec:
 
 def _cmd_check(args) -> int:
     m = _require_m(args.m)
+    tol = _tolerance(args)  # checked for a spec payload too, which does not use it
     payload = _read_payload(args.inp)
     if args.format == "spec":
         decision = root_exists(_spec_from_payload(payload), m)
     else:
         b, h = _pair_from(payload, args.format)
-        decision = reduce_pair(b, h, m, _tolerances(args))[3].decision()
+        decision = reduce_pair(b, h, m, tol)[3].decision()
     _write(args.out, decision.to_json())
     return 0 if decision.exists else 2
 
@@ -163,7 +163,7 @@ def _cmd_root(args) -> int:
     m = _require_m(args.m)
     payload = _read_payload(args.inp)
     b, h = _pair_from(payload, args.format)
-    out = mth_root(b, h, m, _tolerances(args), args.branch)
+    out = mth_root(b, h, m, _tolerance(args), args.branch)
     if isinstance(out, RootDecision):
         _write(args.out, out.to_json())
         return 2
@@ -177,11 +177,10 @@ def _cmd_verify(args) -> int:
     payload = _read_payload(args.inp)
     if not isinstance(payload, dict) or "root" not in payload:
         raise ParseError('expected an object with "root", "B", "H"')
-    fmt = args.format if args.format != "spec" else "quaternion"
-    a = _matrix_from(payload["root"], fmt)
-    b, h = _pair_from(payload, fmt)
+    a = _matrix_from(payload["root"], args.format)
+    b, h = _pair_from(payload, args.format)
     m = _require_m(args.m if args.m is not None else payload.get("m"))
-    report = verify_root(a, b, h, m, _tolerances(args).residual_factor)
+    report = verify_root(a, b, h, m, _tolerance(args))
     _write(args.out, report.to_json())
     return 0 if report.passed else 1
 
@@ -201,21 +200,29 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+_MATRIX = ("quaternion", "omega")
+
+# name: (handler, help, flags beyond --in/--out, --format choices)
 _COMMANDS = {
-    "embed": _cmd_embed,
-    "extract": _cmd_extract,
-    "canon": _cmd_canon,
-    "check": _cmd_check,
-    "root": _cmd_root,
-    "verify": _cmd_verify,
-    "gen": _cmd_gen,
+    "embed": (_cmd_embed, "embed a quaternion matrix into its 2n x 2n complex form",
+              (), ()),
+    "extract": (_cmd_extract, "extract a quaternion matrix from a member of Omega_2n",
+                (), ()),
+    "canon": (_cmd_canon, "canonical form of a pair (B, H)", ("--tol",), _MATRIX),
+    "check": (_cmd_check, "decide whether an H-selfadjoint m-th root exists",
+              ("--m", "--tol"), _MATRIX + ("spec",)),
+    "root": (_cmd_root, "construct and verify an H-selfadjoint m-th root",
+             ("--m", "--tol", "--branch"), _MATRIX),
+    "verify": (_cmd_verify, "verify a candidate root independently",
+               ("--m", "--tol"), _MATRIX),
+    "gen": (_cmd_gen, "generate a seeded random instance", ("--m", "--seed"), ()),
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except QRootError as exc:
         sys.stdout.write(jsonio.dumps({"error": exc.kind}) + "\n")
         sys.stderr.write(f"qroot {args.command}: {exc}\n")

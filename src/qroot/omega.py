@@ -25,7 +25,7 @@ class OmegaMatrix:
 
     __slots__ = ("array",)
 
-    def __init__(self, array: np.ndarray, check: bool = True, tol: float | None = None):
+    def __init__(self, array: np.ndarray, check: bool = True):
         array = np.asarray(array, dtype=complex)
         if array.ndim != 2 or array.shape[0] != array.shape[1]:
             raise DimensionMismatch("OmegaMatrix expects a square array")
@@ -33,8 +33,7 @@ class OmegaMatrix:
             raise OddDimension("OmegaMatrix dimension must be even")
         if check:
             res = omega_membership(array)
-            if tol is None:
-                tol = membership_tolerance(array)
+            tol = membership_tolerance(array)
             if res > tol:
                 raise NotInOmega(f"membership residual {res:.3e} exceeds {tol:.3e}")
         self.array = array
@@ -166,12 +165,9 @@ def structure_matrix(half_n: int) -> np.ndarray:
     return k
 
 
-def chi(v: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
-    """Antilinear partner map chi(v) = K conj(v); chi(chi(v)) = -v."""
-    v = np.asarray(v, dtype=complex)
-    if k is None:
-        k = structure_matrix(v.shape[0] // 2)
-    return k @ np.conj(v)
+def chi(v: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Antilinear partner map chi(v) = K conj(v), K = structure_matrix; chi(chi(v)) = -v."""
+    return k @ np.conj(np.asarray(v, dtype=complex))
 
 
 # Quaternion scalars as complex pairs (q1, q2) meaning q1 + j*q2.

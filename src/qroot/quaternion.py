@@ -204,9 +204,9 @@ class QuatMatrix:
 
     # -- predicates and norms ----------------------------------------------
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
         diff = (self - self.adjoint()).norm()
-        return diff <= tol * max(1.0, self.norm())
+        return diff <= 1e-12 * max(1.0, self.norm())
 
     def norm(self) -> float:
         """Frobenius norm: sqrt of the sum of squared quaternion moduli."""

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # canonicalize_pair stays importable from here; bench/spans.py wraps it by this name
-from .canonical import (CanonicalBlock, CanonicalSpec, Tolerances, DEFAULT_TOL,
-                        _canonicalize, _lapack, block_diag, canonicalize_pair,
-                        jordan_block, materialize_pair)
+from .canonical import (DEFAULT_TOL, CanonicalBlock, CanonicalSpec, _canonicalize,
+                        _lapack, block_diag, canonicalize_pair, jordan_block,
+                        materialize_pair)
 from .errors import (ClassMismatch, DimensionMismatch, NearSingularH,
                      NotPartitionable, NotSelfadjoint, RankAmbiguous,
                      SignPatternViolation, Singular, SpecInvalid)
@@ -558,31 +558,27 @@ def _schur_root(schur, clusters, m: int, branch: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _result_from_omega(a_omega: np.ndarray, b: QuatMatrix, h: QuatMatrix, m: int,
-                       similarity: np.ndarray, tol: Tolerances) -> RootResult:
+                       similarity: np.ndarray, tol: float) -> RootResult:
+    from .verify import verify_root  # verify imports roots for the generator
     omega_res = omega_membership(a_omega)
     a_quat = omega_extract(a_omega, tol=max(membership_tolerance(a_omega),
                                             omega_res * 1.001))
-    power = a_quat.power(m)
-    res_power = (power - b).norm() / max(1.0, b.norm())
-    hb = h @ a_quat
-    bh = a_quat.adjoint() @ h
-    res_self = (hb - bh).norm() / max(1.0, h.norm() * a_quat.norm())
-    limit = tol.residual_factor
-    if not (res_power <= limit and res_self <= limit):  # a NaN fails too
+    report = verify_root(a_quat, b, h, m, tol)
+    if not report.passed:
         raise RankAmbiguous(
-            f"constructed root failed verification: power {res_power:.3e}, "
-            f"selfadjoint {res_self:.3e} (limit {limit:.1e})")
+            f"constructed root failed verification: power {report.residual_power:.3e}, "
+            f"selfadjoint {report.residual_selfadjoint:.3e} (limit {tol:.1e})")
     return RootResult(
         root=a_quat,
         similarity=similarity,
-        residual_power=float(res_power),
-        residual_selfadjoint=float(res_self),
+        residual_power=report.residual_power,
+        residual_selfadjoint=report.residual_selfadjoint,
         omega_residual=float(omega_res),
         cond_similarity=float(np.linalg.cond(similarity)) if similarity.size else 1.0,
     )
 
 
-def reduce_pair(b: QuatMatrix, h: QuatMatrix, m: int, tol: Tolerances | None = None):
+def reduce_pair(b: QuatMatrix, h: QuatMatrix, m: int, tol: float = DEFAULT_TOL):
     """Everything a solve does before it builds: embed, check, Schur form, X, plan.
 
     X is the part of the spectrum the theorem constrains: zero, and negative
@@ -594,7 +590,6 @@ def reduce_pair(b: QuatMatrix, h: QuatMatrix, m: int, tol: Tolerances | None = N
     """
     if m < 1:
         raise SpecInvalid("m must be a positive integer")
-    tol = tol or DEFAULT_TOL
     b_om = omega_embed(b)
     h_om = omega_embed(h)
     if b_om.dim != h_om.dim:
@@ -608,13 +603,13 @@ def reduce_pair(b: QuatMatrix, h: QuatMatrix, m: int, tol: Tolerances | None = N
     except Singular as exc:
         raise NearSingularH(str(exc)) from exc
     if m == 1:
-        if res > tol.residual_factor:
+        if res > tol:
             raise NotSelfadjoint(f"HB - B*H residual {res:.3e} exceeds tolerance")
         return b_om, h_om, None, _Plan()
     return b_om, h_om, part, _classify_and_plan(part[0], m)
 
 
-def mth_root(b: QuatMatrix, h: QuatMatrix, m: int, tol: Tolerances | None = None,
+def mth_root(b: QuatMatrix, h: QuatMatrix, m: int, tol: float = DEFAULT_TOL,
              branch: int = 0):
     """H-selfadjoint m-th root of an H-selfadjoint quaternion matrix B.
 
@@ -624,7 +619,6 @@ def mth_root(b: QuatMatrix, h: QuatMatrix, m: int, tol: Tolerances | None = None
     columns of X, A_c is the closed-form root of X's canonical blocks and
     H_X = S_X^* H S_X, a signed sum of sip matrices and its own inverse.
     """
-    tol = tol or DEFAULT_TOL
     b_om, h_om, part, plan = reduce_pair(b, h, m, tol)
     if m == 1:  # nothing is constrained: X is empty
         return _result_from_omega(b_om.array, b, h, 1,

@@ -1,7 +1,8 @@
 """Independent verification oracles and seeded instance generation.
 
 verify_root never looks at how a candidate root was produced: it powers the
-candidate by binary powering and measures the defining residuals.  The
+candidate by binary powering and measures the defining residuals.  It is
+the one acceptance rule for a root; mth_root's self-check calls it too.  The
 generator draws canonical specs (optionally forced to admit or refuse an
 m-th root), materializes them, and scrambles with a well-conditioned
 similarity drawn inside Omega by embedding a random quaternion matrix.
@@ -13,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalBlock, CanonicalSpec, SegreSequence, materialize_pair
+from .canonical import (DEFAULT_TOL, CanonicalBlock, CanonicalSpec, SegreSequence,
+                        materialize_pair)
 from .errors import (DimensionMismatch, OracleDisagreement, ProfileInvalid,
                      QRootError)
-from .omega import omega_embed, omega_extract, omega_membership
+from .omega import omega_embed, omega_extract
 from .quaternion import QuatMatrix
 from .roots import _tuple_epsilons, root_exists
 
@@ -27,7 +29,6 @@ CLASSES = ("positive", "nonreal", "negative", "zero")
 class VerificationReport:
     residual_power: float
     residual_selfadjoint: float
-    omega_residual: float
     passed: bool
     tol: float
 
@@ -35,13 +36,16 @@ class VerificationReport:
         return {"passed": self.passed,
                 "residual_power": self.residual_power,
                 "residual_selfadjoint": self.residual_selfadjoint,
-                "omega_residual": self.omega_residual,
                 "tol": self.tol}
 
 
 def verify_root(a: QuatMatrix, b: QuatMatrix, h: QuatMatrix, m: int,
-                tol: float = 1e-8) -> VerificationReport:
-    """Check A^m = B and H-selfadjointness of A, independent of construction."""
+                tol: float = DEFAULT_TOL) -> VerificationReport:
+    """Check A^m = B and H-selfadjointness of A, independent of construction.
+
+    A passes when both relative residuals, ||A^m - B|| / max(1, ||B||) and
+    ||HA - A*H|| / max(1, ||H|| ||A||), are at most tol.
+    """
     if not (a.shape == b.shape == h.shape) or a.n_rows != a.n_cols:
         raise DimensionMismatch("A, B, H must be square with equal shape")
     if m < 1:
@@ -49,13 +53,8 @@ def verify_root(a: QuatMatrix, b: QuatMatrix, h: QuatMatrix, m: int,
     power = a.power(m)
     res_power = (power - b).norm() / max(1.0, b.norm())
     res_self = (h @ a - a.adjoint() @ h).norm() / max(1.0, h.norm() * a.norm())
-    omega_res = omega_membership(omega_embed(a).array)
-    scale_tol = tol * max(1.0, b.norm())
-    passed = (res_power <= scale_tol
-              and res_self <= tol * max(1.0, h.norm() * a.norm())
-              and omega_res <= 1e-10 * max(1.0, a.norm()))
-    return VerificationReport(float(res_power), float(res_self),
-                              float(omega_res), bool(passed), tol)
+    passed = res_power <= tol and res_self <= tol  # a NaN fails
+    return VerificationReport(float(res_power), float(res_self), bool(passed), tol)
 
 
 def power_segre_oracle(k: int, m: int) -> SegreSequence:

@@ -1,6 +1,6 @@
 """Acceptance suite: eight criteria, each printing one pass/fail line.
 
-Tolerances are pinned here; runtime budgets are asserted where stated.
+Residual bounds are pinned here; runtime budgets are asserted where stated.
 """
 
 import json

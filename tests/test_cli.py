@@ -166,17 +166,34 @@ def test_env_tolerance_override():
     assert rc == 1
 
 
-def test_verify_rejects_nonpositive_tolerance():
-    # a non-positive tolerance is a usage error for verify as for root, not
-    # a failed check of a valid root
-    payload = json.dumps({"B": quat_json([[16, 0, 0, 0]], 1),
-                          "H": quat_json([[1, 0, 0, 0]], 1)})
-    rc, doc, _ = run_cli(["root", "--m", "4"], inp=payload)
+def test_verify_rejects_nonpositive_tolerance(tmp_path, capsys, monkeypatch):
+    # a tolerance that is not a positive finite number is a ParseError for
+    # every command that reads one, not a failed check of a valid root; a NaN
+    # or inf tolerance used to switch the HB = B*H input check off
+    pair = {"B": quat_json([[16, 0, 0, 0]], 1), "H": quat_json([[1, 0, 0, 0]], 1)}
+    rc, doc = _main_on(tmp_path, capsys, ["root", "--m", "4"], pair)
     assert rc == 0
-    for args, env in ((["--tol", "-1"], None), ([], {"QROOT_TOL": "0"})):
-        rc, out, _ = run_cli(["verify", "--m", "4"] + args, inp=doc, env=env)
-        assert rc == 1
-        assert json.loads(out) == {"error": "ParseError"}
+    cases = [(["--tol", "-1"], None), (["--tol", "nan"], None), (["--tol", "inf"], None),
+             ([], "0"), ([], "nan"), ([], "abc")]
+    spec = {"blocks": [{"lambda": [16.0, 0.0], "size": 1, "sign": 1}]}
+    for args, payload in ((["canon"], pair), (["check", "--m", "4"], pair),
+                          (["check", "--m", "4", "--format", "spec"], spec),
+                          (["root", "--m", "4"], pair), (["verify", "--m", "4"], doc)):
+        for flags, env in cases:
+            if env is None:
+                monkeypatch.delenv("QROOT_TOL", raising=False)
+            else:
+                monkeypatch.setenv("QROOT_TOL", env)
+            assert _main_on(tmp_path, capsys, args + flags, payload) == (
+                1, {"error": "ParseError"}), (args, flags, env)
+
+
+def test_verify_exits_1_on_a_root_outside_the_relative_bound(tmp_path, capsys):
+    # |A^2 - B| / |B| = 2.0e-6 for A = 100 + 1e-4, B = 1e4
+    doc = {"root": quat_json([[100.0001, 0, 0, 0]], 1), "B": quat_json([[1e4, 0, 0, 0]], 1),
+           "H": quat_json([[1, 0, 0, 0]], 1), "m": 2}
+    rc, report = _main_on(tmp_path, capsys, ["verify"], doc)
+    assert (rc, report["passed"]) == (1, False)
 
 
 def test_gen_profile_file(tmp_path):
@@ -295,3 +312,41 @@ def test_complex_matrix_dim_must_be_an_integer(tmp_path, capsys, dim):
     assert _main_on(tmp_path, capsys, ["extract"], payload) == (1, {"error": "ParseError"})
     payload["dim"] = 2
     assert _main_on(tmp_path, capsys, ["extract"], payload)[0] == 0
+
+
+# the flags each handler reads, beyond --in and --out, and its --format choices
+_COMMAND_FLAGS = {
+    "embed": (set(), None),
+    "extract": (set(), None),
+    "canon": ({"--tol", "--format"}, "{quaternion,omega}"),
+    "check": ({"--m", "--tol", "--format"}, "{quaternion,omega,spec}"),
+    "root": ({"--m", "--tol", "--branch", "--format"}, "{quaternion,omega}"),
+    "verify": ({"--m", "--tol", "--format"}, "{quaternion,omega}"),
+    "gen": ({"--m", "--seed"}, None),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
+def test_help_lists_only_the_flags_the_command_reads(command, capsys):
+    import re
+
+    import qroot.cli
+    with pytest.raises(SystemExit) as exc:
+        qroot.cli.main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    flags, formats = _COMMAND_FLAGS[command]
+    assert set(re.findall(r"--[a-z]+", text)) == flags | {"--in", "--out", "--help"}
+    if formats:
+        assert set(re.findall(r"\{[a-z,]+\}", text)) == {formats}
+
+
+@pytest.mark.parametrize("args", [["embed", "--m", "2"], ["gen", "--tol", "1e-3"],
+                                  ["root", "--seed", "3"], ["canon", "--branch", "1"],
+                                  ["verify", "--format", "spec"],
+                                  ["root", "--format", "spec"]])
+def test_flags_a_command_does_not_read_are_usage_errors(args):
+    rc, out, err = run_cli(args, inp="{}")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith((f"qroot {args[0]}: error: ", "qroot: error: unrecognized"))

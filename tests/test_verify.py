@@ -22,7 +22,7 @@ def test_verify_identity_m1():
     b = QuatMatrix(rng.standard_normal((2, 2, 4)))
     report = verify_root(b, b, h, 1)
     assert report.residual_power == 0.0
-    assert report.passed == (report.residual_selfadjoint <= 1e-8 * max(1.0, h.norm() * b.norm()))
+    assert report.passed == (report.residual_selfadjoint <= 1e-8)
 
 
 def test_verify_scalar_pass():
@@ -35,6 +35,28 @@ def test_verify_scalar_fail():
     report = verify_root(quat_scalar(2.0), quat_scalar(15.0), QuatMatrix.eye(1), 4)
     assert not report.passed
     assert report.residual_power == pytest.approx(1.0 / 15.0)
+
+
+def test_verify_bound_is_relative_and_applied_once():
+    # |A^2 - B| / |B| = 2.0e-6, 200 times the bound; scaling the bound by |B|
+    # a second time used to pass this root
+    a, b = quat_scalar(100.0 + 1e-4), quat_scalar(1e4)
+    report = verify_root(a, b, QuatMatrix.eye(1), 2)
+    assert report.residual_power == pytest.approx(2.0e-6, rel=1e-3)
+    assert not report.passed
+    assert verify_root(a, b, QuatMatrix.eye(1), 2, tol=1e-5).passed
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_root_result_residuals_are_verify_roots(m):
+    # mth_root accepts its root through verify_root and reports its residuals
+    for seed in range(6):
+        b, h, _ = random_instance(seed, {"m": m, "force": "admit"})
+        out = mth_root(b, h, m)
+        report = verify_root(out.root, b, h, m)
+        assert report.passed
+        assert (out.residual_power, out.residual_selfadjoint) == (
+            report.residual_power, report.residual_selfadjoint)
 
 
 def test_verify_dimension_mismatch():
