@@ -15,6 +15,7 @@ so S = [C | -chi(C)] is automatically a member of Omega_2n.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
@@ -46,13 +47,32 @@ DEFAULT_TOL = 1e-8
 
 def _cluster_radius(b: np.ndarray) -> float:
     # Computed eigenvalues of a defective block scatter like
-    # (eps*||B||)^(1/k); the linkage radius must cover that blob for any
-    # block size the matrix can hold.
-    bnorm = float(np.linalg.norm(b, 2)) if b.size else 0.0
+    # (eps*||B||_2)^(1/k); the linkage radius must cover that blob for any
+    # block size the matrix can hold, up to 0.25.  The cap binds once
+    # ||B||_2 >= 0.125^k / eps, which a lower bound settles without an SVD
+    # when it clears that with a margin far above its rounding.
     kbound = max(1, min(b.shape[0], 16))
-    blob = 2.0 * (max(_EPS * max(1.0, bnorm), 1e-300)) ** (1.0 / kbound)
-    blob = min(blob, 0.25)
+    if b.size and _norm2_lower_bound(b) >= (1.0 + 1e-6) * 0.125 ** kbound / _EPS:
+        blob = 0.25
+    else:
+        bnorm = float(np.linalg.norm(b, 2)) if b.size else 0.0
+        blob = 2.0 * (max(_EPS * max(1.0, bnorm), 1e-300)) ** (1.0 / kbound)
+        blob = min(blob, 0.25)
     return max(CLUSTER_FACTOR * max(1.0, float(np.linalg.norm(b))), blob)
+
+
+def _norm2_lower_bound(b: np.ndarray) -> float:
+    """||B x|| / ||x|| <= ||B||_2 after two power steps on B^*B from B's largest column."""
+    bh = b.conj().T
+    x = bh @ b[:, int(np.argmax(np.linalg.norm(b, axis=0)))]
+    x = bh @ (b @ x)
+    xnorm = np.linalg.norm(x)
+    return float(np.linalg.norm(b @ x) / xnorm) if xnorm else 0.0
+
+
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < np.inf:  # NaN fails too
+        raise SpecInvalid(f"tolerance must be a positive finite number, got {tol!r}")
 
 
 def _rank_threshold(m: np.ndarray) -> float:
@@ -281,17 +301,17 @@ def _staircase(n_mat: np.ndarray, expected_dim: int) -> tuple[list[int], list[np
 
 @functools.cache
 def _lapack():
-    """scipy's compiled LAPACK module, loaded without the scipy.linalg package.
+    """scipy's compiled LAPACK module, loaded without importing scipy.
 
-    Importing scipy.linalg also loads its array-API layer, which pulls in
-    numpy.f2py, numpy.testing and numpy.ma; the f2py extension _flapack
-    alone loads in milliseconds. It is loaded under its real name, so an
-    import of scipy.linalg before or after shares it. Only the commands that
-    canonicalize reach this, on first use.
+    Importing scipy runs scipy/__init__ (15-17 ms), and scipy.linalg also
+    loads its array-API layer, which pulls in numpy.f2py, numpy.testing and
+    numpy.ma; the f2py extension _flapack alone loads in milliseconds. It is
+    loaded under its real name, so an import of scipy.linalg before or after
+    shares it. Only the commands that canonicalize reach this, on first use.
     """
-    import scipy
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(scipy.__path__[0], "linalg", "_flapack" + suffix)
+        path = os.path.join(root, "linalg", "_flapack" + suffix)
         if os.path.exists(path):
             spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
             module = importlib.util.module_from_spec(spec)
@@ -301,25 +321,62 @@ def _lapack():
     return lapack
 
 
-def _no_select(x):
-    return None
+@functools.cache
+def _zlahqr():
+    """LAPACK's zlahqr as a ctypes function of 13 pointers.
+
+    f2py wraps no zlahqr.  It is looked up in the LAPACK library that
+    _flapack links against, under the symbol name of scipy's wheels or the
+    plain Fortran one.  Failing that, it comes from scipy's Cython LAPACK
+    API; loading that module imports the scipy package, because Cython's
+    shared utility module lives there.
+    """
+    try:
+        lib = ctypes.CDLL(_lapack().__file__)
+        address = ctypes.cast(getattr(lib, "scipy_zlahqr_", None) or lib.zlahqr_,
+                              ctypes.c_void_p).value
+    except (OSError, AttributeError):
+        from scipy.linalg import cython_lapack
+        capsule = cython_lapack.__pyx_capi__["zlahqr"]
+        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+            ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+        address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 13)(address)
 
 
 def _schur(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form (T, Z), B = Z T Z^*, by LAPACK zgees.
+    """Complex Schur form (T, Z), B = Z T Z^*, by LAPACK zgehrd, zunghr and zlahqr.
 
-    The same calls as scipy.linalg.schur(b, output="complex"): a workspace
-    query, then the unsorted factorization.
+    zgees sends every matrix of order 75 or more to the multishift QR with
+    aggressive early deflation (zlaqr0); on this program's matrices of
+    order 76-128 the double-shift QR zlahqr, which zgees runs below order
+    75, is 20-35% faster.  The two break even between orders 130 and 150;
+    on scrambled canonical pairs of order 200 and 258 zgees takes 51 and
+    110 ms against 103 and 265 ms here.  No workload goes there, so there
+    is one path.
     """
     a = np.asarray_chkfinite(b).astype(complex, copy=False)
-    if a.size == 0:  # zgees rejects n = 0
-        return a.copy(), a.copy()
-    zgees = _lapack().zgees
-    lwork = int(zgees(_no_select, a, lwork=-1)[-2][0].real)
-    t, _, _, z, _, info = zgees(_no_select, a, lwork=lwork, sort_t=0)
+    n = a.shape[0]
+    if n <= 1:  # the zunghr wrapper rejects n = 1
+        return a.copy(), np.eye(n, dtype=complex)
+    lapack = _lapack()
+    h, tau, info = lapack.zgehrd(a)
+    if info == 0:
+        z, info = lapack.zunghr(h, tau)
     if info != 0:
-        raise np.linalg.LinAlgError(f"Schur form not found (zgees info {info})")
-    return t, z
+        raise np.linalg.LinAlgError(f"Hessenberg reduction failed (info {info})")
+    h, z = np.asfortranarray(h), np.asfortranarray(z)
+    w = np.empty(n, dtype=complex)
+    one, size, status = ctypes.c_int(1), ctypes.c_int(n), ctypes.c_int(0)
+    ref = ctypes.byref
+    # zlahqr(wantt, wantz, n, ilo, ihi, H, ldh, W, iloz, ihiz, Z, ldz, info)
+    _zlahqr()(ref(one), ref(one), ref(size), ref(one), ref(size), h.ctypes.data, ref(size),
+              w.ctypes.data, ref(one), ref(size), z.ctypes.data, ref(size), ref(status))
+    if status.value != 0:
+        raise np.linalg.LinAlgError(f"Schur form not found (zlahqr info {status.value})")
+    h[np.tri(n, k=-1, dtype=bool)] = 0.0  # zgehrd's reflectors lie below the subdiagonal
+    return h, z
 
 
 def _deflate_cluster(b: np.ndarray, schur: tuple[np.ndarray, np.ndarray],
@@ -652,6 +709,7 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None):
     cluster, snapped, with its members on diag(T), and the residuals of B
     and H against the canonical pair that the gate accepted.
     """
+    _check_tol(tol)
     if barr.shape != harr.shape:
         raise SizeMismatch("B and H must have equal shape")
     res = selfadjoint_residual(harr, barr)  # validates Hermitian + invertible

@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import jsonio
-from .canonical import DEFAULT_TOL, CanonicalSpec, _canonicalize
-from .errors import ParseError, QRootError
+from .canonical import DEFAULT_TOL, CanonicalSpec, _canonicalize, _check_tol
+from .errors import ParseError, QRootError, SpecInvalid
 from .omega import complex_from_json, complex_to_json, omega_embed, omega_extract
 from .quaternion import QuatMatrix
 from .roots import RootDecision, mth_root, reduce_pair, root_exists
@@ -97,8 +97,10 @@ def _tolerance(args) -> float:
             tol = float(env) if env else DEFAULT_TOL
         except ValueError:
             raise ParseError(f"QROOT_TOL={env!r} is not a number") from None
-    if not 0 < tol < np.inf:  # NaN fails too
-        raise ParseError("tolerance must be a positive finite number")
+    try:
+        _check_tol(tol)  # the library's rule; from the command line it is a parse error
+    except SpecInvalid as exc:
+        raise ParseError(str(exc)) from None
     return tol
 
 

@@ -90,23 +90,26 @@ def omega_embed(a: QuatMatrix) -> OmegaMatrix:
     """Map A = A1 + j*A2 to [[A1, conj(A2)], [-A2, conj(A1)]]."""
     if a.n_rows != a.n_cols:
         raise DimensionMismatch("omega_embed expects a square matrix")
-    a1, a2 = a.a1, a.a2
+    return OmegaMatrix(_embed_pair(a.a1, a.a2), check=False)
+
+
+def _embed_pair(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     top = np.hstack([a1, np.conj(a2)])
     bot = np.hstack([-a2, np.conj(a1)])
-    return OmegaMatrix(np.vstack([top, bot]), check=False)
+    return np.vstack([top, bot])
 
 
-def _blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def omega_project(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(A1, A2, residual): the nearest member of Omega_2n and m's max entrywise distance to it.
+
+    Each of A1 and A2 averages the two blocks of m that determine it.
+    """
     n = m.shape[0] // 2
-    return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
-
-
-def _nearest_member(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Average the two determining blocks of each of A1 and A2."""
-    b11, b12, b21, b22 = _blocks(m)
+    b11, b12, b21, b22 = m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
     a1 = 0.5 * (b11 + np.conj(b22))
     a2 = 0.5 * (np.conj(b12) - b21)
-    return a1, a2
+    res = float(np.max(np.abs(m - _embed_pair(a1, a2)))) if m.size else 0.0
+    return a1, a2, res
 
 
 def omega_membership(m: np.ndarray) -> float:
@@ -116,11 +119,7 @@ def omega_membership(m: np.ndarray) -> float:
         raise DimensionMismatch("omega_membership expects a square matrix")
     if m.shape[0] % 2:
         raise OddDimension("omega_membership needs even dimension")
-    a1, a2 = _nearest_member(m)
-    top = np.hstack([a1, np.conj(a2)])
-    bot = np.hstack([-a2, np.conj(a1)])
-    nearest = np.vstack([top, bot])
-    return float(np.max(np.abs(m - nearest))) if m.size else 0.0
+    return omega_project(m)[2]
 
 
 def omega_extract(m, tol: float | None = None) -> QuatMatrix:
@@ -132,10 +131,9 @@ def omega_extract(m, tol: float | None = None) -> QuatMatrix:
         raise OddDimension("omega_extract needs even dimension")
     if tol is None:
         tol = membership_tolerance(arr)
-    res = omega_membership(arr)
+    a1, a2, res = omega_project(arr)
     if res > tol:
         raise NotInOmega(f"membership residual {res:.3e} exceeds {tol:.3e}")
-    a1, a2 = _nearest_member(arr)
     return QuatMatrix.from_complex_pair(a1, a2)
 
 
@@ -148,8 +146,8 @@ def selfadjoint_residual(h, a) -> float:
     hn = np.linalg.norm(h)
     if np.linalg.norm(h - h.conj().T) > 1e-10 * max(1.0, hn):
         raise NotHermitian("H is not Hermitian at working tolerance")
-    sv = np.linalg.svd(h, compute_uv=False)
-    if sv[-1] * COND_LIMIT <= max(1.0, sv[0]):
+    sv = np.abs(np.linalg.eigvalsh(h))  # H's singular values, as H is Hermitian
+    if sv.min() * COND_LIMIT <= max(1.0, sv.max()):
         raise Singular("H condition estimate beyond threshold")
     num = np.linalg.norm(h @ a - a.conj().T @ h)
     return float(num / max(1.0, hn * np.linalg.norm(a)))

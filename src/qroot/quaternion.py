@@ -182,17 +182,27 @@ class QuatMatrix:
         return QuatMatrix(out)
 
     def power(self, m: int) -> "QuatMatrix":
-        """m-th power by binary powering (m >= 0, square matrix)."""
+        """m-th power by binary powering (m >= 0, square matrix).
+
+        The result starts at the lowest set bit of m and the squaring stops
+        at the highest, so A^m takes floor(log2 m) + popcount(m) - 1 products.
+        """
         if self.n_rows != self.n_cols:
             raise DimensionMismatch("power requires a square matrix")
         if m < 0:
             raise ValueError("power expects m >= 0")
-        result = QuatMatrix.eye(self.n_rows)
+        if m == 0:
+            return QuatMatrix.eye(self.n_rows)
         base = self
+        while not m & 1:
+            base = base @ base
+            m >>= 1
+        result = base
+        m >>= 1
         while m:
+            base = base @ base
             if m & 1:
                 result = result @ base
-            base = base @ base
             m >>= 1
         return result
 

@@ -19,15 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# canonicalize_pair stays importable from here; bench/spans.py wraps it by this name
+# canonicalize_pair and omega_extract stay importable from here;
+# bench/spans.py wraps them by these names
 from .canonical import (DEFAULT_TOL, CanonicalBlock, CanonicalSpec, _canonicalize,
-                        _lapack, block_diag, canonicalize_pair, jordan_block,
+                        _check_tol, _lapack, block_diag, canonicalize_pair, jordan_block,
                         materialize_pair)
 from .errors import (ClassMismatch, DimensionMismatch, NearSingularH,
                      NotPartitionable, NotSelfadjoint, RankAmbiguous,
                      SignPatternViolation, Singular, SpecInvalid)
-from .omega import (OmegaMatrix, membership_tolerance, omega_embed, omega_extract,
-                    omega_membership, selfadjoint_residual)
+from .omega import (OmegaMatrix, omega_embed, omega_extract, omega_project,
+                    selfadjoint_residual)
 from .quaternion import QuatMatrix
 
 ZERO_CLASS_FACTOR = 1e-8  # |lambda| below this (relative) counts as zero
@@ -560,9 +561,8 @@ def _schur_root(schur, clusters, m: int, branch: int) -> np.ndarray:
 def _result_from_omega(a_omega: np.ndarray, b: QuatMatrix, h: QuatMatrix, m: int,
                        similarity: np.ndarray, tol: float) -> RootResult:
     from .verify import verify_root  # verify imports roots for the generator
-    omega_res = omega_membership(a_omega)
-    a_quat = omega_extract(a_omega, tol=max(membership_tolerance(a_omega),
-                                            omega_res * 1.001))
+    a1, a2, omega_res = omega_project(a_omega)
+    a_quat = QuatMatrix.from_complex_pair(a1, a2)
     report = verify_root(a_quat, b, h, m, tol)
     if not report.passed:
         raise RankAmbiguous(
@@ -573,7 +573,7 @@ def _result_from_omega(a_omega: np.ndarray, b: QuatMatrix, h: QuatMatrix, m: int
         similarity=similarity,
         residual_power=report.residual_power,
         residual_selfadjoint=report.residual_selfadjoint,
-        omega_residual=float(omega_res),
+        omega_residual=omega_res,
         cond_similarity=float(np.linalg.cond(similarity)) if similarity.size else 1.0,
     )
 
@@ -590,6 +590,7 @@ def reduce_pair(b: QuatMatrix, h: QuatMatrix, m: int, tol: float = DEFAULT_TOL):
     """
     if m < 1:
         raise SpecInvalid("m must be a positive integer")
+    _check_tol(tol)
     b_om = omega_embed(b)
     h_om = omega_embed(h)
     if b_om.dim != h_om.dim:

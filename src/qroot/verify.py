@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import (DEFAULT_TOL, CanonicalBlock, CanonicalSpec, SegreSequence,
-                        materialize_pair)
+                        _check_tol, materialize_pair)
 from .errors import (DimensionMismatch, OracleDisagreement, ProfileInvalid,
                      QRootError)
 from .omega import omega_embed, omega_extract
@@ -50,6 +50,7 @@ def verify_root(a: QuatMatrix, b: QuatMatrix, h: QuatMatrix, m: int,
         raise DimensionMismatch("A, B, H must be square with equal shape")
     if m < 1:
         raise DimensionMismatch("m must be positive")
+    _check_tol(tol)
     power = a.power(m)
     res_power = (power - b).norm() / max(1.0, b.norm())
     res_self = (h @ a - a.adjoint() @ h).norm() / max(1.0, h.norm() * a.norm())

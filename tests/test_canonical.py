@@ -345,16 +345,25 @@ def test_one_schur_per_canonicalization(monkeypatch):
 def _schur_inputs():
     rng = np.random.default_rng(37)
     complex_inputs = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                      for n in (1, 7, 40)]
+                      for n in (1, 7, 40, 76, 100, 128)]
     return complex_inputs + [rng.standard_normal((n, n)) for n in (2, 9, 33)]
 
 
-def _assert_schur_matches_scipy():
+def _assert_schur_form(b, t, z):
+    """B = Z T Z^* with T upper triangular and Z unitary, and scipy's eigenvalues."""
+    n = b.shape[0]
+    assert t.dtype == z.dtype == np.complex128 and t.shape == z.shape == (n, n)
+    assert not np.tril(t, -1).any()
+    assert np.linalg.norm(z.conj().T @ z - np.eye(n)) <= 1e-13
+    assert np.linalg.norm(b - z @ t @ z.conj().T) <= 1e-13 * np.linalg.norm(b)
+    want = np.sort_complex(np.diag(scipy.linalg.schur(b, output="complex")[0]))
+    got = np.sort_complex(np.diag(t))
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_schur_is_a_schur_form_with_scipy_eigenvalues():
     for b in _schur_inputs():
-        t, z = canonical._schur(b)
-        want_t, want_z = scipy.linalg.schur(b, output="complex")
-        assert t.dtype == z.dtype == np.complex128
-        assert np.array_equal(t, want_t) and np.array_equal(z, want_z)
+        _assert_schur_form(b, *canonical._schur(b))
 
 
 _SCHUR_FIRST = """
@@ -362,43 +371,94 @@ import sys
 import numpy as np
 import qroot.canonical as c
 inputs = np.load(sys.argv[1])
+want = np.load(sys.argv[2])
 first = [c._schur(inputs[k]) for k in inputs.files]
-assert "scipy.linalg" not in sys.modules
+assert "scipy" not in sys.modules
 import scipy.linalg
-for k, (t, z) in zip(inputs.files, first):
-    want_t, want_z = scipy.linalg.schur(inputs[k], output="complex")
-    assert np.array_equal(t, want_t) and np.array_equal(z, want_z), k
+c._lapack.cache_clear()
+c._zlahqr.cache_clear()
+for i, (k, (t, z)) in enumerate(zip(inputs.files, first)):
+    assert np.array_equal(t, want[f"t{i}"]) and np.array_equal(z, want[f"z{i}"]), k
     again_t, again_z = c._schur(inputs[k])
-    assert np.array_equal(again_t, want_t) and np.array_equal(again_z, want_z), k
+    assert np.array_equal(again_t, t) and np.array_equal(again_z, z), k
 """
 
 
-def test_schur_is_bitwise_scipy_schur_before_and_after_scipy_linalg_loads(tmp_path):
+def test_schur_is_bitwise_the_same_before_and_after_scipy_linalg_loads(tmp_path):
     import os
     import subprocess
     import sys
-    # a fresh process runs _schur before scipy.linalg is imported, then after
-    path = tmp_path / "inputs.npz"
-    np.savez(path, *_schur_inputs())
-    proc = subprocess.run([sys.executable, "-c", _SCHUR_FIRST, str(path)],
+    # a fresh process runs _schur before scipy is imported, then after
+    # scipy.linalg loads; this process, which loaded scipy.linalg first, gives
+    # the reference bytes
+    inputs, want = tmp_path / "inputs.npz", tmp_path / "want.npz"
+    np.savez(inputs, *_schur_inputs())
+    forms = [canonical._schur(b) for b in _schur_inputs()]
+    np.savez(want, **{f"{x}{i}": f for i, tz in enumerate(forms) for x, f in zip("tz", tz)})
+    proc = subprocess.run([sys.executable, "-c", _SCHUR_FIRST, str(inputs), str(want)],
                           capture_output=True, text=True, env=dict(os.environ))
     assert proc.returncode == 0, proc.stderr
-    _assert_schur_matches_scipy()  # in this process scipy.linalg loaded first
+
+
+def _capsule_address(capsule):
+    import ctypes
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    return ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
 
 
 def test_schur_fallback_to_scipy_linalg_lapack(monkeypatch):
+    import ctypes
     import importlib.machinery
+    import scipy.linalg.cython_lapack
     import scipy.linalg.lapack
+    cython_zlahqr = _capsule_address(scipy.linalg.cython_lapack.__pyx_capi__["zlahqr"])
+    forms = [canonical._schur(b) for b in _schur_inputs()]
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
     canonical._lapack.cache_clear()
+    canonical._zlahqr.cache_clear()
     try:
         assert canonical._lapack() is scipy.linalg.lapack
-        _assert_schur_matches_scipy()
+        # scipy.linalg.lapack is no shared library, so zlahqr comes from the capsule
+        assert ctypes.cast(canonical._zlahqr(), ctypes.c_void_p).value == cython_zlahqr
+        for b, (t, z) in zip(_schur_inputs(), forms):
+            again_t, again_z = canonical._schur(b)
+            assert np.array_equal(again_t, t) and np.array_equal(again_z, z)
         spec = _many_cluster_spec(np.random.default_rng(35))
         _, out = canonicalize_pair(*scrambled(spec, 35))
         assert out.matches(spec)
     finally:
         canonical._lapack.cache_clear()
+        canonical._zlahqr.cache_clear()
+
+
+def _svd_radius(b):
+    """_cluster_radius's formula with ||B||_2 always from the SVD."""
+    bnorm = float(np.linalg.norm(b, 2)) if b.size else 0.0
+    kbound = max(1, min(b.shape[0], 16))
+    blob = min(2.0 * (max(np.finfo(float).eps * max(1.0, bnorm), 1e-300)) ** (1.0 / kbound),
+               0.25)
+    return max(canonical.CLUSTER_FACTOR * max(1.0, float(np.linalg.norm(b))), blob)
+
+
+def test_cluster_radius_is_bitwise_the_svd_formula():
+    rng = np.random.default_rng(41)
+    mats = [scrambled(_many_cluster_spec(rng), seed)[0] for seed in (41, 42)]  # spread size
+    for seed in (43, 44):  # deep size: few eigenvalues, long blocks, n 12-32
+        spec = CanonicalSpec((CanonicalBlock(0.0, 3, 1), CanonicalBlock(0.0, 2, -1),
+                              CanonicalBlock(-1.4, 4, 1), CanonicalBlock(-1.4, 4, -1),
+                              CanonicalBlock(0.7 + 1.1j, 3)))
+        mats.append(scrambled(spec, seed)[0])
+    mats += [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+             for n in (1, 2, 6, 14, 15)]  # order below 16
+    mats += [1e-3 * rng.standard_normal((n, n)) for n in (4, 20, 64)]  # small norm
+    mats += [np.zeros((0, 0)), np.zeros((4, 4))]
+    q = np.linalg.qr(rng.standard_normal((20, 20)))[0]
+    mats += [16.0 * (1.0 + d) * q for d in (-1e-9, 0.0, 1e-9, 1e-6, 1e-3)]  # ||B||_2 at 16
+    mats.append(16.0 * np.eye(16))
+    for b in mats:
+        assert canonical._cluster_radius(b) == _svd_radius(b), b.shape
 
 
 def test_staircase_takes_one_svd_per_power(monkeypatch):

@@ -244,18 +244,20 @@ _CANONICALIZING = {"root": ["root", "--m", "2"], "check": ["check", "--m", "2"],
 
 @pytest.mark.parametrize("command", sorted(_CANONICALIZING))
 def test_canonicalizing_commands_leave_scipy_linalg_unloaded(command):
-    # the Schur kernels come from scipy's compiled LAPACK module alone
+    # the Schur kernels come from scipy's compiled LAPACK module alone, found
+    # without importing the scipy package
     import os
     rc, bundle, _ = run_cli(["gen", "--seed", "2", "--m", "2"])
     assert rc == 0
     code = ("import io, sys, qroot.cli; sys.stdin = io.StringIO(sys.argv[1]); "
             "rc = qroot.cli.main(sys.argv[2:]); "
-            "print('scipy.linalg' in sys.modules, file=sys.stderr); sys.exit(rc)")
+            "print('scipy.linalg' in sys.modules, 'scipy' in sys.modules, file=sys.stderr); "
+            "sys.exit(rc)")
     proc = subprocess.run([PYTHON, "-c", code, bundle, *_CANONICALIZING[command]],
                           capture_output=True, text=True, env=dict(os.environ))
     assert proc.returncode in (0, 2), proc.stderr
     assert "error" not in json.loads(proc.stdout)
-    assert proc.stderr.strip().splitlines()[-1] == "False"
+    assert proc.stderr.strip().splitlines()[-1] == "False False"
 
 
 def _main_on(tmp_path, capsys, args, payload):

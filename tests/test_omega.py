@@ -3,7 +3,7 @@ import pytest
 
 from qroot.errors import NotHermitian, NotInOmega, OddDimension, Singular
 from qroot.omega import (chi, omega_embed, omega_extract, omega_membership,
-                         selfadjoint_residual, structure_matrix)
+                         omega_project, selfadjoint_residual, structure_matrix)
 from qroot.quaternion import QuatMatrix
 
 
@@ -132,3 +132,22 @@ def test_complex_json_rejects_malformed_values():
     for re in ([None, 0, 0, 1], ["x", 0, 0, 1], [float("nan"), 0, 0, 1], [1, 0, 0]):
         with pytest.raises(ParseError):
             complex_from_json({"dim": 2, "re": re, "im": [0, 0, 0, 0]})
+
+
+def test_omega_project_is_extract_and_membership_in_one_pass():
+    rng = np.random.default_rng(12)
+    m = omega_embed(QuatMatrix(rng.standard_normal((4, 4, 4)))).array
+    m = m + 1e-12 * rng.standard_normal(m.shape)
+    a1, a2, res = omega_project(m)
+    assert res == omega_membership(m) > 0
+    want = omega_extract(m, tol=1e-9)
+    assert np.array_equal(QuatMatrix.from_complex_pair(a1, a2).data, want.data)
+
+
+def test_selfadjoint_residual_condition_test_uses_moduli_of_eigenvalues():
+    # indefinite H: its singular values are the moduli of its eigenvalues
+    h = np.diag([1.0, -1.0, 2e-12, -3.0]).astype(complex)
+    with pytest.raises(Singular):
+        selfadjoint_residual(h, np.eye(4))
+    h[2, 2] = -2e-11
+    assert selfadjoint_residual(h, np.eye(4)) == 0.0

@@ -78,6 +78,38 @@ def test_matrix_power_binary():
     assert x.power(0).allclose(QuatMatrix.eye(3), atol=0.0)
 
 
+def _power_from_identity(x, m):
+    """Binary powering from the identity, squaring after every bit."""
+    result, base = QuatMatrix.eye(x.n_rows), x
+    while m:
+        if m & 1:
+            result = result @ base
+        base = base @ base
+        m >>= 1
+    return result
+
+
+@pytest.mark.parametrize("m, products", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
+def test_matrix_power_takes_no_wasted_products(monkeypatch, m, products):
+    rng = np.random.default_rng(6)
+    x = QuatMatrix(rng.standard_normal((5, 5, 4)))
+    want = _power_from_identity(x, m)
+    calls = []
+    matmul = QuatMatrix.__matmul__
+
+    def counting(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(QuatMatrix, "__matmul__", counting)
+    got = x.power(m)
+    assert len(calls) == products
+    # products with the identity are exact, so skipping them changes no bit
+    assert np.array_equal(got.data, want.data)
+    if m <= 2:
+        assert np.array_equal(got.data, (x @ x if m == 2 else x).data)
+
+
 def test_matrix_inverse():
     rng = np.random.default_rng(4)
     x = QuatMatrix(rng.standard_normal((3, 3, 4)))

@@ -426,6 +426,25 @@ def test_mth_root_rejects_bad_m():
         mth_root(quat_scalar(1.0), QuatMatrix.eye(1), 0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_library_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    from qroot.canonical import canonicalize_pair
+    from qroot.omega import omega_embed
+    from qroot.roots import reduce_pair
+    # HB - B*H has relative residual 0.41, which a NaN tolerance let through
+    b = QuatMatrix.from_real(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    h = QuatMatrix.from_real(np.diag([1.0, -1.0]))
+    for m in (1, 2):
+        with pytest.raises(SpecInvalid):
+            reduce_pair(b, h, m, tol)
+        with pytest.raises(SpecInvalid):
+            mth_root(b, h, m, tol)
+    with pytest.raises(SpecInvalid):
+        canonicalize_pair(omega_embed(b), omega_embed(h), tol)
+    with pytest.raises(SpecInvalid):
+        verify_root(QuatMatrix.eye(2), QuatMatrix.eye(2), QuatMatrix.eye(2), 2, tol)
+
+
 def test_gate_builder_agreement_random_specs():
     # gate true -> construction succeeds and verifies; gate false -> the
     # certificate names a negative-even or nilpotent obstruction
