@@ -27,8 +27,7 @@ import numpy as np
 from .errors import (ClusterOverlap, NotHermitian, NotSelfadjoint, ParseError,
                      RankAmbiguous, SizeMismatch, SpecInvalid, NearSingular)
 from .jsonio import integer
-from .omega import (OmegaMatrix, chi, qs_abs, qs_conj, selfadjoint_residual,
-                    structure_matrix)
+from .omega import OmegaMatrix, chi, qs_abs, qs_conj, selfadjoint_residual
 
 _EPS = np.finfo(float).eps
 
@@ -379,27 +378,38 @@ def _schur(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, z
 
 
+def _reorder(schur: tuple[np.ndarray, np.ndarray], select: np.ndarray,
+             expected: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Schur form (T, Z) reordered so the `expected` selected eigenvalues lead.
+
+    LAPACK ztrsen (Bai & Demmel swaps) keeps the order within the selected
+    and within the other eigenvalues and leaves the input form as it is.  A
+    selection that already leads needs no swaps, so ztrsen is not called.
+    """
+    if select[:expected].all() and not select[expected:].any():
+        return schur
+    ts, zs, _, sdim, _, _, info = _lapack().ztrsen(select, *schur, job="N")
+    if sdim != expected or info != 0:
+        raise ClusterOverlap(
+            f"Schur selection found {sdim} eigenvalues, expected {expected} "
+            f"(ztrsen info {info})")
+    return ts, zs
+
+
 def _deflate_cluster(b: np.ndarray, schur: tuple[np.ndarray, np.ndarray],
                      centroid: complex, radius: float,
                      expected: int) -> tuple[np.ndarray, np.ndarray]:
     """Deflate the invariant subspace of the eigenvalue cluster.
 
-    Reorders the Schur form (T, Z) of b so the cluster's eigenvalues lead
-    (LAPACK ztrsen, Bai & Demmel swaps; the input form is left as it is).
+    Reorders the Schur form (T, Z) of b so the cluster's eigenvalues lead.
     Returns (Q1, N) with B Q1 = Q1 (N + centroid I) up to backward error;
     rank decisions on powers of the full matrix would drown in the growth of
     the other eigenvalues, so all staircase work happens on N.
     """
-    t, z = schur
-    select = np.abs(np.diag(t) - centroid) <= radius
-    _, zs, _, sdim, _, _, info = _lapack().ztrsen(select, t, z, job="N")
-    if sdim != expected or info != 0:
-        raise ClusterOverlap(
-            f"Schur selection found {sdim} eigenvalues, expected {expected} "
-            f"(ztrsen info {info})")
-    q1 = zs[:, :sdim]
+    select = np.abs(np.diag(schur[0]) - centroid) <= radius
+    q1 = _reorder(schur, select, expected)[1][:, :expected]
     t11 = q1.conj().T @ b @ q1
-    return q1, t11 - centroid * np.eye(sdim, dtype=complex)
+    return q1, t11 - centroid * np.eye(expected, dtype=complex)
 
 
 def segre_characteristic(m: np.ndarray, lam: complex) -> SegreSequence:
@@ -685,6 +695,30 @@ def _normalize_symplectic_chains(chains, bform):
 # the canonicalization engine
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Reduction:
+    """What the canonicalization engine found for a pair (B, H) in Omega_2n.
+
+    spec holds the sorted canonical blocks of the kept clusters, similarity
+    their columns S = [C | -chi(C)] (square only when every cluster is
+    kept) and h_canonical the H of materialize_pair(spec).  schur is
+    B = Z T Z^* with the kept clusters' eigenvalues in the first `lead`
+    places of diag(T); clusters lists every cluster, snapped, with its
+    members on that diagonal.  residuals are those of B and H against the
+    canonical pair, which the gate accepted.
+    """
+
+    b: np.ndarray
+    h: np.ndarray
+    spec: CanonicalSpec
+    similarity: np.ndarray
+    h_canonical: np.ndarray
+    schur: tuple[np.ndarray, np.ndarray] | None
+    lead: int
+    clusters: tuple[_Cluster, ...]
+    residuals: tuple[float, float]
+
+
 def canonicalize_pair(b, h, tol: float = DEFAULT_TOL) -> tuple[OmegaMatrix, CanonicalSpec]:
     """Reduce an H-selfadjoint pair in Omega_2n to canonical form.
 
@@ -694,20 +728,18 @@ def canonicalize_pair(b, h, tol: float = DEFAULT_TOL) -> tuple[OmegaMatrix, Cano
     """
     barr = b.array if isinstance(b, OmegaMatrix) else OmegaMatrix(np.asarray(b, dtype=complex)).array
     harr = h.array if isinstance(h, OmegaMatrix) else OmegaMatrix(np.asarray(h, dtype=complex)).array
-    spec, s, _, _, _ = _canonicalize(barr, harr, tol)
-    return OmegaMatrix(s, check=False), spec
+    red = _canonicalize(barr, harr, tol)
+    return OmegaMatrix(red.similarity, check=False), red.spec
 
 
-def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None):
+def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None) -> Reduction:
     """The canonicalization engine, on the eigenvalue clusters keep selects.
 
     Checks H and HB = B*H and takes one Schur form B = Z T Z^*.  keep(c)
     says whether the cluster with snapped centroid c is canonicalized; None
-    keeps every cluster.  Returns (spec, S, (T, Z), clusters, (res_b,
-    res_h)): the sorted canonical blocks of the kept clusters, their columns
-    S = [C | -chi(C)], square only when every cluster is kept, every
-    cluster, snapped, with its members on diag(T), and the residuals of B
-    and H against the canonical pair that the gate accepted.
+    keeps every cluster.  The kept clusters' eigenvalues are moved to the
+    lead of the form once (ztrsen, none of it when every cluster is kept),
+    and the form that the root of the rest reads is returned in a Reduction.
     """
     _check_tol(tol)
     if barr.shape != harr.shape:
@@ -717,7 +749,6 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None):
         raise NotSelfadjoint(f"selfadjoint residual {res:.3e} exceeds tolerance")
 
     n = barr.shape[0] // 2
-    kmat = structure_matrix(n)
     radius = _cluster_radius(barr)
     schur = _schur(barr)
     clusters = []
@@ -728,7 +759,20 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None):
             re = 0.0 if abs(c.centroid.real) <= radius else c.centroid.real
             c = _Cluster(complex(re, 0.0), c.mult, c.members)
         clusters.append(c)
-    kept = [c for c in clusters if keep is None or keep(c.centroid)]
+    select = np.zeros(2 * n, dtype=bool)
+    for c in clusters:
+        if keep is None or keep(c.centroid):
+            select[c.members] = True
+    lead = int(select.sum())
+    reordered = _reorder(schur, select, lead)
+    # ztrsen keeps the order within the kept and within the other eigenvalues
+    place = np.where(select, np.cumsum(select) - 1, lead + np.cumsum(~select) - 1)
+    clusters = tuple(_Cluster(c.centroid, c.mult, place[c.members]) for c in clusters)
+    kept = [c for c in clusters if c.members[0] < lead]
+    # a lone kept cluster already leads the reordered form.  Several are each
+    # deflated from the form as taken, like every cluster of canonicalize_pair,
+    # so a cluster's canonical columns do not depend on which others are kept
+    form = reordered if len(kept) == 1 else schur
     real_clusters = [c for c in kept if c.centroid.imag == 0]
     nonreal = [c for c in kept if c.centroid.imag > 0]
     # the mate is the nearest conjugate cluster; a neighbour's conjugate
@@ -744,8 +788,8 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None):
     for c in real_clusters:
         if c.mult % 2:
             raise ClusterOverlap("real eigenvalue multiplicity must be even in Omega")
-        q1, nd = _deflate_cluster(barr, schur, c.centroid, radius, c.mult)
-        x_c = q1.conj().T @ (kmat @ np.conj(q1))
+        q1, nd = _deflate_cluster(barr, form, c.centroid, radius, c.mult)
+        x_c = q1.conj().T @ chi(q1)
         partner = lambda v, _x=x_c: _x @ np.conj(v)
         g_c = q1.conj().T @ harr @ q1
         chains = _nilpotent_chains(nd, c.mult, partner=partner)
@@ -753,18 +797,20 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None):
             cols = q1 @ np.column_stack(chain)
             entries.append((CanonicalBlock(c.centroid, len(chain), eta), cols))
     for c in nonreal:
-        q1, nd = _deflate_cluster(barr, schur, c.centroid, radius, c.mult)
-        phi = q1.T @ (np.conj(harr) @ kmat) @ q1
+        q1, nd = _deflate_cluster(barr, form, c.centroid, radius, c.mult)
+        hc = np.conj(harr)
+        phi = q1.T @ np.hstack([-hc[:, n:], hc[:, :n]]) @ q1  # conj(H) K, a column swap
         bform = lambda x, y, _p=phi: x @ (_p @ y)
         chains = _nilpotent_chains(nd, c.mult)
         for cc, dd in _normalize_symplectic_chains(chains, bform):
             u_cols = q1 @ np.column_stack(dd)
-            w_cols = chi(q1 @ np.column_stack(cc), kmat)
+            w_cols = chi(q1 @ np.column_stack(cc))
             entries.append((CanonicalBlock(c.centroid, len(cc), None),
                             np.hstack([u_cols, w_cols])))
     if not entries:
-        return (CanonicalSpec(()), np.zeros((2 * n, 0), dtype=complex), schur, clusters,
-                (0.0, 0.0))
+        empty = np.zeros((2 * n, 0), dtype=complex)
+        return Reduction(barr, harr, CanonicalSpec(()), empty, np.zeros((0, 0), dtype=complex),
+                         reordered, lead, clusters, (0.0, 0.0))
 
     entries.sort(key=lambda e: e[0].sort_key())
     blocks = tuple(e[0] for e in entries)
@@ -774,7 +820,7 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None):
     if keep is None and cmat.shape[1] != n:
         raise ClusterOverlap(
             f"collected {cmat.shape[1]} canonical columns, expected {n}")
-    s = np.hstack([cmat, -chi(cmat, kmat)])
+    s = np.hstack([cmat, -chi(cmat)])
     spec = CanonicalSpec(blocks)
 
     bm, hm = materialize_pair(spec)
@@ -788,4 +834,4 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None):
     if not np.isfinite(res_b + res_h) or res_b + res_h > limit:
         raise RankAmbiguous(
             f"canonicalization residual {res_b + res_h:.3e} exceeds {limit:.3e}")
-    return spec, s, schur, clusters, (res_b, res_h)
+    return Reduction(barr, harr, spec, s, hm.array, reordered, lead, clusters, (res_b, res_h))

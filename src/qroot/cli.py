@@ -134,9 +134,10 @@ def _cmd_canon(args) -> int:
     tol = _tolerance(args)
     barr, harr = omega_embed(b).array, omega_embed(h).array
     # every cluster is kept, so the engine's residuals are those of the full S
-    spec, s, _, _, (res_b, res_h) = _canonicalize(barr, harr, tol)
-    _write(args.out, {"spec": spec.to_json(),
-                      "similarity": complex_to_json(s),
+    red = _canonicalize(barr, harr, tol)
+    res_b, res_h = red.residuals
+    _write(args.out, {"spec": red.spec.to_json(),
+                      "similarity": complex_to_json(red.similarity),
                       "residual_b": float(res_b),
                       "residual_h": float(res_h)})
     return 0
@@ -156,7 +157,7 @@ def _cmd_check(args) -> int:
         decision = root_exists(_spec_from_payload(payload), m)
     else:
         b, h = _pair_from(payload, args.format)
-        decision = reduce_pair(b, h, m, tol)[3].decision()
+        decision = root_exists(reduce_pair(b, h, m, tol).spec, m)
     _write(args.out, decision.to_json())
     return 0 if decision.exists else 2
 

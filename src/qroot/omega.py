@@ -155,17 +155,10 @@ def selfadjoint_residual(h, a) -> float:
 
 # -- quaternionic structure helpers (used by the canonicalization) -----------
 
-def structure_matrix(half_n: int) -> np.ndarray:
-    """K = [[0, I], [-I, 0]]; M is in Omega_2n iff M K = K conj(M)."""
-    k = np.zeros((2 * half_n, 2 * half_n))
-    k[:half_n, half_n:] = np.eye(half_n)
-    k[half_n:, :half_n] = -np.eye(half_n)
-    return k
-
-
-def chi(v: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Antilinear partner map chi(v) = K conj(v), K = structure_matrix; chi(chi(v)) = -v."""
-    return k @ np.conj(np.asarray(v, dtype=complex))
+def chi(v: np.ndarray) -> np.ndarray:
+    """Antilinear partner map chi(v) = K conj(v), a block swap; chi(chi(v)) = -v."""
+    n = v.shape[0] // 2
+    return np.concatenate([np.conj(v[n:]), -np.conj(v[:n])])
 
 
 # Quaternion scalars as complex pairs (q1, q2) meaning q1 + j*q2.

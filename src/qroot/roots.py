@@ -21,9 +21,9 @@ import numpy as np
 
 # canonicalize_pair and omega_extract stay importable from here;
 # bench/spans.py wraps them by these names
-from .canonical import (DEFAULT_TOL, CanonicalBlock, CanonicalSpec, _canonicalize,
-                        _check_tol, _lapack, block_diag, canonicalize_pair, jordan_block,
-                        materialize_pair)
+from .canonical import (DEFAULT_TOL, CanonicalBlock, CanonicalSpec, Reduction,
+                        _canonicalize, _check_tol, _lapack, block_diag, canonicalize_pair,
+                        jordan_block)
 from .errors import (ClassMismatch, DimensionMismatch, NearSingularH,
                      NotPartitionable, NotSelfadjoint, RankAmbiguous,
                      SignPatternViolation, Singular, SpecInvalid)
@@ -155,8 +155,7 @@ def _iter_partitions(sizes: tuple[int, ...], m: int):
 def m_tuple_partition(segre, m: int) -> list[tuple[int, int]]:
     """Greedy largest-first grouping of one copy's zero Segre into m-tuples."""
     parts = tuple(segre.parts) if hasattr(segre, "parts") else tuple(segre)
-    if m < 1:
-        raise SpecInvalid("m must be positive")
+    _check_m(m)
     for partition in _iter_partitions(parts, m):
         return partition
     raise NotPartitionable(
@@ -294,10 +293,15 @@ def _classify_and_plan(spec: CanonicalSpec, m: int) -> _Plan:
     return plan
 
 
+def _check_m(m) -> None:
+    """m must be an integer (int or numpy integer, not bool) of at least 1."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise SpecInvalid(f"m must be an integer >= 1, got {m!r}")
+
+
 def root_exists(spec: CanonicalSpec, m: int) -> RootDecision:
     """Gate of the main theorem: decide existence from the canonical form."""
-    if m < 1:
-        raise SpecInvalid("m must be a positive integer")
+    _check_m(m)
     return _classify_and_plan(spec, m).decision()
 
 
@@ -516,42 +520,33 @@ def _smith_root(t: np.ndarray, mu: np.ndarray, m: int) -> np.ndarray:
     return p[0]
 
 
-def _schur_root(schur, clusters, m: int, branch: int) -> np.ndarray:
+def _schur_root(schur, lead: int, clusters, m: int, branch: int) -> np.ndarray:
     """g(B) from B = Z T Z^*: the primary root off the constrained clusters, 0 on them.
 
-    Each eigenvalue gets mu_c (lambda / c)^(1/m) from its cluster's centroid
-    c and root mu_c, so the branch is constant on every cluster.  With
-    constrained clusters X, ztrsen moves them to the lead, R11 = 0, R22 is
-    the root of T22 and R12 solves T11 R12 - R12 T22 = -T12 R22 (ztrsyl).
+    The constrained clusters X fill the first `lead` places of diag(T).
+    Each other eigenvalue gets mu_c (lambda / c)^(1/m) from its cluster's
+    centroid c and root mu_c, so the branch is constant on every cluster.
+    R11 = 0, R22 is the root of T22 and R12 solves
+    T11 R12 - R12 T22 = -T12 R22 (ztrsyl).
     """
     t, z = schur
-    lam = np.diag(t)
-    cent = np.ones(len(lam), dtype=complex)
-    mu_c = np.zeros(len(lam), dtype=complex)
-    x = np.zeros(len(lam), dtype=bool)
+    k = lead
+    if k == len(t):  # all of X; ztrsyl's wrapper rejects an empty T22
+        return np.zeros_like(t)
+    cent = np.ones(len(t), dtype=complex)
+    mu_c = np.zeros(len(t), dtype=complex)
     for c in clusters:
-        if _constrained(c.centroid, m):
-            x[c.members] = True
-        else:
+        if c.members[0] >= k:  # a cluster off X
             cent[c.members] = c.centroid
             mu_c[c.members] = _cluster_root(c.centroid, m, branch)
-    if not x.any():
-        r = _smith_root(t, mu_c * (lam / cent) ** (1.0 / m), m)
-        return z @ r @ z.conj().T
-    if x.all():
-        return np.zeros_like(t)
-    lapack = _lapack()
-    ts, zs, _, k, _, _, info = lapack.ztrsen(x, t, z, job="N")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"Schur reordering failed (ztrsen info {info})")
-    # ztrsen keeps the order within the selected and within the other eigenvalues
-    rest = ~x
-    r22 = _smith_root(ts[k:, k:], mu_c[rest] * (np.diag(ts)[k:] / cent[rest]) ** (1.0 / m), m)
-    r12, scale, info = lapack.ztrsyl(ts[:k, :k], ts[k:, k:], -ts[:k, k:] @ r22, isgn=-1)
+    mu = (mu_c * (np.diag(t) / cent) ** (1.0 / m))[k:]
+    if k == 0:
+        return z @ _smith_root(t, mu, m) @ z.conj().T
+    r22 = _smith_root(t[k:, k:], mu, m)
+    r12, scale, info = _lapack().ztrsyl(t[:k, :k], t[k:, k:], -t[:k, k:] @ r22, isgn=-1)
     if info < 0:
         raise np.linalg.LinAlgError(f"Sylvester solve failed (ztrsyl info {info})")
-    g = (zs[:, :k] @ (r12 / scale) + zs[:, k:] @ r22) @ zs[:, k:].conj().T
-    return g
+    return (z[:, :k] @ (r12 / scale) + z[:, k:] @ r22) @ z[:, k:].conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -578,36 +573,32 @@ def _result_from_omega(a_omega: np.ndarray, b: QuatMatrix, h: QuatMatrix, m: int
     )
 
 
-def reduce_pair(b: QuatMatrix, h: QuatMatrix, m: int, tol: float = DEFAULT_TOL):
-    """Everything a solve does before it builds: embed, check, Schur form, X, plan.
+def reduce_pair(b: QuatMatrix, h: QuatMatrix, m: int, tol: float = DEFAULT_TOL) -> Reduction:
+    """Everything a solve does before it builds: embed, check, Schur form, X.
 
     X is the part of the spectrum the theorem constrains: zero, and negative
-    when m is even.  Only its clusters are canonicalized.  Returns
-    (B, H in Omega, (spec, S_X, schur, clusters, residuals) from the
-    canonicalization engine, plan); plan.decision() is the gate's answer.
-    For m = 1 every selfadjoint B is its own root, so nothing is
-    canonicalized and the third item is None.
+    when m is even.  Only its clusters are canonicalized; the gate reads
+    its spec.  For m = 1 every selfadjoint B is its own root, so nothing is
+    canonicalized and the Reduction holds no Schur form.
     """
-    if m < 1:
-        raise SpecInvalid("m must be a positive integer")
+    _check_m(m)
     _check_tol(tol)
     b_om = omega_embed(b)
     h_om = omega_embed(h)
     if b_om.dim != h_om.dim:
         raise DimensionMismatch("H and B must be square with equal shape")
     try:
-        if m == 1:
-            res = selfadjoint_residual(h_om, b_om)  # validates H as well
-        else:
-            part = _canonicalize(b_om.array, h_om.array, tol,
+        if m > 1:
+            return _canonicalize(b_om.array, h_om.array, tol,
                                  keep=lambda c: _constrained(c, m))  # checks H, HB = B*H
+        res = selfadjoint_residual(h_om, b_om)  # validates H as well
     except Singular as exc:
         raise NearSingularH(str(exc)) from exc
-    if m == 1:
-        if res > tol:
-            raise NotSelfadjoint(f"HB - B*H residual {res:.3e} exceeds tolerance")
-        return b_om, h_om, None, _Plan()
-    return b_om, h_om, part, _classify_and_plan(part[0], m)
+    if res > tol:
+        raise NotSelfadjoint(f"HB - B*H residual {res:.3e} exceeds tolerance")
+    return Reduction(b_om.array, h_om.array, CanonicalSpec(()),
+                     np.zeros((b_om.dim, 0), dtype=complex), np.zeros((0, 0), dtype=complex),
+                     None, 0, (), (0.0, 0.0))
 
 
 def mth_root(b: QuatMatrix, h: QuatMatrix, m: int, tol: float = DEFAULT_TOL,
@@ -620,16 +611,15 @@ def mth_root(b: QuatMatrix, h: QuatMatrix, m: int, tol: float = DEFAULT_TOL,
     columns of X, A_c is the closed-form root of X's canonical blocks and
     H_X = S_X^* H S_X, a signed sum of sip matrices and its own inverse.
     """
-    b_om, h_om, part, plan = reduce_pair(b, h, m, tol)
+    red = reduce_pair(b, h, m, tol)
     if m == 1:  # nothing is constrained: X is empty
-        return _result_from_omega(b_om.array, b, h, 1,
-                                  np.zeros((b_om.dim, 0), dtype=complex), tol)
+        return _result_from_omega(red.b, b, h, 1, red.similarity, tol)
+    plan = _classify_and_plan(red.spec, m)
     if plan.certificate is not None:
         return plan.decision()
-    spec, s_x, schur, clusters, _ = part
-    a = _schur_root(schur, clusters, m, branch)
-    if spec.blocks:
-        a_c = _build_canonical_root(spec, plan, m, branch)
-        h_x = materialize_pair(spec)[1].array
-        a = a + s_x @ (a_c @ (h_x @ (s_x.conj().T @ h_om.array)))
+    s_x = red.similarity
+    a = _schur_root(red.schur, red.lead, red.clusters, m, branch)
+    if red.spec.blocks:
+        a_c = _build_canonical_root(red.spec, plan, m, branch)
+        a = a + s_x @ (a_c @ (red.h_canonical @ (s_x.conj().T @ red.h)))
     return _result_from_omega(a, b, h, m, s_x, tol)

@@ -20,7 +20,7 @@ from .errors import (DimensionMismatch, OracleDisagreement, ProfileInvalid,
                      QRootError)
 from .omega import omega_embed, omega_extract
 from .quaternion import QuatMatrix
-from .roots import _tuple_epsilons, root_exists
+from .roots import _check_m, _tuple_epsilons, root_exists
 
 CLASSES = ("positive", "nonreal", "negative", "zero")
 
@@ -48,8 +48,7 @@ def verify_root(a: QuatMatrix, b: QuatMatrix, h: QuatMatrix, m: int,
     """
     if not (a.shape == b.shape == h.shape) or a.n_rows != a.n_cols:
         raise DimensionMismatch("A, B, H must be square with equal shape")
-    if m < 1:
-        raise DimensionMismatch("m must be positive")
+    _check_m(m)
     _check_tol(tol)
     power = a.power(m)
     res_power = (power - b).norm() / max(1.0, b.norm())

@@ -3,7 +3,7 @@ import pytest
 
 from qroot.errors import NotHermitian, NotInOmega, OddDimension, Singular
 from qroot.omega import (chi, omega_embed, omega_extract, omega_membership,
-                         omega_project, selfadjoint_residual, structure_matrix)
+                         omega_project, selfadjoint_residual)
 from qroot.quaternion import QuatMatrix
 
 
@@ -110,12 +110,17 @@ def test_selfadjoint_residual_errors():
 
 def test_chi_is_quaternionic_structure():
     rng = np.random.default_rng(10)
-    k = structure_matrix(4)
+    k = np.block([[np.zeros((4, 4)), np.eye(4)], [-np.eye(4), np.zeros((4, 4))]])
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    assert np.allclose(chi(chi(v, k), k), -v, atol=1e-15)
-    # members of Omega commute with the partner map: M chi(v) = chi(M v)
+    # chi(v) = K conj(v) exactly, K = [[0, I], [-I, 0]], for vectors and column blocks
+    assert np.array_equal(chi(v), k @ np.conj(v))
+    cols = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+    assert np.array_equal(chi(cols), k @ np.conj(cols))
+    assert np.array_equal(chi(chi(v)), -v)
+    # a member of Omega satisfies M K = K conj(M), so M chi(v) = chi(M v)
     x = omega_embed(QuatMatrix(rng.standard_normal((4, 4, 4)))).array
-    assert np.allclose(x @ chi(v, k), chi(x @ v, k), atol=1e-12)
+    assert np.allclose(x @ k, k @ np.conj(x), atol=1e-15)
+    assert np.allclose(x @ chi(v), chi(x @ v), atol=1e-12)
 
 
 def test_omega_matrix_constructor_validates():

@@ -426,6 +426,34 @@ def test_mth_root_rejects_bad_m():
         mth_root(quat_scalar(1.0), QuatMatrix.eye(1), 0)
 
 
+@pytest.mark.parametrize("m", [2.5, 2.0, True, "2", 0, -1])
+def test_library_rejects_an_m_that_is_not_an_integer_of_at_least_one(m):
+    from qroot.roots import reduce_pair
+    # a +- pair at -1: a root exists for every integer m
+    spec = CanonicalSpec((CanonicalBlock(-1.0, 1, 1), CanonicalBlock(-1.0, 1, -1)))
+    b = QuatMatrix.from_real(-np.eye(2))
+    h = QuatMatrix.from_real(np.diag([1.0, -1.0]))
+    with pytest.raises(SpecInvalid):
+        root_exists(spec, m)
+    with pytest.raises(SpecInvalid):
+        reduce_pair(b, h, m)
+    with pytest.raises(SpecInvalid):
+        mth_root(b, h, m)
+    with pytest.raises(SpecInvalid):
+        verify_root(b, b, h, m)
+
+
+def test_library_takes_a_numpy_integer_m():
+    spec = CanonicalSpec((CanonicalBlock(-1.0, 1, 1), CanonicalBlock(-1.0, 1, -1)))
+    b = QuatMatrix.from_real(-np.eye(2))
+    h = QuatMatrix.from_real(np.diag([1.0, -1.0]))
+    assert root_exists(spec, np.int64(2)) == root_exists(spec, 2)
+    out = mth_root(b, h, np.int64(2))
+    assert isinstance(out, RootResult)
+    assert np.array_equal(out.root.data, mth_root(b, h, 2).root.data)
+    assert verify_root(out.root, b, h, np.int64(2)).passed
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
 def test_library_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
     from qroot.canonical import canonicalize_pair
@@ -807,6 +835,84 @@ def test_unconstrained_solve_takes_one_schur_form_and_no_deflation(tmp_path, mon
     assert qroot.cli.main(["check", "--m", "2", "--in", str(path)]) == 2
     assert json.loads(capsys.readouterr().out)["certificate"]["kind"] == "NegativeSignPairing"
     assert calls == {"_schur": 3, "_deflate_cluster": 1}
+
+
+def _count_ztrsen(monkeypatch) -> list:
+    from qroot.canonical import _lapack
+    calls = []
+    inner = _lapack().ztrsen
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(_lapack(), "ztrsen", counting)
+    return calls
+
+
+def test_solve_reorders_the_schur_form_once(monkeypatch):
+    import qroot.roots
+    from qroot.canonical import _cluster_eigenvalues, _cluster_radius, _schur, canonicalize_pair
+    from qroot.omega import omega_embed
+    calls = _count_ztrsen(monkeypatch)
+    in_schur_root = []
+    inner = qroot.roots._schur_root
+
+    def watched(*args, **kwargs):
+        before = len(calls)
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            in_schur_root.append(len(calls) - before)
+
+    monkeypatch.setattr(qroot.roots, "_schur_root", watched)
+    spec = CanonicalSpec((CanonicalBlock(-1.3, 2, 1), CanonicalBlock(-1.3, 2, -1),
+                          CanonicalBlock(0.9, 2, 1), CanonicalBlock(2.1, 1, -1),
+                          CanonicalBlock(0.6 + 1.1j, 2, None))).sorted()
+    b, h = _scrambled_instance(spec, 81)
+    # m = 2: X is the cluster at -1.3, moved to the lead once and deflated there
+    out = mth_root(b, h, 2)
+    assert isinstance(out, RootResult) and verify_root(out.root, b, h, 2).passed
+    assert len(calls) == 1
+    # m = 3: nothing is constrained, so nothing is reordered
+    calls.clear()
+    out = mth_root(b, h, 3)
+    assert isinstance(out, RootResult) and verify_root(out.root, b, h, 3).passed
+    assert len(calls) == 0
+    assert in_schur_root == [0, 0]
+    # canon keeps every cluster: none is reordered first, and each deflated
+    # cluster (real, or Im > 0) is moved to the lead unless it is there already
+    calls.clear()
+    barr = omega_embed(b).array
+    radius = _cluster_radius(barr)
+    clusters = _cluster_eigenvalues(np.diag(_schur(barr)[0]), radius)
+    deflated = [c for c in clusters if c.centroid.imag > -radius]
+    leading = [c for c in deflated if sorted(c.members) == list(range(c.mult))]
+    assert (len(clusters), len(deflated), len(leading)) == (5, 4, 1)
+    _, got = canonicalize_pair(omega_embed(b), omega_embed(h))
+    assert got.matches(spec)
+    assert len(calls) == len(deflated) - len(leading)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_two_cluster_x_matches_full_canonicalization_reference(m, monkeypatch):
+    from qroot.omega import omega_embed
+    calls = _count_ztrsen(monkeypatch)
+    spec = CanonicalSpec((CanonicalBlock(-1.7, 2, 1), CanonicalBlock(-1.7, 2, -1),
+                          CanonicalBlock(0.0, 1, 1), CanonicalBlock(0.0, 1, -1),
+                          CanonicalBlock(0.9, 2, 1), CanonicalBlock(2.3, 1, -1),
+                          CanonicalBlock(0.6 + 1.1j, 1, None))).sorted()
+    b, h = _scrambled_instance(spec, 82 + m)
+    for branch in (0, 1):
+        calls.clear()
+        got = mth_root(b, h, m, branch=branch)
+        assert isinstance(got, RootResult) and verify_root(got.root, b, h, m).passed
+        # one reordering puts X first, then each X cluster is deflated as canon does
+        assert len(calls) == 3
+        assert got.similarity.shape == (2 * spec.copy_size(), 2 * 6)
+        want = _reference_root(b, h, m, branch)
+        a = omega_embed(got.root).array
+        assert np.linalg.norm(a - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_mth_root_branch_changes_nonreal_part_next_to_constrained_part():
