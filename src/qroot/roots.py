@@ -293,9 +293,14 @@ def _classify_and_plan(spec: CanonicalSpec, m: int) -> _Plan:
     return plan
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_m(m) -> None:
     """m must be an integer (int or numpy integer, not bool) of at least 1."""
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+    if not _is_integer(m) or m < 1:
         raise SpecInvalid(f"m must be an integer >= 1, got {m!r}")
 
 

@@ -20,7 +20,7 @@ from .errors import (DimensionMismatch, OracleDisagreement, ProfileInvalid,
                      QRootError)
 from .omega import omega_embed, omega_extract
 from .quaternion import QuatMatrix
-from .roots import _check_m, _tuple_epsilons, root_exists
+from .roots import _check_m, _is_integer, _tuple_epsilons, root_exists
 
 CLASSES = ("positive", "nonreal", "negative", "zero")
 
@@ -104,9 +104,9 @@ def _normalize_profile(profile: dict) -> dict:
     prof.update(profile or {})
     if not prof["classes"] or any(c not in CLASSES for c in prof["classes"]):
         raise ProfileInvalid(f"classes must be a nonempty subset of {CLASSES}")
-    if not (1 <= int(prof["max_size"]) <= 16):
-        raise ProfileInvalid("max_size must be between 1 and 16 per copy")
-    if int(prof["m"]) < 1:
+    if not _is_integer(prof["max_size"]) or not 1 <= prof["max_size"] <= 16:
+        raise ProfileInvalid("max_size must be an integer between 1 and 16 per copy")
+    if not _is_integer(prof["m"]) or prof["m"] < 1:
         raise ProfileInvalid("m must be a positive integer")
     if prof["force"] not in ("admit", "refuse", "any"):
         raise ProfileInvalid("force must be admit, refuse or any")

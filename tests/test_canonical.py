@@ -376,7 +376,6 @@ first = [c._schur(inputs[k]) for k in inputs.files]
 assert "scipy" not in sys.modules
 import scipy.linalg
 c._lapack.cache_clear()
-c._zlahqr.cache_clear()
 for i, (k, (t, z)) in enumerate(zip(inputs.files, first)):
     assert np.array_equal(t, want[f"t{i}"]) and np.array_equal(z, want[f"z{i}"]), k
     again_t, again_z = c._schur(inputs[k])
@@ -408,21 +407,84 @@ def _capsule_address(capsule):
         ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
 
 
+class _HiddenNames:
+    """numpy's LAPACK library with the ILP64 names of some routines hidden."""
+
+    def __init__(self, lib, routines):
+        self._lib = lib
+        self._hidden = {f"{prefix}{name}_64_" for name in routines for prefix in ("scipy_", "")}
+
+    def __getattr__(self, name):
+        if name in self._hidden:
+            raise AttributeError(name)
+        return getattr(self._lib, name)
+
+
+def _hide_numpy_names(monkeypatch, routines=tuple(canonical._ROUTINES)):
+    lib = canonical._numpy_lapack_library()
+    monkeypatch.setattr(canonical, "_numpy_lapack_library", lambda: _HiddenNames(lib, routines))
+    canonical._lapack.cache_clear()
+
+
+def _flapack_zlahqr_address():
+    import ctypes
+    import scipy.linalg._flapack
+    lib = ctypes.CDLL(scipy.linalg._flapack.__file__)
+    return ctypes.cast(getattr(lib, "scipy_zlahqr_", None) or lib.zlahqr_, ctypes.c_void_p).value
+
+
+def _assert_close(got, want, rtol=1e-13):
+    assert np.linalg.norm(got - want) <= rtol * max(np.linalg.norm(want), 1e-300)
+
+
+def _assert_providers_agree(lapack, reference):
+    """ztrsen and ztrsyl of two providers agree to 1e-13, bit for bit on one OpenBLAS build.
+
+    SELECT picks places 1, 3 and 5: read with the wrong LOGICAL width it
+    would pick others, and the reordered form would differ.
+    """
+    t, z = canonical._schur(_schur_inputs()[2])
+    select = np.zeros(len(t), dtype=bool)
+    select[[1, 3, 5]] = True
+    got, want = lapack.ztrsen(select, t, z, job="N"), reference.ztrsen(select, t, z, job="N")
+    assert (got[3], got[6]) == (want[3], want[6]) == (3, 0)
+    for x, y in zip(got[:3], want[:3]):
+        _assert_close(x, y)
+    c = np.random.default_rng(41).standard_normal((13, 27)) + 0j
+    got, want = (p.ztrsyl(t[:13, :13], t[13:, 13:], c, isgn=-1) for p in (lapack, reference))
+    assert (got[1:], want[1:]) == ((1.0, 0), (1.0, 0))
+    _assert_close(got[0], want[0])
+
+
 def test_schur_fallback_to_scipy_linalg_lapack(monkeypatch):
     import ctypes
     import importlib.machinery
     import scipy.linalg.cython_lapack
     import scipy.linalg.lapack
     cython_zlahqr = _capsule_address(scipy.linalg.cython_lapack.__pyx_capi__["zlahqr"])
+    flapack_zlahqr = _flapack_zlahqr_address()
+    default = canonical._lapack()
     forms = [canonical._schur(b) for b in _schur_inputs()]
-    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
-    canonical._lapack.cache_clear()
-    canonical._zlahqr.cache_clear()
     try:
-        assert canonical._lapack() is scipy.linalg.lapack
+        # numpy's names hidden: the scipy chain, with _flapack loaded by file path
+        _hide_numpy_names(monkeypatch)
+        flapack = canonical._lapack()
+        assert flapack.integer is ctypes.c_int
+        assert ctypes.cast(flapack.zlahqr, ctypes.c_void_p).value == flapack_zlahqr
+        flapack_forms = [canonical._schur(b) for b in _schur_inputs()]
+        for (t, z), (want_t, want_z) in zip(flapack_forms, forms):
+            _assert_close(t, want_t)
+            _assert_close(z, want_z)
+        _assert_providers_agree(default, flapack)
+        # _flapack missing as well: scipy.linalg.lapack
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        canonical._lapack.cache_clear()
+        lapack = canonical._lapack()
+        for name in ("zgehrd", "zunghr", "ztrsen", "ztrsyl"):
+            assert getattr(lapack, name) is getattr(scipy.linalg.lapack, name)
         # scipy.linalg.lapack is no shared library, so zlahqr comes from the capsule
-        assert ctypes.cast(canonical._zlahqr(), ctypes.c_void_p).value == cython_zlahqr
-        for b, (t, z) in zip(_schur_inputs(), forms):
+        assert ctypes.cast(lapack.zlahqr, ctypes.c_void_p).value == cython_zlahqr
+        for b, (t, z) in zip(_schur_inputs(), flapack_forms):
             again_t, again_z = canonical._schur(b)
             assert np.array_equal(again_t, t) and np.array_equal(again_z, z)
         spec = _many_cluster_spec(np.random.default_rng(35))
@@ -430,7 +492,54 @@ def test_schur_fallback_to_scipy_linalg_lapack(monkeypatch):
         assert out.matches(spec)
     finally:
         canonical._lapack.cache_clear()
-        canonical._zlahqr.cache_clear()
+
+
+@pytest.mark.parametrize("hidden", sorted(canonical._ROUTINES))
+def test_one_missing_ilp64_name_sends_all_five_routines_to_scipy(monkeypatch, hidden):
+    import ctypes
+    try:
+        _hide_numpy_names(monkeypatch, [hidden])
+        lapack = canonical._lapack()
+        assert not isinstance(lapack, canonical._Ilp64Lapack)
+        assert lapack.integer is ctypes.c_int
+        assert ctypes.cast(lapack.zlahqr, ctypes.c_void_p).value == _flapack_zlahqr_address()
+        for name in ("zgehrd", "zunghr", "ztrsen", "ztrsyl"):
+            assert type(getattr(lapack, name)).__name__ == "fortran"  # an f2py wrapper
+    finally:
+        canonical._lapack.cache_clear()
+
+
+def _ilp64():
+    lapack = canonical._lapack()
+    if not isinstance(lapack, canonical._Ilp64Lapack):
+        pytest.skip("numpy's LAPACK does not export the ILP64 names; scipy serves the kernels")
+    return lapack
+
+
+def test_illegal_lapack_argument_raises_naming_the_routine():
+    t = np.triu(np.ones((4, 4))) + 0j
+    with pytest.raises(np.linalg.LinAlgError, match="ztrsyl: argument 3"):
+        _ilp64().ztrsyl(t[:2, :2], t[2:, 2:], t[:2, 2:], isgn=0)
+
+
+def test_schur_takes_the_queried_workspace_above_the_blocking_crossover(monkeypatch):
+    # zgehrd and zunghr block only above order 129 and only when given more
+    # than the minimal n of workspace; an lwork = -1 query asks for n * nb
+    import ctypes
+    lapack = _ilp64()
+    lwork = {}
+    for name in ("zgehrd", "zunghr"):
+        def watched(*args, fn=lapack._fn[name], name=name):
+            lwork.setdefault(name, []).append(ctypes.c_int64.from_address(args[7]).value)
+            return fn(*args)
+
+        monkeypatch.setitem(lapack._fn, name, watched)
+    rng = np.random.default_rng(43)
+    b = rng.standard_normal((160, 160)) + 1j * rng.standard_normal((160, 160))
+    t, z = canonical._schur(b)
+    _assert_schur_form(b, t, z)
+    assert [w[0] for w in lwork.values()] == [-1, -1]
+    assert all(len(w) == 2 and w[1] >= 2 * 160 for w in lwork.values())
 
 
 def _svd_radius(b):

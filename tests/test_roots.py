@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -927,3 +929,31 @@ def test_mth_root_branch_changes_nonreal_part_next_to_constrained_part():
     for out in (out0, out1):
         assert verify_root(out.root, b, h, 2).passed
         assert out.similarity.shape == (2 * spec.copy_size(), 2 * 5)
+
+
+_MAPPED_OPENBLAS = """
+import json, os
+import qroot.canonical as c
+from qroot.roots import mth_root
+from qroot.verify import random_instance
+b, h, _ = random_instance(3, {"m": 2, "force": "admit"})
+mth_root(b, h, 2)
+paths = {line.split()[-1] for line in open("/proc/self/maps") if len(line.split()) >= 6}
+print(isinstance(c._lapack(), c._Ilp64Lapack))
+print(json.dumps(sorted(p for p in paths if "openblas" in os.path.basename(p))))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+def test_a_solve_maps_one_openblas_library():
+    # the solve's LAPACK is numpy's own OpenBLAS, not a second copy from scipy
+    import json
+    import os
+    import subprocess
+    proc = subprocess.run([sys.executable, "-c", _MAPPED_OPENBLAS], capture_output=True,
+                          text=True, env=dict(os.environ))
+    assert proc.returncode == 0, proc.stderr
+    ilp64, libraries = proc.stdout.splitlines()
+    if ilp64 == "False":
+        pytest.skip("numpy's LAPACK lacks the ILP64 names; scipy's _flapack serves the kernels")
+    assert len(json.loads(libraries)) == 1, libraries

@@ -127,6 +127,15 @@ def test_generator_profile_validation():
         random_instance(0, {"classes": ["positive"], "force": "refuse"})
 
 
+@pytest.mark.parametrize("profile", [{"m": 2.5}, {"m": True}, {"m": "2"},
+                                     {"max_size": "abc"}, {"max_size": 4.0},
+                                     {"max_size": True}])
+def test_generator_profile_integers_are_ints_not_bools(profile):
+    # int() would draw for m = 2 or m = 1, accept "2", or fail as a NumericError
+    with pytest.raises(ProfileInvalid):
+        random_instance(1, profile)
+
+
 def test_generator_scramble_invariance_of_decision():
     # the decision depends only on the canonical form: recovering the spec
     # from the scrambled pair gives the same decision
