@@ -17,7 +17,7 @@ import numpy as np
 
 from . import jsonio
 from .canonical import DEFAULT_TOL, CanonicalSpec, _canonicalize, _check_tol
-from .errors import ParseError, QRootError, SpecInvalid
+from .errors import ParseError, ProfileInvalid, QRootError, SpecInvalid
 from .omega import complex_from_json, complex_to_json, omega_embed, omega_extract
 from .quaternion import QuatMatrix
 from .roots import RootDecision, mth_root, reduce_pair, root_exists
@@ -191,9 +191,9 @@ def _cmd_verify(args) -> int:
 def _cmd_gen(args) -> int:
     profile = {}
     if args.inp != "-":  # profile file is optional; gen usually starts a pipe
-        payload = _read_payload(args.inp)
-        if isinstance(payload, dict):
-            profile = payload
+        profile = _read_payload(args.inp)
+        if not isinstance(profile, dict):
+            raise ProfileInvalid(f"a profile is a JSON object, got {type(profile).__name__}")
     if args.m is not None:
         profile["m"] = args.m
     b, h, spec = random_instance(args.seed, profile)

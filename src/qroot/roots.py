@@ -14,15 +14,16 @@ function of B, straight from its Schur form.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lapack
 # canonicalize_pair and omega_extract stay importable from here;
 # bench/spans.py wraps them by these names
 from .canonical import (DEFAULT_TOL, CanonicalBlock, CanonicalSpec, Reduction,
-                        _canonicalize, _check_tol, _lapack, block_diag, canonicalize_pair,
+                        _canonicalize, _check_tol, block_diag, canonicalize_pair,
                         jordan_block)
 from .errors import (ClassMismatch, DimensionMismatch, NearSingularH,
                      NotPartitionable, NotSelfadjoint, RankAmbiguous,
@@ -119,47 +120,103 @@ class RootResult:
 # the zero-eigenvalue combinatorics
 # ---------------------------------------------------------------------------
 
-def _iter_partitions(sizes: tuple[int, ...], m: int):
-    """All groupings of the size multiset into m-tuples {a+1 (x r), a (x m-r)}.
+def _heights_fit(total: int, k: int, odd: int, m: int) -> bool:
+    """Whether k tuples with r in 1..m, `odd` of them with r odd, can have r sum to total."""
+    top_odd, top_even = (m, m - 1) if m % 2 else (m - 1, m)
+    return (0 <= odd <= k and (total - odd) % 2 == 0
+            and 2 * k - odd <= total <= odd * top_odd + (k - odd) * top_even)
 
-    Deterministic order: largest remaining size first, larger r first, so the
-    first emitted partition is the greedy largest-first grouping.
+
+def _zero_grouping(count: Counter, plus: Counter | None, m: int):
+    """The first grouping of the zero blocks into fitting m-tuples, as [(a, r, eta)], or None.
+
+    count[s] blocks of size s, plus[s] of them signed +1; plus None fits
+    sizes alone.  "First" is in the order of a search over the largest size
+    left, then the larger r, then eta = +1.  A tuple (a, r, eta) touches
+    sizes a+1 and a only, so a program over sizes, from the largest down,
+    decides.  Its state at size s, (c, q), is c blocks of size s, q of them
+    plus, promised to tuples that top at s+1.  The other t blocks top k
+    tuples, `odd` of them with r odd, which need (t - odd) / 2 plus signs at
+    s and one more per odd-r tuple with eta = +1 (_group_plus_demand).
+    Their parts of size a need the same at s-1: an odd part belongs to an
+    odd-r tuple for m even, and to an even-r one, with a free eta, for m odd.
     """
-    if not sizes:
-        yield []
-        return
-    counts: dict[int, int] = {}
-    for s in sizes:
-        counts[s] = counts.get(s, 0) + 1
+    def moves(s, c, q):
+        """[(k, odd, c', q')] for the tuples that top at s, entering s with (c, q)."""
+        t = count[s] - c
+        need = None if plus is None else plus[s] - q
+        if t < 0 or need is not None and not 0 <= need <= t:
+            return []
+        out = []
+        for k in range(-(-t // m), t + 1):
+            short = k * m - t if s > 1 else 0
+            if short > count[s - 1]:
+                break
+            for odd in range(t % 2, k + 1, 2):
+                x = 0 if need is None else need - (t - odd) // 2  # odd-r tuples with eta = +1
+                if not _heights_fit(t, k, odd, m) or not 0 <= x <= odd:
+                    continue
+                if need is None:
+                    out.append((k, odd, short, None))
+                elif s == 1:
+                    out.append((k, odd, 0, 0))
+                elif m % 2 == 0:
+                    out.append((k, odd, short, (short - odd) // 2 + x))
+                else:
+                    out += [(k, odd, short, (short - k + odd) // 2 + free)
+                            for free in range(k - odd + 1)]
+        return out
 
-    def rec(counts):
-        live = {s: c for s, c in counts.items() if c > 0}
-        if not live:
-            yield []
-            return
-        s = max(live)
-        for r in range(min(m, live[s]), 0, -1):
-            small_needed = m - r
-            if small_needed and s - 1 >= 1 and live.get(s - 1, 0) < small_needed:
-                continue
-            nxt = dict(live)
-            nxt[s] -= r
-            if small_needed and s - 1 >= 1:
-                nxt[s - 1] -= small_needed
-            for rest in rec(nxt):
-                yield [(s - 1, r)] + rest
-
-    yield from rec(counts)
+    # the states each size can be entered in, then those that can be left
+    top = max(count, default=0)
+    start = None if plus is None else 0
+    fits = {top: {(0, start)}}
+    for s in range(top, 0, -1):
+        fits[s - 1] = {(c2, q2) for c, q in fits[s] for *_, c2, q2 in moves(s, c, q)}
+    for s in range(1, top + 1):
+        fits[s] = {(c, q) for c, q in fits[s]
+                   if any((c2, q2) in fits[s - 1] for *_, c2, q2 in moves(s, c, q))}
+    if not fits[top]:
+        return None
+    # the search's first grouping: at each step the larger r that still fits
+    grouping, c, qs = [], 0, {start}
+    for s in range(top, 0, -1):
+        good = {(k, odd) for q in qs for k, odd, c2, q2 in moves(s, c, q)
+                if (c2, q2) in fits[s - 1]}
+        t, k, odd = count[s] - c, 0, 0
+        while t:
+            r = next(r for r in range(min(m, t), 0, -1)
+                     if any(_heights_fit(t - r, gk - k - 1, godd - odd - r % 2, m)
+                            for gk, godd in good))
+            grouping.append((s - 1, r))
+            t, k, odd = t - r, k + 1, odd + r % 2
+        nxt = [(c2, q2) for q in qs for k2, odd2, c2, q2 in moves(s, c, q)
+               if (k2, odd2) == (k, odd) and (c2, q2) in fits[s - 1]]
+        c, qs = nxt[0][0], {q2 for _, q2 in nxt}
+    # its first signs: eta = +1 wherever a sign it adds is still needed
+    need = Counter(plus)
+    for a, r in grouping:
+        need[a + 1] -= r // 2
+        need[a] -= (m - r) // 2 if a else 0
+    out = []
+    for a, r in grouping:
+        adds = [a + 1] * (r % 2) + [a] * (a > 0 and (m - r) % 2)
+        eta = 1 if plus is None or all(need[s] > 0 for s in adds) else -1
+        for s in adds if eta == 1 else ():
+            need[s] -= 1
+        out.append((a, r, eta))
+    return out
 
 
 def m_tuple_partition(segre, m: int) -> list[tuple[int, int]]:
     """Greedy largest-first grouping of one copy's zero Segre into m-tuples."""
     parts = tuple(segre.parts) if hasattr(segre, "parts") else tuple(segre)
     _check_m(m)
-    for partition in _iter_partitions(parts, m):
-        return partition
-    raise NotPartitionable(
-        f"Segre parts {parts} admit no grouping into {m}-tuples differing by at most one")
+    grouping = _zero_grouping(Counter(parts), None, m)
+    if grouping is None:
+        raise NotPartitionable(
+            f"Segre parts {parts} admit no grouping into {m}-tuples differing by at most one")
+    return [(a, r) for a, r, _ in grouping]
 
 
 def _group_plus_demand(count: int, eta: int) -> int:
@@ -199,25 +256,11 @@ def _tuple_epsilons(a: int, r: int, m: int, eta: int) -> tuple[int, ...]:
 def _zero_plan(zero_blocks: list[CanonicalBlock], m: int):
     """m-tuple plan for the zero part, or a refusal Certificate."""
     sizes = tuple(sorted((b.size for b in zero_blocks), reverse=True))
-    plus_avail: dict[int, int] = {}
-    for b in zero_blocks:
-        if b.sign == 1:
-            plus_avail[b.size] = plus_avail.get(b.size, 0) + 1
-    found_partition = False
-    for partition in _iter_partitions(sizes, m):
-        found_partition = True
-        t = len(partition)
-        for etas in itertools.product((1, -1), repeat=t):
-            demand: dict[int, int] = {}
-            for (a, r), eta in zip(partition, etas):
-                demand[a + 1] = demand.get(a + 1, 0) + _group_plus_demand(r, eta)
-                if a > 0:
-                    demand[a] = demand.get(a, 0) + _group_plus_demand(m - r, eta)
-            if all(demand.get(s, 0) == plus_avail.get(s, 0)
-                   for s in set(demand) | set(plus_avail)):
-                return [MTuple(a, r, eta, _tuple_epsilons(a, r, m, eta), m)
-                        for (a, r), eta in zip(partition, etas)]
-    if not found_partition:
+    count = Counter(sizes)
+    grouping = _zero_grouping(count, Counter(b.size for b in zero_blocks if b.sign == 1), m)
+    if grouping is not None:
+        return [MTuple(a, r, eta, _tuple_epsilons(a, r, m, eta), m) for a, r, eta in grouping]
+    if _zero_grouping(count, None, m) is None:
         return Certificate("SegreTupleMismatch", 0.0,
                            f"zero Segre {sizes} admits no {m}-tuple grouping")
     return Certificate("SignPatternViolation", 0.0,
@@ -548,10 +591,8 @@ def _schur_root(schur, lead: int, clusters, m: int, branch: int) -> np.ndarray:
     if k == 0:
         return z @ _smith_root(t, mu, m) @ z.conj().T
     r22 = _smith_root(t[k:, k:], mu, m)
-    r12, scale, info = _lapack().ztrsyl(t[:k, :k], t[k:, k:], -t[:k, k:] @ r22, isgn=-1)
-    if info < 0:
-        raise np.linalg.LinAlgError(f"Sylvester solve failed (ztrsyl info {info})")
-    return (z[:, :k] @ (r12 / scale) + z[:, k:] @ r22) @ z[:, k:].conj().T
+    r12 = lapack.sylvester(t[:k, :k], t[k:, k:], -t[:k, k:] @ r22)
+    return (z[:, :k] @ r12 + z[:, k:] @ r22) @ z[:, k:].conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,12 @@ def power_segre_oracle(k: int, m: int) -> SegreSequence:
 
 def _normalize_profile(profile: dict) -> dict:
     prof = {"classes": list(CLASSES), "max_size": 8, "m": 2, "force": "any"}
-    prof.update(profile or {})
+    if not isinstance(profile, dict):
+        raise ProfileInvalid(f"a profile is a JSON object, got {type(profile).__name__}")
+    unknown = [key for key in profile if key not in prof]
+    if unknown:
+        raise ProfileInvalid(f"unknown profile keys {unknown}; a profile has {list(prof)}")
+    prof.update(profile)
     if not prof["classes"] or any(c not in CLASSES for c in prof["classes"]):
         raise ProfileInvalid(f"classes must be a nonempty subset of {CLASSES}")
     if not _is_integer(prof["max_size"]) or not 1 <= prof["max_size"] <= 16:
@@ -222,7 +227,7 @@ def omega_similarity(rng, n: int, cond_cap: float = 100.0) -> np.ndarray:
 
 def random_instance(seed: int, profile: dict | None = None):
     """Seeded (B, H, spec) instance; reproducible bytes for equal seeds."""
-    prof = _normalize_profile(profile or {})
+    prof = _normalize_profile({} if profile is None else profile)
     rng = np.random.default_rng(seed)
     m = prof["m"]
     force = prof["force"]

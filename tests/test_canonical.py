@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 import qroot.canonical as canonical
+import qroot.lapack as kernels
 from qroot.canonical import (DEFAULT_TOL, CanonicalBlock, CanonicalSpec,
                              block_diag, canonicalize_pair, inertia,
                              jordan_block, materialize_pair,
@@ -301,7 +302,7 @@ def test_reordered_schur_matches_sorted_schur_reference(seed, monkeypatch):
     b, h = scrambled(spec, seed)
     assert b.shape[0] >= 48
     radius = canonical._cluster_radius(b)
-    schur = canonical._schur(b)
+    schur = kernels.schur(b)
     clusters = canonical._cluster_eigenvalues(np.diag(schur[0]), radius)
     assert len(clusters) >= 8
     for c in clusters:
@@ -327,13 +328,13 @@ def test_reordered_schur_matches_sorted_schur_reference(seed, monkeypatch):
 
 def test_one_schur_per_canonicalization(monkeypatch):
     calls = []
-    schur = canonical._schur
+    schur = kernels.schur
 
     def counting(*args, **kwargs):
         calls.append(1)
         return schur(*args, **kwargs)
 
-    monkeypatch.setattr(canonical, "_schur", counting)
+    monkeypatch.setattr(kernels, "schur", counting)
     spec = _many_cluster_spec(np.random.default_rng(35))
     canonicalize_pair(*scrambled(spec, 35))
     assert len(calls) == 1
@@ -363,22 +364,22 @@ def _assert_schur_form(b, t, z):
 
 def test_schur_is_a_schur_form_with_scipy_eigenvalues():
     for b in _schur_inputs():
-        _assert_schur_form(b, *canonical._schur(b))
+        _assert_schur_form(b, *kernels.schur(b))
 
 
 _SCHUR_FIRST = """
 import sys
 import numpy as np
-import qroot.canonical as c
+import qroot.lapack as c
 inputs = np.load(sys.argv[1])
 want = np.load(sys.argv[2])
-first = [c._schur(inputs[k]) for k in inputs.files]
+first = [c.schur(inputs[k]) for k in inputs.files]
 assert "scipy" not in sys.modules
 import scipy.linalg
-c._lapack.cache_clear()
+c.provider.cache_clear()
 for i, (k, (t, z)) in enumerate(zip(inputs.files, first)):
     assert np.array_equal(t, want[f"t{i}"]) and np.array_equal(z, want[f"z{i}"]), k
-    again_t, again_z = c._schur(inputs[k])
+    again_t, again_z = c.schur(inputs[k])
     assert np.array_equal(again_t, t) and np.array_equal(again_z, z), k
 """
 
@@ -387,12 +388,12 @@ def test_schur_is_bitwise_the_same_before_and_after_scipy_linalg_loads(tmp_path)
     import os
     import subprocess
     import sys
-    # a fresh process runs _schur before scipy is imported, then after
+    # a fresh process runs schur before scipy is imported, then after
     # scipy.linalg loads; this process, which loaded scipy.linalg first, gives
     # the reference bytes
     inputs, want = tmp_path / "inputs.npz", tmp_path / "want.npz"
     np.savez(inputs, *_schur_inputs())
-    forms = [canonical._schur(b) for b in _schur_inputs()]
+    forms = [kernels.schur(b) for b in _schur_inputs()]
     np.savez(want, **{f"{x}{i}": f for i, tz in enumerate(forms) for x, f in zip("tz", tz)})
     proc = subprocess.run([sys.executable, "-c", _SCHUR_FIRST, str(inputs), str(want)],
                           capture_output=True, text=True, env=dict(os.environ))
@@ -420,10 +421,10 @@ class _HiddenNames:
         return getattr(self._lib, name)
 
 
-def _hide_numpy_names(monkeypatch, routines=tuple(canonical._ROUTINES)):
-    lib = canonical._numpy_lapack_library()
-    monkeypatch.setattr(canonical, "_numpy_lapack_library", lambda: _HiddenNames(lib, routines))
-    canonical._lapack.cache_clear()
+def _hide_numpy_names(monkeypatch, routines=tuple(kernels._ROUTINES)):
+    lib = kernels._numpy_lapack_library()
+    monkeypatch.setattr(kernels, "_numpy_lapack_library", lambda: _HiddenNames(lib, routines))
+    kernels.provider.cache_clear()
 
 
 def _flapack_zlahqr_address():
@@ -443,7 +444,7 @@ def _assert_providers_agree(lapack, reference):
     SELECT picks places 1, 3 and 5: read with the wrong LOGICAL width it
     would pick others, and the reordered form would differ.
     """
-    t, z = canonical._schur(_schur_inputs()[2])
+    t, z = kernels.schur(_schur_inputs()[2])
     select = np.zeros(len(t), dtype=bool)
     select[[1, 3, 5]] = True
     got, want = lapack.ztrsen(select, t, z, job="N"), reference.ztrsen(select, t, z, job="N")
@@ -463,55 +464,55 @@ def test_schur_fallback_to_scipy_linalg_lapack(monkeypatch):
     import scipy.linalg.lapack
     cython_zlahqr = _capsule_address(scipy.linalg.cython_lapack.__pyx_capi__["zlahqr"])
     flapack_zlahqr = _flapack_zlahqr_address()
-    default = canonical._lapack()
-    forms = [canonical._schur(b) for b in _schur_inputs()]
+    default = kernels.provider()
+    forms = [kernels.schur(b) for b in _schur_inputs()]
     try:
         # numpy's names hidden: the scipy chain, with _flapack loaded by file path
         _hide_numpy_names(monkeypatch)
-        flapack = canonical._lapack()
+        flapack = kernels.provider()
         assert flapack.integer is ctypes.c_int
         assert ctypes.cast(flapack.zlahqr, ctypes.c_void_p).value == flapack_zlahqr
-        flapack_forms = [canonical._schur(b) for b in _schur_inputs()]
+        flapack_forms = [kernels.schur(b) for b in _schur_inputs()]
         for (t, z), (want_t, want_z) in zip(flapack_forms, forms):
             _assert_close(t, want_t)
             _assert_close(z, want_z)
         _assert_providers_agree(default, flapack)
         # _flapack missing as well: scipy.linalg.lapack
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
-        canonical._lapack.cache_clear()
-        lapack = canonical._lapack()
+        kernels.provider.cache_clear()
+        lapack = kernels.provider()
         for name in ("zgehrd", "zunghr", "ztrsen", "ztrsyl"):
             assert getattr(lapack, name) is getattr(scipy.linalg.lapack, name)
         # scipy.linalg.lapack is no shared library, so zlahqr comes from the capsule
         assert ctypes.cast(lapack.zlahqr, ctypes.c_void_p).value == cython_zlahqr
         for b, (t, z) in zip(_schur_inputs(), flapack_forms):
-            again_t, again_z = canonical._schur(b)
+            again_t, again_z = kernels.schur(b)
             assert np.array_equal(again_t, t) and np.array_equal(again_z, z)
         spec = _many_cluster_spec(np.random.default_rng(35))
         _, out = canonicalize_pair(*scrambled(spec, 35))
         assert out.matches(spec)
     finally:
-        canonical._lapack.cache_clear()
+        kernels.provider.cache_clear()
 
 
-@pytest.mark.parametrize("hidden", sorted(canonical._ROUTINES))
+@pytest.mark.parametrize("hidden", sorted(kernels._ROUTINES))
 def test_one_missing_ilp64_name_sends_all_five_routines_to_scipy(monkeypatch, hidden):
     import ctypes
     try:
         _hide_numpy_names(monkeypatch, [hidden])
-        lapack = canonical._lapack()
-        assert not isinstance(lapack, canonical._Ilp64Lapack)
+        lapack = kernels.provider()
+        assert not isinstance(lapack, kernels._Ilp64Lapack)
         assert lapack.integer is ctypes.c_int
         assert ctypes.cast(lapack.zlahqr, ctypes.c_void_p).value == _flapack_zlahqr_address()
         for name in ("zgehrd", "zunghr", "ztrsen", "ztrsyl"):
             assert type(getattr(lapack, name)).__name__ == "fortran"  # an f2py wrapper
     finally:
-        canonical._lapack.cache_clear()
+        kernels.provider.cache_clear()
 
 
 def _ilp64():
-    lapack = canonical._lapack()
-    if not isinstance(lapack, canonical._Ilp64Lapack):
+    lapack = kernels.provider()
+    if not isinstance(lapack, kernels._Ilp64Lapack):
         pytest.skip("numpy's LAPACK does not export the ILP64 names; scipy serves the kernels")
     return lapack
 
@@ -536,7 +537,7 @@ def test_schur_takes_the_queried_workspace_above_the_blocking_crossover(monkeypa
         monkeypatch.setitem(lapack._fn, name, watched)
     rng = np.random.default_rng(43)
     b = rng.standard_normal((160, 160)) + 1j * rng.standard_normal((160, 160))
-    t, z = canonical._schur(b)
+    t, z = kernels.schur(b)
     _assert_schur_form(b, t, z)
     assert [w[0] for w in lwork.values()] == [-1, -1]
     assert all(len(w) == 2 and w[1] >= 2 * 160 for w in lwork.values())

@@ -216,6 +216,18 @@ def test_gen_rejects_a_profile_integer_that_is_not_an_int(tmp_path, capsys, prof
     assert json.loads(capsys.readouterr().out) == {"error": "ProfileInvalid"}
 
 
+@pytest.mark.parametrize("profile", [[1, 2], "x", 3, {"max_szie": 4}])
+def test_gen_rejects_a_profile_that_is_not_an_object_of_the_four_keys(tmp_path, capsys,
+                                                                       profile):
+    # gen used to draw from the defaults, and to ignore an unknown key
+    import qroot.cli
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    for flags in ([], ["--m", "3"]):
+        assert qroot.cli.main(["gen", "--seed", "1", "--in", str(path), *flags]) == 1
+        assert json.loads(capsys.readouterr().out) == {"error": "ProfileInvalid"}
+
+
 def test_root_branch_flag(tmp_path):
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps({"classes": ["nonreal"], "m": 3,
@@ -259,10 +271,10 @@ def test_canonicalizing_commands_leave_scipy_linalg_unloaded(command):
     import os
     rc, bundle, _ = run_cli(["gen", "--seed", "2", "--m", "2"])
     assert rc == 0
-    code = ("import io, sys, qroot.cli, qroot.canonical as c; "
+    code = ("import io, sys, qroot.cli, qroot.lapack as c; "
             "sys.stdin = io.StringIO(sys.argv[1]); rc = qroot.cli.main(sys.argv[2:]); "
             "print('scipy.linalg' in sys.modules, 'scipy' in sys.modules, file=sys.stderr); "
-            "print(isinstance(c._lapack(), c._Ilp64Lapack), "
+            "print(isinstance(c.provider(), c._Ilp64Lapack), "
             "[m for m in sys.modules if m.startswith('scipy')], file=sys.stderr); "
             "sys.exit(rc)")
     proc = subprocess.run([PYTHON, "-c", code, bundle, *_CANONICALIZING[command]],

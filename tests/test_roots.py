@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -813,93 +814,100 @@ def test_unconstrained_solve_takes_one_schur_form_and_no_deflation(tmp_path, mon
     import json
     import qroot.canonical
     import qroot.cli
-    calls = {"_schur": 0, "_deflate_cluster": 0}
-    for name in calls:
-        inner = getattr(qroot.canonical, name)
+    import qroot.lapack
+    owners = {"schur": qroot.lapack, "_deflate_cluster": qroot.canonical}
+    calls = {"schur": 0, "_deflate_cluster": 0}
+    for name, owner in owners.items():
+        inner = getattr(owner, name)
 
         def counting(*args, _inner=inner, _name=name, **kwargs):
             calls[_name] += 1
             return _inner(*args, **kwargs)
 
-        monkeypatch.setattr(qroot.canonical, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     spec = CanonicalSpec((CanonicalBlock(1.5, 2, 1), CanonicalBlock(-0.7, 1, -1),
                           CanonicalBlock(0.5 + 1.0j, 2, None))).sorted()
     b, h = _scrambled_instance(spec, 80)
     out = mth_root(b, h, 3)
     assert isinstance(out, RootResult) and verify_root(out.root, b, h, 3).passed
-    assert calls == {"_schur": 1, "_deflate_cluster": 0}
+    assert calls == {"schur": 1, "_deflate_cluster": 0}
     path = tmp_path / "pair.json"
     path.write_text(json.dumps({"B": b.to_json(), "H": h.to_json()}))
     assert qroot.cli.main(["check", "--m", "3", "--in", str(path)]) == 0
     assert json.loads(capsys.readouterr().out) == {"exists": True, "certificate": None}
-    assert calls == {"_schur": 2, "_deflate_cluster": 0}
+    assert calls == {"schur": 2, "_deflate_cluster": 0}
     # with m even the negative eigenvalue is constrained: only its cluster deflates
     assert qroot.cli.main(["check", "--m", "2", "--in", str(path)]) == 2
     assert json.loads(capsys.readouterr().out)["certificate"]["kind"] == "NegativeSignPairing"
-    assert calls == {"_schur": 3, "_deflate_cluster": 1}
+    assert calls == {"schur": 3, "_deflate_cluster": 1}
 
 
-def _count_ztrsen(monkeypatch) -> list:
-    from qroot.canonical import _lapack
-    calls = []
-    inner = _lapack().ztrsen
+def _count_kernels(monkeypatch) -> Counter:
+    """Calls of each of the provider's five LAPACK routines, by name."""
+    from qroot.lapack import _ROUTINES, provider
+    calls = Counter()
+    lapack = provider()
+    for name in _ROUTINES:
+        def counting(*args, _inner=getattr(lapack, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(_lapack(), "ztrsen", counting)
+        monkeypatch.setattr(lapack, name, counting)
     return calls
 
 
 def test_solve_reorders_the_schur_form_once(monkeypatch):
     import qroot.roots
-    from qroot.canonical import _cluster_eigenvalues, _cluster_radius, _schur, canonicalize_pair
+    from qroot.canonical import _cluster_eigenvalues, _cluster_radius, canonicalize_pair
+    from qroot.lapack import schur
     from qroot.omega import omega_embed
-    calls = _count_ztrsen(monkeypatch)
+    calls = _count_kernels(monkeypatch)
     in_schur_root = []
     inner = qroot.roots._schur_root
 
     def watched(*args, **kwargs):
-        before = len(calls)
+        before = calls["ztrsen"]
         try:
             return inner(*args, **kwargs)
         finally:
-            in_schur_root.append(len(calls) - before)
+            in_schur_root.append(calls["ztrsen"] - before)
 
     monkeypatch.setattr(qroot.roots, "_schur_root", watched)
     spec = CanonicalSpec((CanonicalBlock(-1.3, 2, 1), CanonicalBlock(-1.3, 2, -1),
                           CanonicalBlock(0.9, 2, 1), CanonicalBlock(2.1, 1, -1),
                           CanonicalBlock(0.6 + 1.1j, 2, None))).sorted()
     b, h = _scrambled_instance(spec, 81)
-    # m = 2: X is the cluster at -1.3, moved to the lead once and deflated there
+    # m = 2: X is the cluster at -1.3, moved to the lead once and deflated
+    # there; every kernel of the solve runs through the provider, once
     out = mth_root(b, h, 2)
     assert isinstance(out, RootResult) and verify_root(out.root, b, h, 2).passed
-    assert len(calls) == 1
-    # m = 3: nothing is constrained, so nothing is reordered
+    assert calls == {"zgehrd": 1, "zunghr": 1, "zlahqr": 1, "ztrsen": 1, "ztrsyl": 1}
+    # m = 3: nothing is constrained, so nothing is reordered, and the root
+    # is Smith's recurrence on the whole form, without ztrsyl
     calls.clear()
     out = mth_root(b, h, 3)
     assert isinstance(out, RootResult) and verify_root(out.root, b, h, 3).passed
-    assert len(calls) == 0
+    assert calls == {"zgehrd": 1, "zunghr": 1, "zlahqr": 1}
     assert in_schur_root == [0, 0]
     # canon keeps every cluster: none is reordered first, and each deflated
     # cluster (real, or Im > 0) is moved to the lead unless it is there already
-    calls.clear()
     barr = omega_embed(b).array
     radius = _cluster_radius(barr)
-    clusters = _cluster_eigenvalues(np.diag(_schur(barr)[0]), radius)
+    clusters = _cluster_eigenvalues(np.diag(schur(barr)[0]), radius)
     deflated = [c for c in clusters if c.centroid.imag > -radius]
     leading = [c for c in deflated if sorted(c.members) == list(range(c.mult))]
     assert (len(clusters), len(deflated), len(leading)) == (5, 4, 1)
+    calls.clear()
     _, got = canonicalize_pair(omega_embed(b), omega_embed(h))
     assert got.matches(spec)
-    assert len(calls) == len(deflated) - len(leading)
+    assert calls["ztrsen"] == len(deflated) - len(leading)
+    assert calls["zlahqr"] == 1 and calls["ztrsyl"] == 0
 
 
 @pytest.mark.parametrize("m", [2, 4])
 def test_two_cluster_x_matches_full_canonicalization_reference(m, monkeypatch):
     from qroot.omega import omega_embed
-    calls = _count_ztrsen(monkeypatch)
+    calls = _count_kernels(monkeypatch)
     spec = CanonicalSpec((CanonicalBlock(-1.7, 2, 1), CanonicalBlock(-1.7, 2, -1),
                           CanonicalBlock(0.0, 1, 1), CanonicalBlock(0.0, 1, -1),
                           CanonicalBlock(0.9, 2, 1), CanonicalBlock(2.3, 1, -1),
@@ -910,7 +918,7 @@ def test_two_cluster_x_matches_full_canonicalization_reference(m, monkeypatch):
         got = mth_root(b, h, m, branch=branch)
         assert isinstance(got, RootResult) and verify_root(got.root, b, h, m).passed
         # one reordering puts X first, then each X cluster is deflated as canon does
-        assert len(calls) == 3
+        assert calls["ztrsen"] == 3
         assert got.similarity.shape == (2 * spec.copy_size(), 2 * 6)
         want = _reference_root(b, h, m, branch)
         a = omega_embed(got.root).array
@@ -933,13 +941,13 @@ def test_mth_root_branch_changes_nonreal_part_next_to_constrained_part():
 
 _MAPPED_OPENBLAS = """
 import json, os
-import qroot.canonical as c
+import qroot.lapack as c
 from qroot.roots import mth_root
 from qroot.verify import random_instance
 b, h, _ = random_instance(3, {"m": 2, "force": "admit"})
 mth_root(b, h, 2)
 paths = {line.split()[-1] for line in open("/proc/self/maps") if len(line.split()) >= 6}
-print(isinstance(c._lapack(), c._Ilp64Lapack))
+print(isinstance(c.provider(), c._Ilp64Lapack))
 print(json.dumps(sorted(p for p in paths if "openblas" in os.path.basename(p))))
 """
 

@@ -125,6 +125,9 @@ def test_generator_profile_validation():
         random_instance(0, {"max_size": 30})
     with pytest.raises(ProfileInvalid):
         random_instance(0, {"classes": ["positive"], "force": "refuse"})
+    for profile in ([1, 2], "x", 3, {"max_szie": 4}):  # not an object of the four keys
+        with pytest.raises(ProfileInvalid):
+            random_instance(0, profile)
 
 
 @pytest.mark.parametrize("profile", [{"m": 2.5}, {"m": True}, {"m": "2"},
