@@ -13,13 +13,11 @@ from .canonical import (CanonicalBlock, CanonicalSpec, SegreSequence,
 from .omega import (OmegaMatrix, omega_embed, omega_extract,
                     omega_membership, selfadjoint_residual)
 from .quaternion import Quaternion, QuatMatrix
-from .roots import (Certificate, MTuple, RootDecision, RootResult,
-                    assemble_root, m_tuple_partition, mth_root,
-                    root_block_negative_even, root_block_nilpotent,
+from .roots import (Certificate, MTuple, RootDecision, RootResult, assemble_root,
+                    mth_root, root_block_negative_even, root_block_nilpotent,
                     root_block_nonreal, root_block_real, root_exists,
                     sign_pattern_check)
-from .verify import (VerificationReport, power_segre_oracle, random_instance,
-                     verify_root)
+from .verify import VerificationReport, random_instance, verify_root
 
 __all__ = [
     "errors",
@@ -29,11 +27,11 @@ __all__ = [
     "jordan_block", "sip_matrix", "materialize_pair", "segre_characteristic",
     "canonicalize_pair", "inertia",
     "MTuple", "Certificate", "RootDecision", "RootResult",
-    "root_exists", "m_tuple_partition", "sign_pattern_check",
+    "root_exists", "sign_pattern_check",
     "root_block_real", "root_block_nonreal",
     "root_block_negative_even", "root_block_nilpotent", "assemble_root",
     "mth_root",
-    "VerificationReport", "verify_root", "power_segre_oracle", "random_instance",
+    "VerificationReport", "verify_root", "random_instance",
 ]
 
 __version__ = "0.1.0"

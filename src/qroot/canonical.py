@@ -18,6 +18,8 @@ matrix (the Schur form and its ztrsen reordering) are bound in qroot.lapack.
 
 from __future__ import annotations
 
+import cmath
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +94,8 @@ class CanonicalBlock:
     def __post_init__(self):
         lam = complex(self.lam)
         object.__setattr__(self, "lam", lam)
+        if not cmath.isfinite(lam):
+            raise SpecInvalid("block eigenvalues must be finite")
         if self.size < 1:
             raise SpecInvalid("block size must be positive")
         if lam.imag < 0:
@@ -121,13 +125,16 @@ class CanonicalBlock:
     def from_json(obj: dict) -> "CanonicalBlock":
         try:
             re, im = obj["lambda"]
+            if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (re, im)):
+                raise ParseError("canonical block lambda must be two numbers")
+            lam = complex(re, im)
             size = integer(obj["size"], "canonical block size")
             sign = obj["sign"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad canonical block JSON: {exc}") from exc
         if sign is not None:
             sign = integer(sign, "canonical block sign")
-        return CanonicalBlock(complex(re, im), size, sign)
+        return CanonicalBlock(lam, size, sign)
 
 
 @dataclass(frozen=True)
@@ -168,7 +175,7 @@ class CanonicalSpec:
             blocks = [CanonicalBlock.from_json(b) for b in obj["blocks"]]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad canonical spec JSON: {exc}") from exc
-        if not obj.get("doubled", True):
+        if obj.get("doubled", True) is not True:
             raise SpecInvalid("Omega-level specs are always doubled")
         return CanonicalSpec(tuple(blocks))
 
@@ -484,6 +491,21 @@ def _chain_moment(form, c, d, s, zero):
     return form(d[i - 1], c[j - 1])
 
 
+class _Imaged:
+    """A chain vector v with its images G v and partner(v), each made when first read."""
+
+    def __init__(self, v, g, partner):
+        self.v, self._g, self._partner = v, g, partner
+
+    @functools.cached_property
+    def gv(self):
+        return self._g @ self.v
+
+    @functools.cached_property
+    def pv(self):
+        return self._partner(self.v)
+
+
 def _normalize_hermitian_chains(chains, g, partner):
     """Transform Jordan chains so the Gram against the form becomes +-sips.
 
@@ -493,21 +515,25 @@ def _normalize_hermitian_chains(chains, g, partner):
     otherwise, and all cross-chain moments annihilated.
     """
     def form(x, y):
-        gx = g @ x
-        return (complex(np.vdot(y, gx)), complex(np.vdot(partner(y), gx)))
+        return (complex(np.vdot(y.v, x.gv)), complex(np.vdot(y.pv, x.gv)))
 
     def moment(c, d, s):
         return _chain_moment(form, c, d, s, (0j, 0j))
 
-    def rmul(v, q):
-        return q[0] * v + q[1] * partner(v)
+    def rmul(x, q):
+        return q[0] * x.v + q[1] * x.pv
 
-    chains = [list(c) for c in chains]
+    def imaged(v):
+        return _Imaged(v, g, partner)
+
+    # each vector's images are made once, so a round's search over every
+    # pair of top chains makes no product with G
+    chains = [[imaged(v) for v in c] for c in chains]
     out = []
     while chains:
         kappa = max(len(c) for c in chains)
         tops = [i for i, c in enumerate(chains) if len(c) == kappa]
-        scale = max(max(np.linalg.norm(v) for v in c) for c in chains) ** 2
+        scale = max(max(np.linalg.norm(x.v) for x in c) for c in chains) ** 2
         best_self = (0.0, None)
         for i in tops:
             h = qs_abs(moment(chains[i], chains[i], kappa + 1))
@@ -537,26 +563,26 @@ def _normalize_hermitian_chains(chains, g, partner):
             a = qs_abs(m)
             q = tuple(x / a for x in qs_conj(m))
             for idx in range(kappa):
-                chains[i][idx] = chains[i][idx] + rmul(chains[j][idx], q)
+                chains[i][idx] = imaged(chains[i][idx].v + rmul(chains[j][idx], q))
         c = chains.pop(i)
         k = len(c)
         h = moment(c, c, k + 1)[0].real
         eta = 1 if h > 0 else -1
         s = (complex(1.0 / np.sqrt(abs(h))), 0j)
-        c = [rmul(v, s) for v in c]
+        c = [imaged(rmul(x, s)) for x in c]
         # kill the higher self-moments h_{k+1+t} with real chain corrections
         for t in range(1, k):
             alpha = -moment(c, c, k + 1 + t)[0].real / (2.0 * eta)
             for idx in range(t, k):
-                c[idx] = c[idx] + alpha * c[idx - t]
+                c[idx] = imaged(c[idx].v + alpha * c[idx - t].v)
         # annihilate every remaining chain against c
         for d in chains:
             l = len(d)
             for t in range(l):
                 q = tuple(x / eta for x in moment(c, d, k + 1 + t))
                 for idx in range(t, l):
-                    d[idx] = d[idx] - rmul(c[idx - t], q)
-        out.append((eta, c))
+                    d[idx] = imaged(d[idx].v - rmul(c[idx - t], q))
+        out.append((eta, [x.v for x in c]))
     return out
 
 

@@ -64,10 +64,6 @@ class SizeMismatch(QRootError):
     kind = "SizeMismatch"
 
 
-class NotPartitionable(QRootError):
-    kind = "NotPartitionable"
-
-
 class SignPatternViolation(QRootError):
     kind = "SignPatternViolation"
 

@@ -59,9 +59,13 @@ class _Ilp64Lapack:
     """ILP64 LAPACK through ctypes, called like scipy's f2py wrappers.
 
     INTEGER and LOGICAL arguments are 8 bytes, and gfortran's hidden string
-    lengths follow the arguments.  Workspace comes from an lwork = -1
-    query.  A negative info (an illegal argument) raises LinAlgError naming
-    the routine; the caller checks any other info as it checks f2py's.
+    lengths follow the arguments.  A kernel with a workspace gets LAPACK's
+    documented minimum, as the f2py wrappers' defaults do: zgehrd n, zunghr
+    n - 1 and ztrsen, for job N (the one job a solve runs), 1.  So each
+    kernel is one foreign call, and zgehrd and zunghr run their unblocked
+    code at every order, as with scipy.  A negative info (an illegal
+    argument) raises LinAlgError naming the routine; the caller checks any
+    other info as it checks f2py's.
     """
 
     integer = ctypes.c_int64
@@ -72,14 +76,16 @@ class _Ilp64Lapack:
                     for name, (pointers, strings) in _ROUTINES.items()}
         self.zlahqr = self._fn["zlahqr"]
 
-    def _call(self, name: str, *args, work: bool = False) -> int:
-        """Call `name` on args, then WORK and LWORK if `work`, then INFO; return INFO.
+    def _call(self, name: str, *args, lwork: int = 0) -> int:
+        """Call `name` on args, then WORK and LWORK if `lwork`, then INFO; return INFO.
 
         Arrays go by data pointer, ints as INTEGERs by reference, bytes as
-        CHARACTERs and other ctypes objects by reference.  The workspace
-        size comes from an lwork = -1 query.
+        CHARACTERs and other ctypes objects by reference.  WORK holds
+        `lwork` complex entries.
         """
-        slots = (ctypes.c_int64 * (len(args) + 2))()  # the INTEGERs, then LWORK and INFO
+        if lwork:
+            args += (np.empty(lwork, dtype=complex), lwork)
+        slots = (ctypes.c_int64 * (len(args) + 1))()  # the INTEGERs, then INFO
         base = ctypes.addressof(slots)
         pointers, lengths = [], []
         for i, a in enumerate(args):
@@ -93,17 +99,7 @@ class _Ilp64Lapack:
             else:
                 a = ctypes.addressof(a)
             pointers.append(a)
-        fn, lwork, info = self._fn[name], base + 8 * len(args), base + 8 * len(args) + 8
-        if work:
-            query = (ctypes.c_double * 2)()
-            slots[-2] = -1
-            fn(*pointers, ctypes.addressof(query), lwork, info, *lengths)
-            if slots[-1] == 0:
-                space = np.empty(max(1, int(query[0])), dtype=complex)
-                slots[-2] = len(space)
-                fn(*pointers, space.ctypes.data, lwork, info, *lengths)
-        else:
-            fn(*pointers, info, *lengths)
+        self._fn[name](*pointers, base + 8 * len(args), *lengths)
         if slots[-1] < 0:
             raise np.linalg.LinAlgError(f"{name}: argument {-slots[-1]} had an illegal value")
         return slots[-1]
@@ -112,15 +108,15 @@ class _Ilp64Lapack:
         h = np.array(a, dtype=complex, order="F")
         n = h.shape[0]
         tau = np.empty(max(n - 1, 0), dtype=complex)
-        return h, tau, self._call("zgehrd", n, 1, n, h, max(n, 1), tau, work=True)
+        return h, tau, self._call("zgehrd", n, 1, n, h, max(n, 1), tau, lwork=max(n, 1))
 
     def zunghr(self, a, tau):
         q = np.array(a, dtype=complex, order="F")
         n = q.shape[0]
         return q, self._call("zunghr", n, 1, n, q, max(n, 1),
-                             np.ascontiguousarray(tau, dtype=complex), work=True)
+                             np.ascontiguousarray(tau, dtype=complex), lwork=max(n - 1, 1))
 
-    def ztrsen(self, select, t, q, job="B"):
+    def ztrsen(self, select, t, q, job="N"):
         ts = np.array(t, dtype=complex, order="F")
         qs = np.array(q, dtype=complex, order="F")
         n = ts.shape[0]
@@ -128,7 +124,7 @@ class _Ilp64Lapack:
         m, s, sep = ctypes.c_int64(0), ctypes.c_double(0.0), ctypes.c_double(0.0)
         select = np.ascontiguousarray(select, dtype=np.int64)  # LOGICAL
         info = self._call("ztrsen", job.encode(), b"V", select, n, ts, max(n, 1), qs,
-                          max(n, 1), w, m, s, sep, work=True)
+                          max(n, 1), w, m, s, sep, lwork=1)
         return ts, qs, w, m.value, s.value, sep.value, info
 
     def ztrsyl(self, a, b, c, isgn=1):

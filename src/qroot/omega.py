@@ -73,6 +73,8 @@ def complex_from_json(obj: dict) -> np.ndarray:
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad complex matrix JSON: {exc}") from exc
+    if dim < 1:
+        raise ParseError("complex matrix JSON needs dim >= 1")
     if re.size != dim * dim or im.size != dim * dim:
         raise ParseError("complex matrix JSON needs dim*dim re and im values")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):  # null reads as nan

@@ -26,8 +26,8 @@ from .canonical import (DEFAULT_TOL, CanonicalBlock, CanonicalSpec, Reduction,
                         _canonicalize, _check_tol, block_diag, canonicalize_pair,
                         jordan_block)
 from .errors import (ClassMismatch, DimensionMismatch, NearSingularH,
-                     NotPartitionable, NotSelfadjoint, RankAmbiguous,
-                     SignPatternViolation, Singular, SpecInvalid)
+                     NotSelfadjoint, RankAmbiguous, SignPatternViolation,
+                     Singular, SpecInvalid)
 from .omega import (OmegaMatrix, omega_embed, omega_extract, omega_project,
                     selfadjoint_residual)
 from .quaternion import QuatMatrix
@@ -208,17 +208,6 @@ def _zero_grouping(count: Counter, plus: Counter | None, m: int):
     return out
 
 
-def m_tuple_partition(segre, m: int) -> list[tuple[int, int]]:
-    """Greedy largest-first grouping of one copy's zero Segre into m-tuples."""
-    parts = tuple(segre.parts) if hasattr(segre, "parts") else tuple(segre)
-    _check_m(m)
-    grouping = _zero_grouping(Counter(parts), None, m)
-    if grouping is None:
-        raise NotPartitionable(
-            f"Segre parts {parts} admit no grouping into {m}-tuples differing by at most one")
-    return [(a, r) for a, r, _ in grouping]
-
-
 def _group_plus_demand(count: int, eta: int) -> int:
     """How many +1 signs the rule assigns to a group of `count` blocks."""
     if count % 2 == 0:
@@ -354,7 +343,9 @@ def root_exists(spec: CanonicalSpec, m: int) -> RootDecision:
 
 
 # ---------------------------------------------------------------------------
-# closed-form per-class builders
+# closed-form per-class builders.  A solve runs only those of X's classes;
+# root_block_real and root_block_nonreal stay for bench/spans.py, which
+# wraps them by these names, and for the tests' reference root
 # ---------------------------------------------------------------------------
 
 def _primary_root(lam: complex, mu: complex, k: int, m: int) -> np.ndarray:
@@ -490,18 +481,16 @@ def assemble_root(widths, parts) -> OmegaMatrix:
 
 def _build_canonical_root(spec: CanonicalSpec, plan: _Plan, m: int,
                           branch: int) -> np.ndarray:
-    """Root of materialize_pair(spec) assembled from per-class builders."""
+    """Root of materialize_pair(spec) for a spec of X, from the per-class builders.
+
+    X holds the two classes the theorem constrains: +- pairs at a negative
+    eigenvalue with m even, and the zero m-tuples.
+    """
     blocks = spec.blocks
     parts = []  # (canonical indices, root on one copy)
-    for i in plan.positive + (plan.negative if m % 2 else []):
-        b = blocks[i]
-        parts.append(([i], root_block_real(b.lam.real, b.size, b.sign, m)))
     for ip, im_ in plan.neg_pairs:
         b = blocks[ip]
         parts.append(([ip, im_], root_block_negative_even(b.lam.real, b.size, m, branch)))
-    for i in plan.nonreal:
-        b = blocks[i]
-        parts.append(([i], root_block_nonreal(b.lam, b.size, m, branch)))
     if plan.zero:
         zero_sorted = sorted(plan.zero, key=lambda i: blocks[i].sort_key())
         parts.append((zero_sorted, root_block_nilpotent(plan.zero_tuples, m)))

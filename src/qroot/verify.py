@@ -1,4 +1,4 @@
-"""Independent verification oracles and seeded instance generation.
+"""Independent verification of a root, and seeded instance generation.
 
 verify_root never looks at how a candidate root was produced: it powers the
 candidate by binary powering and measures the defining residuals.  It is
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import (DEFAULT_TOL, CanonicalBlock, CanonicalSpec, SegreSequence,
-                        _check_tol, materialize_pair)
+from .canonical import (DEFAULT_TOL, CanonicalBlock, CanonicalSpec, _check_tol,
+                        materialize_pair)
 from .errors import (DimensionMismatch, OracleDisagreement, ProfileInvalid,
                      QRootError)
 from .omega import omega_embed, omega_extract
@@ -55,44 +55,6 @@ def verify_root(a: QuatMatrix, b: QuatMatrix, h: QuatMatrix, m: int,
     res_self = (h @ a - a.adjoint() @ h).norm() / max(1.0, h.norm() * a.norm())
     passed = res_power <= tol and res_self <= tol  # a NaN fails
     return VerificationReport(float(res_power), float(res_self), bool(passed), tol)
-
-
-def power_segre_oracle(k: int, m: int) -> SegreSequence:
-    """Segre of (J_k(0))^m computed by the closed form and by rank staircase.
-
-    The two routes must agree (k = a*m + r with 0 < r <= m gives r blocks of
-    size a+1 and m-r of size a); disagreement signals an implementation bug.
-    """
-    if k < 1 or m < 1:
-        raise DimensionMismatch("k and m must be positive")
-    a = (k - 1) // m
-    r = k - a * m
-    closed = tuple(sorted([a + 1] * r + ([a] * (m - r) if a > 0 else []),
-                          reverse=True))
-
-    shift = np.eye(k, k, 1)
-    power = np.linalg.matrix_power(shift, m) if m < k else np.zeros((k, k))
-    dims = [0]
-    acc = np.eye(k)
-    for _ in range(k):
-        acc = acc @ power
-        d = k - np.linalg.matrix_rank(acc)
-        if d == dims[-1]:
-            break
-        dims.append(int(d))
-        if d == k:
-            break
-    counts = [dims[p] - dims[p - 1] for p in range(1, len(dims))]
-    parts: list[int] = []
-    for p, c in enumerate(counts, start=1):
-        nxt = counts[p] if p < len(counts) else 0
-        parts.extend([p] * (c - nxt))
-    staircase = tuple(sorted(parts, reverse=True))
-
-    if staircase != closed:
-        raise OracleDisagreement(
-            f"power Segre mismatch for k={k}, m={m}: closed {closed}, staircase {staircase}")
-    return SegreSequence(0.0, closed)
 
 
 # ---------------------------------------------------------------------------

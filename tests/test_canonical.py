@@ -81,6 +81,9 @@ def test_spec_validation():
         CanonicalBlock(1j, 1, 1)
     with pytest.raises(SpecInvalid):
         CanonicalBlock(-1j, 1, None)
+    for lam, sign in ((float("nan"), 1), (float("inf"), -1), (complex(-np.inf, 1.0), None)):
+        with pytest.raises(SpecInvalid, match="finite"):
+            CanonicalBlock(lam, 1, sign)
 
 
 def test_spec_json_roundtrip():
@@ -261,6 +264,38 @@ def test_canonicalize_detects_cluster_overlap():
     b, h = scrambled(spec, 24)
     with pytest.raises(QRootError):
         canonicalize_pair(b, h)
+
+
+class _CountingForm:
+    """The Gram normalization's G, counting its products with vectors."""
+
+    def __init__(self, g):
+        self.g, self.products = g, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.g @ x
+
+
+def test_gram_normalization_multiplies_each_vector_by_g_once_per_round(monkeypatch):
+    # B = 0, H = I at quaternion n = 12: one zero cluster of 12 chains J_1(0),
+    # one per quaternionic block.  Each round reads every pair of the chains
+    # left; with their G images kept, a chain's vector is multiplied once per
+    # round it is still in: 12 * 13 / 2 products, against 728 at a product
+    # per moment
+    from qroot.roots import RootResult, mth_root
+    forms = []
+    normalize = canonical._normalize_hermitian_chains
+
+    def counting(chains, g, partner):
+        forms.append(_CountingForm(g))
+        return normalize(chains, forms[-1], partner)
+
+    monkeypatch.setattr(canonical, "_normalize_hermitian_chains", counting)
+    n = 12
+    out = mth_root(QuatMatrix(np.zeros((n, n, 4))), QuatMatrix.from_real(np.eye(n)), 2)
+    assert isinstance(out, RootResult)
+    assert len(forms) == 1 and forms[0].products <= n * (n + 1) // 2
 
 
 # -- deflation: one Schur form reordered per cluster --------------------------
@@ -523,24 +558,37 @@ def test_illegal_lapack_argument_raises_naming_the_routine():
         _ilp64().ztrsyl(t[:2, :2], t[2:, 2:], t[:2, 2:], isgn=0)
 
 
-def test_schur_takes_the_queried_workspace_above_the_blocking_crossover(monkeypatch):
-    # zgehrd and zunghr block only above order 129 and only when given more
-    # than the minimal n of workspace; an lwork = -1 query asks for n * nb
+@pytest.mark.parametrize("n", [7, 160])
+def test_each_ilp64_kernel_makes_one_call_at_its_minimum_workspace(monkeypatch, n):
+    # LAPACK's documented minimum LWORK, the f2py wrappers' default, and no
+    # lwork = -1 query; zgehrd and zunghr then run unblocked above order 129
+    # too, so the two providers agree there as below
     import ctypes
     lapack = _ilp64()
     lwork = {}
-    for name in ("zgehrd", "zunghr"):
-        def watched(*args, fn=lapack._fn[name], name=name):
-            lwork.setdefault(name, []).append(ctypes.c_int64.from_address(args[7]).value)
+    for name, slot in (("zgehrd", 7), ("zunghr", 7), ("ztrsen", 13)):
+        def watched(*args, fn=lapack._fn[name], name=name, slot=slot):
+            lwork.setdefault(name, []).append(ctypes.c_int64.from_address(args[slot]).value)
             return fn(*args)
 
         monkeypatch.setitem(lapack._fn, name, watched)
     rng = np.random.default_rng(43)
-    b = rng.standard_normal((160, 160)) + 1j * rng.standard_normal((160, 160))
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     t, z = kernels.schur(b)
     _assert_schur_form(b, t, z)
-    assert [w[0] for w in lwork.values()] == [-1, -1]
-    assert all(len(w) == 2 and w[1] >= 2 * 160 for w in lwork.values())
+    select = np.arange(n) % 2 == 1
+    ts, zs, _, sdim, _, _, info = lapack.ztrsen(select, t, z, job="N")
+    assert (sdim, info) == (n // 2, 0)
+    _assert_schur_form(b, ts, zs)
+    assert lwork == {"zgehrd": [n], "zunghr": [n - 1], "ztrsen": [1]}
+    try:
+        _hide_numpy_names(monkeypatch)
+        assert not isinstance(kernels.provider(), kernels._Ilp64Lapack)
+        want_t, want_z = kernels.schur(b)
+    finally:
+        kernels.provider.cache_clear()
+    _assert_close(t, want_t)
+    _assert_close(z, want_z)
 
 
 def _svd_radius(b):

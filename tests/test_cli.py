@@ -344,6 +344,40 @@ def test_complex_matrix_dim_must_be_an_integer(tmp_path, capsys, dim):
     assert _main_on(tmp_path, capsys, ["extract"], payload)[0] == 0
 
 
+@pytest.mark.parametrize("dim, values", [(-2, 4), (0, 0)])
+def test_complex_matrix_dim_must_be_at_least_one(tmp_path, capsys, dim, values):
+    # dim -2 with 4 values failed in reshape, as a NumericError; dim 0 made
+    # extract write an n = 0 matrix, which embed rejects
+    mat = {"dim": dim, "re": [1.0] * values, "im": [0.0] * values}
+    assert _main_on(tmp_path, capsys, ["extract"], mat) == (1, {"error": "ParseError"})
+    assert _main_on(tmp_path, capsys, ["canon", "--format", "omega"],
+                    {"B": mat, "H": mat}) == (1, {"error": "ParseError"})
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("lam, kind", [([float("nan"), 0.0], "SpecInvalid"),
+                                       ([float("inf"), 0.0], "SpecInvalid"),
+                                       ([0.5, float("-inf")], "SpecInvalid"),
+                                       ([True, 0.0], "ParseError"),
+                                       (["1", 0.0], "ParseError"),
+                                       ([1.0, None], "ParseError"),
+                                       ([10 ** 400, 0.0], "ParseError")])
+def test_spec_eigenvalue_must_be_a_finite_number(tmp_path, capsys, m, lam, kind):
+    # with m = 3, NaN and Infinity answered exists: true; true read as 1
+    payload = {"blocks": [{"lambda": lam, "size": 1, "sign": 1}]}
+    assert _main_on(tmp_path, capsys, ["check", "--m", str(m), "--format", "spec"],
+                    payload) == (1, {"error": kind})
+
+
+@pytest.mark.parametrize("doubled", ["no", 1, None, False])
+def test_spec_doubled_must_be_true(tmp_path, capsys, doubled):
+    payload = {"blocks": [{"lambda": [4.0, 0.0], "size": 1, "sign": 1}], "doubled": doubled}
+    args = ["check", "--m", "2", "--format", "spec"]
+    assert _main_on(tmp_path, capsys, args, payload) == (1, {"error": "SpecInvalid"})
+    payload["doubled"] = True
+    assert _main_on(tmp_path, capsys, args, payload) == (0, {"exists": True, "certificate": None})
+
+
 # the flags each handler reads, beyond --in and --out, and its --format choices
 _COMMAND_FLAGS = {
     "embed": (set(), None),

@@ -6,7 +6,9 @@ from qroot.errors import DimensionMismatch, ProfileInvalid
 from qroot.omega import omega_embed
 from qroot.quaternion import QuatMatrix
 from qroot.roots import RootResult, mth_root, root_exists
-from qroot.verify import power_segre_oracle, random_instance, verify_root
+from qroot.verify import random_instance, verify_root
+
+from oracles import power_segre_oracle
 
 
 def quat_scalar(value):
