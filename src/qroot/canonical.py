@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lapack
-from .errors import (ClusterOverlap, NotHermitian, NotSelfadjoint, ParseError,
-                     RankAmbiguous, SizeMismatch, SpecInvalid, NearSingular)
+from .errors import (ClusterOverlap, DimensionMismatch, NotHermitian, NotSelfadjoint,
+                     ParseError, RankAmbiguous, SpecInvalid, NearSingular)
 from .jsonio import integer
-from .omega import OmegaMatrix, chi, qs_abs, qs_conj, selfadjoint_residual
+from .omega import OmegaMatrix, chi, selfadjoint_residual
 
 _EPS = np.finfo(float).eps
 
@@ -526,42 +526,36 @@ def _normalize_hermitian_chains(chains, g, partner):
     def imaged(v):
         return _Imaged(v, g, partner)
 
-    # each vector's images are made once, so a round's search over every
-    # pair of top chains makes no product with G
+    # each vector's images are made once, so a round's leading moments
+    # make no product with G
     chains = [[imaged(v) for v in c] for c in chains]
     out = []
     while chains:
         kappa = max(len(c) for c in chains)
         tops = [i for i, c in enumerate(chains) if len(c) == kappa]
         scale = max(max(np.linalg.norm(x.v) for x in c) for c in chains) ** 2
-        best_self = (0.0, None)
-        for i in tops:
-            h = qs_abs(moment(chains[i], chains[i], kappa + 1))
-            if h > best_self[0]:
-                best_self = (h, i)
         # recombination partners must share the maximal length: adding a
         # shorter chain cannot stay a Jordan chain and cannot feed the
-        # leading moment anyway
-        best_cross = (0.0, None, None)
-        for i in tops:
-            for j in tops:
-                if j == i:
-                    continue
-                m = qs_abs(moment(chains[i], chains[j], kappa + 1))
-                if m > best_cross[0]:
-                    best_cross = (m, i, j)
-        peak = max(best_self[0], best_cross[0])
+        # leading moment anyway.  lead[a, b] = |[top_b, eig_a]| over the top
+        # chains; its diagonal holds the self-moments
+        gt = np.column_stack([chains[i][-1].gv for i in tops])
+        e = np.column_stack([chains[i][0].v for i in tops])
+        p = np.column_stack([chains[i][0].pv for i in tops])
+        lead = np.sqrt(np.abs(e.conj().T @ gt) ** 2 + np.abs(p.conj().T @ gt) ** 2)
+        peak = lead.max()
         if peak <= DEGENERATE_FACTOR * max(1.0, scale):
             raise RankAmbiguous("degenerate leading moments in Gram normalization")
-        if best_self[0] >= 0.1 * peak:
-            i = best_self[1]
-        else:
-            # fold chain j into chain i; the folded self-moment is
-            # h + 2|m| + h_j with |h|, |h_j| < 0.1 |m|, hence nonzero
-            _, i, j = best_cross
-            m = moment(chains[i], chains[j], kappa + 1)
-            a = qs_abs(m)
-            q = tuple(x / a for x in qs_conj(m))
+        a = int(np.argmax(lead.diagonal()))
+        i = tops[a]
+        if lead[a, a] < 0.1 * peak:
+            # fold chain j into chain i, at the first peak in row-major order
+            # (off the diagonal, which stays below it); the folded self-moment
+            # is h + 2|m| + h_j with |h|, |h_j| < 0.1 |m|, hence nonzero
+            a, b = np.unravel_index(np.argmax(lead), lead.shape)
+            i, j = tops[a], tops[b]
+            m1, m2 = moment(chains[i], chains[j], kappa + 1)
+            mod = float(np.sqrt(abs(m1) ** 2 + abs(m2) ** 2))
+            q = (np.conj(m1) / mod, -m2 / mod)
             for idx in range(kappa):
                 chains[i][idx] = imaged(chains[i][idx].v + rmul(chains[j][idx], q))
         c = chains.pop(i)
@@ -688,7 +682,7 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None) -> 
     """
     _check_tol(tol)
     if barr.shape != harr.shape:
-        raise SizeMismatch("B and H must have equal shape")
+        raise DimensionMismatch("B and H must have equal shape")
     res = selfadjoint_residual(harr, barr)  # validates Hermitian + invertible
     if res > tol:
         raise NotSelfadjoint(f"selfadjoint residual {res:.3e} exceeds tolerance")

@@ -60,10 +60,6 @@ class ClusterOverlap(QRootError):
     kind = "ClusterOverlap"
 
 
-class SizeMismatch(QRootError):
-    kind = "SizeMismatch"
-
-
 class SignPatternViolation(QRootError):
     kind = "SignPatternViolation"
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .errors import ParseError
 
 
@@ -65,6 +67,15 @@ def integer(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError(f"{what} must be an integer")
     return value
+
+
+def numbers_only(values, what: str) -> None:
+    """ParseError when the JSON array values holds a boolean or a string.
+
+    numpy would read either as a number: true as 1, "16" as 16.
+    """
+    if {bool, str} & set(map(type, np.asarray(values, dtype=object).ravel())):
+        raise ParseError(f"{what} must be numbers, not booleans or strings")
 
 
 def dumps(obj) -> str:

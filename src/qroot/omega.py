@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NotHermitian, NotInOmega,
                      OddDimension, ParseError, Singular)
-from .jsonio import integer
+from .jsonio import integer, numbers_only
 from .quaternion import QuatMatrix
 
 MEMBERSHIP_FACTOR = 1e-10  # default tau_Omega = factor * max(1, inf-norm)
@@ -77,6 +77,8 @@ def complex_from_json(obj: dict) -> np.ndarray:
         raise ParseError("complex matrix JSON needs dim >= 1")
     if re.size != dim * dim or im.size != dim * dim:
         raise ParseError("complex matrix JSON needs dim*dim re and im values")
+    numbers_only(obj["re"], "complex matrix re")
+    numbers_only(obj["im"], "complex matrix im")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):  # null reads as nan
         raise ParseError("complex matrix JSON needs finite numbers")
     return (re + 1j * im).reshape(dim, dim)
@@ -162,12 +164,3 @@ def chi(v: np.ndarray) -> np.ndarray:
     n = v.shape[0] // 2
     return np.concatenate([np.conj(v[n:]), -np.conj(v[:n])])
 
-
-# Quaternion scalars as complex pairs (q1, q2) meaning q1 + j*q2.
-
-def qs_conj(q: tuple[complex, complex]) -> tuple[complex, complex]:
-    return (np.conj(q[0]), -q[1])
-
-
-def qs_abs(q: tuple[complex, complex]) -> float:
-    return float(np.sqrt(abs(q[0]) ** 2 + abs(q[1]) ** 2))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError
-from .jsonio import integer
+from .jsonio import integer, numbers_only
 
 
 @dataclass(frozen=True)
@@ -256,6 +256,7 @@ class QuatMatrix:
             raise ParseError(f"quaternion matrix entries must be numbers: {exc}") from exc
         if data.shape != (n * n, 4):
             raise ParseError("quaternion matrix JSON needs n*n entries [w, x, y, z]")
+        numbers_only(entries, "quaternion matrix entries")
         if not np.isfinite(data).all():  # null reads as nan
             raise ParseError("quaternion matrix entries must be finite numbers")
         return QuatMatrix(data.reshape(n, n, 4))

@@ -167,22 +167,27 @@ def _zero_grouping(count: Counter, plus: Counter | None, m: int):
                             for free in range(k - odd + 1)]
         return out
 
-    # the states each size can be entered in, then those that can be left
-    top = max(count, default=0)
+    # only sizes that hold blocks, and the size below each, carry a state;
+    # an empty size is entered and left in (0, start) alone
     start = None if plus is None else 0
+    levels = sorted({s - d for s in count for d in (0, 1)} | {0}, reverse=True)
+    steps = list(zip(levels, levels[1:]))  # (size, next size with a state)
+    # the states each size can be entered in, then those that can be left
+    top = levels[0]
     fits = {top: {(0, start)}}
-    for s in range(top, 0, -1):
-        fits[s - 1] = {(c2, q2) for c, q in fits[s] for *_, c2, q2 in moves(s, c, q)}
-    for s in range(1, top + 1):
+    for s, below in steps:
+        fits[below] = {(c2, q2) for c, q in fits[s] for *_, c2, q2 in moves(s, c, q)
+                       if below == s - 1 or (c2, q2) == (0, start)}
+    for s, below in reversed(steps):
         fits[s] = {(c, q) for c, q in fits[s]
-                   if any((c2, q2) in fits[s - 1] for *_, c2, q2 in moves(s, c, q))}
+                   if any((c2, q2) in fits[below] for *_, c2, q2 in moves(s, c, q))}
     if not fits[top]:
         return None
     # the search's first grouping: at each step the larger r that still fits
     grouping, c, qs = [], 0, {start}
-    for s in range(top, 0, -1):
+    for s, below in steps:
         good = {(k, odd) for q in qs for k, odd, c2, q2 in moves(s, c, q)
-                if (c2, q2) in fits[s - 1]}
+                if (c2, q2) in fits[below]}
         t, k, odd = count[s] - c, 0, 0
         while t:
             r = next(r for r in range(min(m, t), 0, -1)
@@ -191,7 +196,7 @@ def _zero_grouping(count: Counter, plus: Counter | None, m: int):
             grouping.append((s - 1, r))
             t, k, odd = t - r, k + 1, odd + r % 2
         nxt = [(c2, q2) for q in qs for k2, odd2, c2, q2 in moves(s, c, q)
-               if (k2, odd2) == (k, odd) and (c2, q2) in fits[s - 1]]
+               if (k2, odd2) == (k, odd) and (c2, q2) in fits[below]]
         c, qs = nxt[0][0], {q2 for _, q2 in nxt}
     # its first signs: eta = +1 wherever a sign it adds is still needed
     need = Counter(plus)

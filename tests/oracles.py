@@ -4,7 +4,8 @@ from collections import Counter
 
 import numpy as np
 
-from qroot.canonical import SegreSequence
+from qroot.canonical import DEGENERATE_FACTOR, SegreSequence, _chain_moment, _Imaged
+from qroot.errors import RankAmbiguous
 from qroot.roots import _zero_grouping
 
 
@@ -50,3 +51,79 @@ def m_tuple_partition(segre: SegreSequence, m: int) -> list[tuple[int, int]] | N
     """
     grouping = _zero_grouping(Counter(segre.parts), None, m)
     return None if grouping is None else [(a, r) for a, r, _ in grouping]
+
+
+def _qs_abs(q):
+    return float(np.sqrt(abs(q[0]) ** 2 + abs(q[1]) ** 2))
+
+
+def pair_search_normalize(chains, g, partner, folds=None):
+    """The Gram normalization with each round's pivot found pair by pair.
+
+    It evaluates the leading moment of every ordered pair of top chains,
+    self pairs first; the library reads the same choice off one matrix.
+    Each fold (i, j) of chain j into chain i is appended to folds.
+    """
+    def form(x, y):
+        return (complex(np.vdot(y.v, x.gv)), complex(np.vdot(y.pv, x.gv)))
+
+    def moment(c, d, s):
+        return _chain_moment(form, c, d, s, (0j, 0j))
+
+    def rmul(x, q):
+        return q[0] * x.v + q[1] * x.pv
+
+    def imaged(v):
+        return _Imaged(v, g, partner)
+
+    chains = [[imaged(v) for v in c] for c in chains]
+    out = []
+    while chains:
+        kappa = max(len(c) for c in chains)
+        tops = [i for i, c in enumerate(chains) if len(c) == kappa]
+        scale = max(max(np.linalg.norm(x.v) for x in c) for c in chains) ** 2
+        best_self = (0.0, None)
+        for i in tops:
+            h = _qs_abs(moment(chains[i], chains[i], kappa + 1))
+            if h > best_self[0]:
+                best_self = (h, i)
+        best_cross = (0.0, None, None)
+        for i in tops:
+            for j in tops:
+                if j == i:
+                    continue
+                m = _qs_abs(moment(chains[i], chains[j], kappa + 1))
+                if m > best_cross[0]:
+                    best_cross = (m, i, j)
+        peak = max(best_self[0], best_cross[0])
+        if peak <= DEGENERATE_FACTOR * max(1.0, scale):
+            raise RankAmbiguous("degenerate leading moments in Gram normalization")
+        if best_self[0] >= 0.1 * peak:
+            i = best_self[1]
+        else:
+            _, i, j = best_cross
+            if folds is not None:
+                folds.append((i, j))
+            m = moment(chains[i], chains[j], kappa + 1)
+            a = _qs_abs(m)
+            q = (np.conj(m[0]) / a, -m[1] / a)
+            for idx in range(kappa):
+                chains[i][idx] = imaged(chains[i][idx].v + rmul(chains[j][idx], q))
+        c = chains.pop(i)
+        k = len(c)
+        h = moment(c, c, k + 1)[0].real
+        eta = 1 if h > 0 else -1
+        s = (complex(1.0 / np.sqrt(abs(h))), 0j)
+        c = [imaged(rmul(x, s)) for x in c]
+        for t in range(1, k):
+            alpha = -moment(c, c, k + 1 + t)[0].real / (2.0 * eta)
+            for idx in range(t, k):
+                c[idx] = imaged(c[idx].v + alpha * c[idx - t].v)
+        for d in chains:
+            l = len(d)
+            for t in range(l):
+                q = tuple(x / eta for x in moment(c, d, k + 1 + t))
+                for idx in range(t, l):
+                    d[idx] = imaged(d[idx].v - rmul(c[idx - t], q))
+        out.append((eta, [x.v for x in c]))
+    return out

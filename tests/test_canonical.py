@@ -12,6 +12,8 @@ from qroot.errors import NearSingular, NotSelfadjoint, SpecInvalid
 from qroot.omega import omega_embed, omega_membership
 from qroot.quaternion import QuatMatrix
 
+from oracles import pair_search_normalize
+
 
 def omega_similarity(rng, n, cond_cap=100.0):
     for _ in range(100):
@@ -296,6 +298,63 @@ def test_gram_normalization_multiplies_each_vector_by_g_once_per_round(monkeypat
     out = mth_root(QuatMatrix(np.zeros((n, n, 4))), QuatMatrix.from_real(np.eye(n)), 2)
     assert isinstance(out, RootResult)
     assert len(forms) == 1 and forms[0].products <= n * (n + 1) // 2
+
+
+def test_gram_normalization_reads_each_round_off_one_leading_moment_matrix(monkeypatch):
+    # the same 12 chains J_1(0): the pair search evaluated 728 moments.  With
+    # one leading-moment matrix per round, a round with r chains left
+    # evaluates r: the pick's self-moment and one annihilation per other chain
+    from qroot.roots import RootResult, mth_root
+    calls = []
+    chain_moment = canonical._chain_moment
+
+    def counting(*args):
+        calls.append(args)
+        return chain_moment(*args)
+
+    monkeypatch.setattr(canonical, "_chain_moment", counting)
+    n = 12
+    out = mth_root(QuatMatrix(np.zeros((n, n, 4))), QuatMatrix.from_real(np.eye(n)), 2)
+    assert isinstance(out, RootResult)
+    assert len(calls) <= n * (n + 1) // 2
+
+
+def _normalization_inputs(monkeypatch):
+    """The chains, G and partner of 36 scrambled zero and negative clusters,
+    each with equal-size blocks of both signs; some of them fold."""
+    inputs = []
+    normalize = canonical._normalize_hermitian_chains
+
+    def recording(chains, g, partner):
+        inputs.append(([list(c) for c in chains], g, partner))
+        return normalize(chains, g, partner)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(canonical, "_normalize_hermitian_chains", recording)
+        for k, lam, seeds in [(1, 0.0, (0, 1, 2)), (1, -1.3, (17, 47, 50)),
+                              (2, 0.0, (43, 48, 2)), (2, -1.3, (5, 40, 43)),
+                              (3, 0.0, (55, 1, 2)), (3, -1.3, (36, 59, 2))]:
+            other = -1.3 if lam == 0 else 0.0
+            spec = CanonicalSpec((CanonicalBlock(lam, k, 1), CanonicalBlock(lam, k, -1),
+                                  CanonicalBlock(other, 2, 1),
+                                  CanonicalBlock(other, 1, -1))).sorted()
+            for seed in seeds:
+                canonicalize_pair(*scrambled(spec, seed))
+    return inputs
+
+
+def test_gram_normalization_is_bitwise_the_pair_search(monkeypatch):
+    inputs = _normalization_inputs(monkeypatch)
+    folds = []
+    for chains, g, partner in inputs:
+        got = canonical._normalize_hermitian_chains(chains, g, partner)
+        want = pair_search_normalize(chains, g, partner, folds)
+        assert [eta for eta, _ in got] == [eta for eta, _ in want]
+        assert [[v.tobytes() for v in c] for _, c in got] == [
+            [v.tobytes() for v in c] for _, c in want]
+    assert len(inputs) >= 30
+    # folds of a later chain into an earlier one and the reverse
+    assert {i < j for i, j in folds} == {True, False}
 
 
 # -- deflation: one Schur form reordered per cluster --------------------------

@@ -303,6 +303,37 @@ def test_malformed_entries_are_parse_errors(tmp_path, capsys, entries):
         1, {"error": "ParseError"})
 
 
+@pytest.mark.parametrize("args", [["canon"], ["check", "--m", "2"], ["root", "--m", "2"],
+                                  ["verify", "--m", "2"]])
+def test_b_and_h_of_unequal_shape_are_one_error_kind(tmp_path, capsys, args):
+    payload = {"B": quat_json([[16, 0, 0, 0]], 1), "H": EYE2,
+               "root": quat_json([[4, 0, 0, 0]], 1)}
+    assert _main_on(tmp_path, capsys, args, payload) == (1, {"error": "DimensionMismatch"})
+
+
+def _omega_one(re):
+    return {"dim": 2, "re": re, "im": [0, 0, 0, 0]}
+
+
+@pytest.mark.parametrize("args, payload", [
+    (["embed"], quat_json([[True, 0, 0, 0]], 1)),
+    (["embed"], quat_json([[16, 0, False, 0]], 1)),
+    (["extract"], _omega_one([True, 0, 0, True])),
+    (["extract"], {"dim": 2, "re": [1, 0, 0, 1], "im": [0, False, 0, 0]}),
+    (["embed"], quat_json([["16", 0, 0, 0]], 1)),
+    (["extract"], _omega_one(["2", 0, 0, 2])),
+    (["root", "--m", "2"],
+     {"B": quat_json([[True, 0, 0, 0]], 1), "H": quat_json([[1, 0, 0, 0]], 1)}),
+    (["root", "--m", "2", "--format", "quaternion"],
+     {"B": quat_json([[16, 0, 0, 0]], 1), "H": quat_json([[True, 0, 0, 0]], 1)}),
+    (["root", "--m", "2", "--format", "omega"],
+     {"B": _omega_one([16, 0, 0, 16]), "H": _omega_one([True, 0, 0, True])}),
+])
+def test_boolean_or_string_matrix_entries_are_parse_errors(tmp_path, capsys, args, payload):
+    # numpy reads true as 1, false as 0 and "16" as 16; entries are finite JSON numbers
+    assert _main_on(tmp_path, capsys, args, payload) == (1, {"error": "ParseError"})
+
+
 @pytest.mark.parametrize("m, flag", [(2.7, []), ("abc", []), (0, []), (True, []),
                                      (2, ["--m", "0"])])
 def test_verify_rejects_m_that_is_not_a_positive_integer(tmp_path, capsys, m, flag):

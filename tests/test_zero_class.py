@@ -130,3 +130,21 @@ def test_a_zero_sign_refusal_decides_at_once():
     blocks = [CanonicalBlock(0.0, 2, 1)] * 2 + [CanonicalBlock(0.0, 1, -1)] * 20
     decision, seconds = _decide_timed(blocks, 2)
     assert decision.certificate.kind == "SignPatternViolation" and seconds < 0.5
+
+
+@pytest.mark.parametrize("sizes, kind", [((10**9, 10**9 - 1), None),
+                                         ((10**9,), "SegreTupleMismatch")])
+def test_a_billion_sized_zero_block_decides_at_once(sizes, kind, tmp_path, capsys):
+    # the program over every size from the largest block down took 21 s at
+    # J_N(0)+ + J_(N-1)(0)+ with N = 10^6; only sizes holding blocks matter
+    blocks = [CanonicalBlock(0.0, s, 1) for s in sizes]
+    decision, seconds = _decide_timed(blocks, 2)
+    assert decision.exists == (kind is None) and seconds < 0.5
+    assert kind is None or decision.certificate.kind == kind
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(CanonicalSpec(tuple(blocks)).to_json()))
+    start = time.perf_counter()
+    assert qroot.cli.main(["check", "--m", "2", "--format", "spec", "--in", str(path)]) == (
+        0 if kind is None else 2)
+    assert time.perf_counter() - start < 0.5
+    assert json.loads(capsys.readouterr().out) == decision.to_json()
