@@ -583,6 +583,7 @@ def _normalize_hermitian_chains(chains, g, partner):
 def _normalize_symplectic_chains(chains, bform):
     """Pair chains against an antisymmetric bilinear form.
 
+    bform(x, y) is x @ phi @ y, so it also takes rows of x against columns of y.
     Returns [(c, d)] with phi(d_i, c_j) = 1 when i + j = k + 1, 0 otherwise,
     and all other moments annihilated; self-moments vanish identically.
     """
@@ -595,21 +596,18 @@ def _normalize_symplectic_chains(chains, bform):
         kappa = max(len(c) for c in chains)
         tops = [i for i, c in enumerate(chains) if len(c) == kappa]
         scale = max(max(np.linalg.norm(v) for v in c) for c in chains) ** 2
-        best = (0.0, None, None)
-        for a in tops:
-            for b in tops:
-                if a == b:
-                    continue
-                m = moment(chains[b], chains[a], kappa + 1)
-                if abs(m) > best[0]:
-                    best = (abs(m), a, b)
-        if best[1] is None or best[0] <= DEGENERATE_FACTOR * max(1.0, scale):
+        # lead[b, a] = phi(top_b, eig_a) over the top chains, -lead[a, b] in
+        # exact arithmetic.  The pair is the first largest |lead[a, b]| +
+        # |lead[b, a]| above the diagonal, and its lower index is c, so no
+        # rounding of two equal moduli orients it
+        lead = np.abs(bform(np.array([chains[i][-1] for i in tops]),
+                            np.column_stack([chains[i][0] for i in tops])))
+        pair = np.triu(lead + lead.T, 1)
+        if pair.max() <= 2 * DEGENERATE_FACTOR * max(1.0, scale):
             raise RankAmbiguous("degenerate symplectic pairing of chains")
-        _, ia, ib = best
-        c = chains[ia]
-        d = chains[ib]
-        for idx in sorted((ia, ib), reverse=True):
-            chains.pop(idx)
+        a, b = np.unravel_index(np.argmax(pair), pair.shape)
+        d = chains.pop(tops[b])
+        c = chains.pop(tops[a])
         k = kappa
         d = [v / moment(d, c, k + 1) for v in d]
         for t in range(1, k):

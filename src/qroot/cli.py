@@ -30,12 +30,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """--seed: an integer >= 0, since numpy's generator takes no negative seed."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 _FLAGS = {
     "--m": dict(type=int, default=None, help="root order"),
     "--tol": dict(type=float, default=None,
                   help="residual tolerance (default 1e-8 or QROOT_TOL)"),
     "--branch": dict(type=int, default=0, help="m-th root branch index (default 0)"),
-    "--seed": dict(type=int, default=0, help="generator seed"),
+    "--seed": dict(type=_seed, default=0, help="generator seed (an integer >= 0)"),
 }
 
 
@@ -75,8 +86,11 @@ def _write(out: str, obj) -> None:
     if out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out}: {exc}") from exc
 
 
 def _require_m(m) -> int:

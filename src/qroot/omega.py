@@ -75,8 +75,8 @@ def complex_from_json(obj: dict) -> np.ndarray:
         raise ParseError(f"bad complex matrix JSON: {exc}") from exc
     if dim < 1:
         raise ParseError("complex matrix JSON needs dim >= 1")
-    if re.size != dim * dim or im.size != dim * dim:
-        raise ParseError("complex matrix JSON needs dim*dim re and im values")
+    if re.shape != (dim * dim,) or im.shape != (dim * dim,):
+        raise ParseError("complex matrix JSON needs flat re and im lists of dim*dim values")
     numbers_only(obj["re"], "complex matrix re")
     numbers_only(obj["im"], "complex matrix im")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):  # null reads as nan

@@ -127,3 +127,55 @@ def pair_search_normalize(chains, g, partner, folds=None):
                     d[idx] = imaged(d[idx].v - rmul(c[idx - t], q))
         out.append((eta, [x.v for x in c]))
     return out
+
+
+def pair_loop_symplectic(chains, bform, picks=None):
+    """The symplectic pairing with each round's pair found pair by pair.
+
+    It evaluates |phi(top_b, eig_a)| + |phi(top_a, eig_b)| for every pair
+    a < b of top chains, in row-major order, keeps the first largest and
+    makes chain a the c of the pair; the library reads the same choice off
+    one matrix.  Each pick (a, b), as places among the top chains, is
+    appended to picks.
+    """
+    def moment(d, c, s):
+        return complex(_chain_moment(bform, c, d, s, 0j))
+
+    chains = [list(c) for c in chains]
+    out = []
+    while chains:
+        kappa = max(len(c) for c in chains)
+        tops = [i for i, c in enumerate(chains) if len(c) == kappa]
+        scale = max(max(np.linalg.norm(v) for v in c) for c in chains) ** 2
+        best = (0.0, None, None)
+        for a in range(len(tops)):
+            for b in range(a + 1, len(tops)):
+                m = (abs(moment(chains[tops[b]], chains[tops[a]], kappa + 1))
+                     + abs(moment(chains[tops[a]], chains[tops[b]], kappa + 1)))
+                if m > best[0]:
+                    best = (m, a, b)
+        if best[1] is None or best[0] <= 2 * DEGENERATE_FACTOR * max(1.0, scale):
+            raise RankAmbiguous("degenerate symplectic pairing of chains")
+        _, a, b = best
+        if picks is not None:
+            picks.append((a, b))
+        d = chains.pop(tops[b])
+        c = chains.pop(tops[a])
+        k = kappa
+        d = [v / moment(d, c, k + 1) for v in d]
+        for t in range(1, k):
+            beta = -moment(d, c, k + 1 + t)
+            for idx in range(t, k):
+                d[idx] = d[idx] + beta * d[idx - t]
+        for e in chains:
+            l = len(e)
+            for t in range(l):
+                gamma = moment(e, c, k + 1 + t)
+                for idx in range(t, l):
+                    e[idx] = e[idx] - gamma * d[idx - t]
+            for t in range(l):
+                gamma = -moment(e, d, k + 1 + t)
+                for idx in range(t, l):
+                    e[idx] = e[idx] - gamma * c[idx - t]
+        out.append((c, d))
+    return out

@@ -12,7 +12,7 @@ from qroot.errors import NearSingular, NotSelfadjoint, SpecInvalid
 from qroot.omega import omega_embed, omega_membership
 from qroot.quaternion import QuatMatrix
 
-from oracles import pair_search_normalize
+from oracles import pair_loop_symplectic, pair_search_normalize
 
 
 def omega_similarity(rng, n, cond_cap=100.0):
@@ -355,6 +355,76 @@ def test_gram_normalization_is_bitwise_the_pair_search(monkeypatch):
     assert len(inputs) >= 30
     # folds of a later chain into an earlier one and the reverse
     assert {i < j for i, j in folds} == {True, False}
+
+
+def test_symplectic_pairing_reads_each_round_off_one_leading_moment_matrix(monkeypatch):
+    # 12 equal J_1(1+i) pairs make a nonreal cluster of 24 chains.  The pair
+    # search evaluated every ordered pair of top chains in each round, 2,720
+    # moments; read off one matrix, a round with r chains left evaluates
+    # 2r - 3: the normalizing moment and two annihilations per other chain
+    calls = []
+    chain_moment = canonical._chain_moment
+
+    def counting(*args):
+        calls.append(args)
+        return chain_moment(*args)
+
+    monkeypatch.setattr(canonical, "_chain_moment", counting)
+    t = 12
+    spec = CanonicalSpec((CanonicalBlock(1 + 1j, 1, None),) * t)
+    _, out = canonicalize_pair(*materialize_pair(spec))
+    assert out == spec
+    assert len(calls) <= 2 * t * t
+
+
+_NONREAL = 0.6 + 1.5j
+
+
+def test_symplectic_pairing_is_bitwise_the_pair_loop(monkeypatch):
+    # nonreal clusters of 2, 4 and 6 chains, of one length or two
+    inputs = []
+    normalize = canonical._normalize_symplectic_chains
+
+    def recording(chains, bform):
+        inputs.append(([list(c) for c in chains], bform))
+        return normalize(chains, bform)
+
+    monkeypatch.setattr(canonical, "_normalize_symplectic_chains", recording)
+    for sizes in [(1,), (2,), (3,), (1, 1), (2, 1), (2, 2), (1, 1, 1), (2, 2, 1)]:
+        spec = CanonicalSpec(tuple(CanonicalBlock(_NONREAL, k, None) for k in sizes)
+                             + (CanonicalBlock(2.0, 1, 1),)).sorted()
+        for seed in range(3):
+            canonicalize_pair(*scrambled(spec, seed))
+    picks = []
+    for chains, bform in inputs:
+        got = normalize(chains, bform)
+        want = pair_loop_symplectic(chains, bform, picks)
+        assert [[v.tobytes() for v in c + d] for c, d in got] == [
+            [v.tobytes() for v in c + d] for c, d in want]
+    assert sorted({len(chains) for chains, _ in inputs}) == [2, 4, 6]
+    # pairs other than the first two top chains are picked too
+    assert len(set(picks)) > 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_symplectic_orientation_survives_the_transposed_form(monkeypatch, k):
+    # phi(x, y) and -phi(y, x) are equal in exact arithmetic and differ in
+    # the last bit; the pair comparing two such moduli flipped 12 of these 45
+    normalize = canonical._normalize_symplectic_chains
+
+    def transposed(chains, bform):
+        return normalize(chains, lambda x, y: -bform(y.T, x.T).T)
+
+    spec = CanonicalSpec((CanonicalBlock(_NONREAL, k, None),
+                          CanonicalBlock(2.0, 1, 1))).sorted()
+    for seed in range(15):
+        b, h = scrambled(spec, seed)
+        s, out = canonicalize_pair(b, h)
+        with monkeypatch.context() as patch:
+            patch.setattr(canonical, "_normalize_symplectic_chains", transposed)
+            s_t, out_t = canonicalize_pair(b, h)
+        assert out_t == out
+        assert np.abs(s_t.array - s.array).max() <= 1e-10 * np.abs(s.array).max()
 
 
 # -- deflation: one Schur form reordered per cluster --------------------------

@@ -445,3 +445,40 @@ def test_flags_a_command_does_not_read_are_usage_errors(args):
     assert rc == 1
     assert out == ""
     assert err.startswith((f"qroot {args[0]}: error: ", "qroot: error: unrecognized"))
+
+
+_NESTED_EYE = {"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+
+
+@pytest.mark.parametrize("args, payload", [
+    (["extract"], _NESTED_EYE),
+    (["canon", "--format", "omega"], {"B": _NESTED_EYE, "H": _NESTED_EYE}),
+    (["root", "--m", "2", "--format", "omega"], {"B": _NESTED_EYE, "H": _NESTED_EYE}),
+])
+def test_complex_matrix_re_and_im_must_be_flat_lists(tmp_path, capsys, args, payload):
+    # nested rows of dim*dim values were read as the flat list
+    assert _main_on(tmp_path, capsys, args, payload) == (1, {"error": "ParseError"})
+
+
+@pytest.mark.parametrize("args, payload", [
+    (["embed"], quat_json([[16, 0, 0, 0]], 1)),
+    (["root", "--m", "2"], {"B": quat_json([[16, 0, 0, 0]], 1),
+                            "H": quat_json([[1, 0, 0, 0]], 1)}),
+])
+def test_an_out_path_that_cannot_be_opened_is_a_parse_error(tmp_path, args, payload):
+    # it was a FileNotFoundError traceback
+    out = tmp_path / "missing" / "out.json"
+    rc, stdout, stderr = run_cli(args + ["--out", str(out)], inp=json.dumps(payload))
+    assert rc == 1
+    assert json.loads(stdout) == {"error": "ParseError"}
+    assert len(stderr.splitlines()) == 1 and str(out) in stderr
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_a_seed_that_is_not_a_natural_number_is_a_usage_error(seed):
+    # numpy's generator refused -1, which the CLI reported as a NumericError
+    rc, out, err = run_cli(["gen", "--seed", seed])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("qroot gen: error: argument --seed: ")
