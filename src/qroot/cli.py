@@ -76,7 +76,7 @@ def _read_payload(path: str):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {path}: {exc}") from exc
     return jsonio.loads(text)
 
@@ -244,7 +244,7 @@ def main(argv=None) -> int:
         sys.stdout.write(jsonio.dumps({"error": exc.kind}) + "\n")
         sys.stderr.write(f"qroot {args.command}: {exc}\n")
         return 1
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (ValueError, FloatingPointError, MemoryError, np.linalg.LinAlgError) as exc:
         sys.stdout.write(jsonio.dumps({"error": "NumericError"}) + "\n")
         sys.stderr.write(f"qroot {args.command}: {exc}\n")
         return 1

@@ -2,8 +2,8 @@
 
 A solve runs zgehrd, zunghr and zlahqr for its Schur form (schur), ztrsen to
 reorder that form and ztrsyl for the Sylvester step of the primary root
-(sylvester).  provider() picks, once per process, where the five come from;
-everything that marshals an argument or sizes a workspace lives here.
+(sylvester).  provider() finds, once per process, where the five live;
+every call, argument and workspace goes through _Lapack._call.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import functools
 import importlib.machinery
 import importlib.util
 import os
-import types
 
 import numpy as np
 
@@ -23,31 +22,31 @@ _ROUTINES = {"zgehrd": (9, 0), "zunghr": (9, 0), "zlahqr": (13, 0),
 
 
 @functools.cache
-def provider():
+def provider() -> _Lapack:
     """The process's one LAPACK provider for schur, sylvester and the ztrsen reordering.
 
-    The kernels come from the OpenBLAS that numpy.linalg links against,
-    under its ILP64 names (scipy_<name>_64_ in numpy's wheels, else
-    <name>_64_), found through the handle of numpy's _umath_linalg.  That
-    library is loaded already, so a canonicalizing process maps one BLAS
-    library and loads no scipy module.  When any of the five names is
-    missing (conda or system BLAS, Windows, where a handle does not reach
-    its dependencies' symbols, or macOS Accelerate), scipy serves all five:
-    see _scipy_lapack.  Both providers take the same calls, in the form of
-    scipy's f2py wrappers, and `integer` is the ctypes type of their
-    INTEGER for the raw zlahqr.
+    The five addresses come from the first of three sources that has all of
+    them:
+    1. the OpenBLAS that numpy.linalg links against, under its ILP64 names
+       (scipy_<name>_64_ in numpy's wheels, else <name>_64_), found through
+       the handle of numpy's _umath_linalg.  That library is loaded already,
+       so a solve maps one BLAS library and loads no scipy module;
+    2. the LP64 names (scipy_<name>_, else <name>_) of the library that
+       scipy.linalg._flapack links against, dlopened by path and never
+       imported, so no scipy module loads either (conda or system BLAS,
+       macOS Accelerate);
+    3. scipy's Cython LAPACK capsules, which take no hidden CHARACTER
+       lengths (Windows, where a handle does not reach its dependencies'
+       symbols).
     """
     try:
-        lib = _numpy_lapack_library()
-    except OSError:
-        return _scipy_lapack()
-    addresses = {}
-    for name in _ROUTINES:
-        symbol = next((s for s in (f"scipy_{name}_64_", f"{name}_64_") if hasattr(lib, s)), None)
-        if symbol is None:
-            return _scipy_lapack()
-        addresses[name] = ctypes.cast(getattr(lib, symbol), ctypes.c_void_p).value
-    return _Ilp64Lapack(addresses)
+        return _Lapack(_addresses(_numpy_lapack_library(), "_64_"), ctypes.c_int64, True)
+    except (OSError, AttributeError):
+        pass
+    try:
+        return _Lapack(_addresses(_flapack_library(), "_"), ctypes.c_int, True)
+    except (OSError, AttributeError):
+        return _Lapack(_capsule_addresses(), ctypes.c_int, False)
 
 
 def _numpy_lapack_library():
@@ -55,26 +54,52 @@ def _numpy_lapack_library():
     return ctypes.CDLL(_umath_linalg.__file__)
 
 
-class _Ilp64Lapack:
-    """ILP64 LAPACK through ctypes, called like scipy's f2py wrappers.
+def _flapack_library():
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(root, "linalg", "_flapack" + suffix)
+        if os.path.exists(path):
+            return ctypes.CDLL(path)
+    raise OSError("scipy.linalg._flapack not found")
 
-    INTEGER and LOGICAL arguments are 8 bytes, and gfortran's hidden string
+
+def _addresses(lib, suffix: str) -> dict[str, int]:
+    """The five routines' addresses in lib, as scipy_<name><suffix> or <name><suffix>."""
+    return {name: ctypes.cast(getattr(lib, f"scipy_{name}{suffix}", None)
+                              or getattr(lib, f"{name}{suffix}"), ctypes.c_void_p).value
+            for name in _ROUTINES}
+
+
+def _capsule_addresses() -> dict[str, int]:
+    from scipy.linalg import cython_lapack
+    capi = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", capi))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", capi))
+    capsules = [cython_lapack.__pyx_capi__[routine] for routine in _ROUTINES]
+    return {routine: pointer(c, name(c)) for routine, c in zip(_ROUTINES, capsules)}
+
+
+class _Lapack:
+    """The five kernels at `addresses`, called through ctypes.
+
+    `integer` is the ctypes type of INTEGER and LOGICAL (8 bytes for ILP64,
+    4 for LP64), and `lengths` says whether gfortran's hidden CHARACTER
     lengths follow the arguments.  A kernel with a workspace gets LAPACK's
-    documented minimum, as the f2py wrappers' defaults do: zgehrd n, zunghr
-    n - 1 and ztrsen, for job N (the one job a solve runs), 1.  So each
-    kernel is one foreign call, and zgehrd and zunghr run their unblocked
-    code at every order, as with scipy.  A negative info (an illegal
-    argument) raises LinAlgError naming the routine; the caller checks any
-    other info as it checks f2py's.
+    documented minimum: zgehrd n, zunghr n - 1 and ztrsen, for job N (the
+    one job a solve runs), 1.  So each kernel is one foreign call, and
+    zgehrd and zunghr run their unblocked code at every order, from every
+    source.  A negative info (an illegal argument) raises LinAlgError
+    naming the routine; the caller checks any other info.
     """
 
-    integer = ctypes.c_int64
-
-    def __init__(self, addresses: dict[str, int]):
-        self._fn = {name: ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * pointers,
-                                           *[ctypes.c_size_t] * strings)(addresses[name])
-                    for name, (pointers, strings) in _ROUTINES.items()}
-        self.zlahqr = self._fn["zlahqr"]
+    def __init__(self, addresses: dict[str, int], integer, lengths: bool):
+        self.integer, self._lengths = integer, lengths
+        self._fn = {}
+        for name, (pointers, strings) in _ROUTINES.items():
+            hidden = [ctypes.c_size_t] * strings if lengths else []
+            self._fn[name] = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * pointers,
+                                              *hidden)(addresses[name])
 
     def _call(self, name: str, *args, lwork: int = 0) -> int:
         """Call `name` on args, then WORK and LWORK if `lwork`, then INFO; return INFO.
@@ -85,8 +110,8 @@ class _Ilp64Lapack:
         """
         if lwork:
             args += (np.empty(lwork, dtype=complex), lwork)
-        slots = (ctypes.c_int64 * (len(args) + 1))()  # the INTEGERs, then INFO
-        base = ctypes.addressof(slots)
+        slots = (self.integer * (len(args) + 1))()  # the INTEGERs, then INFO
+        base, width = ctypes.addressof(slots), ctypes.sizeof(self.integer)
         pointers, lengths = [], []
         for i, a in enumerate(args):
             if isinstance(a, np.ndarray):
@@ -95,11 +120,11 @@ class _Ilp64Lapack:
                 lengths.append(len(a))
             elif isinstance(a, int):
                 slots[i] = a
-                a = base + 8 * i
+                a = base + width * i
             else:
                 a = ctypes.addressof(a)
             pointers.append(a)
-        self._fn[name](*pointers, base + 8 * len(args), *lengths)
+        self._fn[name](*pointers, base + width * len(args), *(lengths if self._lengths else ()))
         if slots[-1] < 0:
             raise np.linalg.LinAlgError(f"{name}: argument {-slots[-1]} had an illegal value")
         return slots[-1]
@@ -116,13 +141,23 @@ class _Ilp64Lapack:
         return q, self._call("zunghr", n, 1, n, q, max(n, 1),
                              np.ascontiguousarray(tau, dtype=complex), lwork=max(n - 1, 1))
 
+    def zlahqr(self, h, z):
+        """The Schur form of Hessenberg h, with z times its Schur vectors; (T, Z, info).
+
+        h and z are overwritten when they are complex and Fortran-ordered.
+        """
+        h, z = np.asfortranarray(h, dtype=complex), np.asfortranarray(z, dtype=complex)
+        n = h.shape[0]
+        w = np.empty(n, dtype=complex)
+        return h, z, self._call("zlahqr", 1, 1, n, 1, n, h, max(n, 1), w, 1, n, z, max(n, 1))
+
     def ztrsen(self, select, t, q, job="N"):
         ts = np.array(t, dtype=complex, order="F")
         qs = np.array(q, dtype=complex, order="F")
         n = ts.shape[0]
         w = np.empty(n, dtype=complex)
-        m, s, sep = ctypes.c_int64(0), ctypes.c_double(0.0), ctypes.c_double(0.0)
-        select = np.ascontiguousarray(select, dtype=np.int64)  # LOGICAL
+        m, s, sep = self.integer(0), ctypes.c_double(0.0), ctypes.c_double(0.0)
+        select = np.ascontiguousarray(select, dtype=self.integer)  # LOGICAL
         info = self._call("ztrsen", job.encode(), b"V", select, n, ts, max(n, 1), qs,
                           max(n, 1), w, m, s, sep, lwork=1)
         return ts, qs, w, m.value, s.value, sep.value, info
@@ -138,43 +173,6 @@ class _Ilp64Lapack:
         return x, scale.value, info
 
 
-def _scipy_lapack() -> types.SimpleNamespace:
-    """scipy's LAPACK, for a numpy whose library lacks the ILP64 names.
-
-    The f2py routines come from scipy.linalg._flapack, loaded by file path
-    under its real name, so scipy/__init__ (15-17 ms) and scipy.linalg's
-    array-API layer stay out and a later import of scipy.linalg shares the
-    module; failing that, from scipy.linalg.lapack.  f2py wraps no zlahqr:
-    it is looked up in the library _flapack links against (scipy_zlahqr_
-    in scipy's wheels, else zlahqr_), failing that in scipy's Cython
-    LAPACK API, whose loading imports the scipy package.
-    """
-    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(root, "linalg", "_flapack" + suffix)
-        if os.path.exists(path):
-            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            break
-    else:
-        from scipy.linalg import lapack as module  # same f2py functions
-    try:
-        lib = ctypes.CDLL(module.__file__)
-        address = ctypes.cast(getattr(lib, "scipy_zlahqr_", None) or lib.zlahqr_,
-                              ctypes.c_void_p).value
-    except (OSError, AttributeError):
-        from scipy.linalg import cython_lapack
-        capsule = cython_lapack.__pyx_capi__["zlahqr"]
-        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-            ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
-        address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-            ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
-    return types.SimpleNamespace(
-        zgehrd=module.zgehrd, zunghr=module.zunghr, ztrsen=module.ztrsen, ztrsyl=module.ztrsyl,
-        zlahqr=ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 13)(address), integer=ctypes.c_int)
-
-
 def schur(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex Schur form (T, Z), B = Z T Z^*, by LAPACK zgehrd, zunghr and zlahqr.
 
@@ -188,7 +186,7 @@ def schur(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     a = np.asarray_chkfinite(b).astype(complex, copy=False)
     n = a.shape[0]
-    if n <= 1:  # the zunghr wrapper rejects n = 1
+    if n <= 1:  # order 0 or 1 is triangular already
         return a.copy(), np.eye(n, dtype=complex)
     lapack = provider()
     h, tau, info = lapack.zgehrd(a)
@@ -196,15 +194,9 @@ def schur(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z, info = lapack.zunghr(h, tau)
     if info != 0:
         raise np.linalg.LinAlgError(f"Hessenberg reduction failed (info {info})")
-    h, z = np.asfortranarray(h), np.asfortranarray(z)
-    w = np.empty(n, dtype=complex)
-    one, size, status = lapack.integer(1), lapack.integer(n), lapack.integer(0)
-    ref = ctypes.byref
-    # zlahqr(wantt, wantz, n, ilo, ihi, H, ldh, W, iloz, ihiz, Z, ldz, info)
-    lapack.zlahqr(ref(one), ref(one), ref(size), ref(one), ref(size), h.ctypes.data, ref(size),
-                  w.ctypes.data, ref(one), ref(size), z.ctypes.data, ref(size), ref(status))
-    if status.value != 0:
-        raise np.linalg.LinAlgError(f"Schur form not found (zlahqr info {status.value})")
+    h, z, info = lapack.zlahqr(h, z)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Schur form not found (zlahqr info {info})")
     h[np.tri(n, k=-1, dtype=bool)] = 0.0  # zgehrd's reflectors lie below the subdiagonal
     return h, z
 

@@ -248,12 +248,12 @@ def _tuple_epsilons(a: int, r: int, m: int, eta: int) -> tuple[int, ...]:
 
 
 def _zero_plan(zero_blocks: list[CanonicalBlock], m: int):
-    """m-tuple plan for the zero part, or a refusal Certificate."""
+    """The zero part's m-tuples as [(a, r, eta)], or a refusal Certificate."""
     sizes = tuple(sorted((b.size for b in zero_blocks), reverse=True))
     count = Counter(sizes)
     grouping = _zero_grouping(count, Counter(b.size for b in zero_blocks if b.sign == 1), m)
     if grouping is not None:
-        return [MTuple(a, r, eta, _tuple_epsilons(a, r, m, eta), m) for a, r, eta in grouping]
+        return grouping
     if _zero_grouping(count, None, m) is None:
         return Certificate("SegreTupleMismatch", 0.0,
                            f"zero Segre {sizes} admits no {m}-tuple grouping")
@@ -267,21 +267,28 @@ def _zero_plan(zero_blocks: list[CanonicalBlock], m: int):
 
 @dataclass
 class _Plan:
+    m: int
     positive: list[int] = field(default_factory=list)
     negative: list[int] = field(default_factory=list)
     nonreal: list[int] = field(default_factory=list)
     zero: list[int] = field(default_factory=list)
     neg_pairs: list[tuple[int, int]] = field(default_factory=list)
-    zero_tuples: list[MTuple] = field(default_factory=list)
+    zero_grouping: list[tuple[int, int, int]] = field(default_factory=list)  # (a, r, eta)
     certificate: Certificate | None = None
 
     def decision(self) -> RootDecision:
         return RootDecision(self.certificate is None, self.certificate)
 
+    @property
+    def zero_tuples(self) -> list[MTuple]:
+        """The zero grouping's m-tuples.  Each holds m signs, so only a root builds them."""
+        return [MTuple(a, r, eta, _tuple_epsilons(a, r, self.m, eta), self.m)
+                for a, r, eta in self.zero_grouping]
+
 
 def _classify_and_plan(spec: CanonicalSpec, m: int) -> _Plan:
     blocks = spec.blocks
-    plan = _Plan()
+    plan = _Plan(m)
     scale = max([1.0] + [abs(b.lam) for b in blocks])
     zero_tol = ZERO_CLASS_FACTOR * scale
     for i, b in enumerate(blocks):
@@ -326,7 +333,7 @@ def _classify_and_plan(spec: CanonicalSpec, m: int) -> _Plan:
         if isinstance(outcome, Certificate):
             plan.certificate = outcome
             return plan
-        plan.zero_tuples = outcome
+        plan.zero_grouping = outcome
     return plan
 
 

@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +14,7 @@ from qroot.errors import NearSingular, NotSelfadjoint, SpecInvalid
 from qroot.omega import omega_embed, omega_membership
 from qroot.quaternion import QuatMatrix
 
+from lapack_sources import LAPACK_SOURCES, hide_names, lapack_source  # noqa: F401
 from oracles import pair_loop_symplectic, pair_search_normalize
 
 
@@ -565,159 +568,125 @@ def test_schur_is_bitwise_the_same_before_and_after_scipy_linalg_loads(tmp_path)
 
 
 def _capsule_address(capsule):
-    import ctypes
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
     return ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
 
 
-class _HiddenNames:
-    """numpy's LAPACK library with the ILP64 names of some routines hidden."""
-
-    def __init__(self, lib, routines):
-        self._lib = lib
-        self._hidden = {f"{prefix}{name}_64_" for name in routines for prefix in ("scipy_", "")}
-
-    def __getattr__(self, name):
-        if name in self._hidden:
-            raise AttributeError(name)
-        return getattr(self._lib, name)
+def _entry_points(lapack):
+    """The entry point of each routine that a provider calls."""
+    return {name: ctypes.cast(fn, ctypes.c_void_p).value for name, fn in lapack._fn.items()}
 
 
-def _hide_numpy_names(monkeypatch, routines=tuple(kernels._ROUTINES)):
-    lib = kernels._numpy_lapack_library()
-    monkeypatch.setattr(kernels, "_numpy_lapack_library", lambda: _HiddenNames(lib, routines))
-    kernels.provider.cache_clear()
-
-
-def _flapack_zlahqr_address():
-    import ctypes
+def _flapack_addresses():
+    """The LP64 routines of the library scipy.linalg._flapack links against."""
     import scipy.linalg._flapack
     lib = ctypes.CDLL(scipy.linalg._flapack.__file__)
-    return ctypes.cast(getattr(lib, "scipy_zlahqr_", None) or lib.zlahqr_, ctypes.c_void_p).value
+    try:
+        return {name: ctypes.cast(getattr(lib, f"scipy_{name}_", None) or getattr(lib, f"{name}_"),
+                                  ctypes.c_void_p).value for name in kernels._ROUTINES}
+    except AttributeError:
+        pytest.skip("a handle on _flapack does not reach its LAPACK's names here")
 
 
 def _assert_close(got, want, rtol=1e-13):
     assert np.linalg.norm(got - want) <= rtol * max(np.linalg.norm(want), 1e-300)
 
 
-def _assert_providers_agree(lapack, reference):
-    """ztrsen and ztrsyl of two providers agree to 1e-13, bit for bit on one OpenBLAS build.
+def _assert_providers_agree(lapack, reference, exact=False):
+    """ztrsen and ztrsyl of two providers agree to 1e-13, bit for bit if `exact`.
 
     SELECT picks places 1, 3 and 5: read with the wrong LOGICAL width it
     would pick others, and the reordered form would differ.
     """
+    close = np.testing.assert_array_equal if exact else _assert_close
     t, z = kernels.schur(_schur_inputs()[2])
     select = np.zeros(len(t), dtype=bool)
     select[[1, 3, 5]] = True
     got, want = lapack.ztrsen(select, t, z, job="N"), reference.ztrsen(select, t, z, job="N")
     assert (got[3], got[6]) == (want[3], want[6]) == (3, 0)
     for x, y in zip(got[:3], want[:3]):
-        _assert_close(x, y)
+        close(x, y)
     c = np.random.default_rng(41).standard_normal((13, 27)) + 0j
     got, want = (p.ztrsyl(t[:13, :13], t[13:, 13:], c, isgn=-1) for p in (lapack, reference))
     assert (got[1:], want[1:]) == ((1.0, 0), (1.0, 0))
-    _assert_close(got[0], want[0])
+    close(got[0], want[0])
 
 
-def test_schur_fallback_to_scipy_linalg_lapack(monkeypatch):
-    import ctypes
-    import importlib.machinery
+def test_schur_fallback_to_flapack_library_then_capsules(lapack_source):
     import scipy.linalg.cython_lapack
-    import scipy.linalg.lapack
-    cython_zlahqr = _capsule_address(scipy.linalg.cython_lapack.__pyx_capi__["zlahqr"])
-    flapack_zlahqr = _flapack_zlahqr_address()
+    capi = scipy.linalg.cython_lapack.__pyx_capi__
     default = kernels.provider()
     forms = [kernels.schur(b) for b in _schur_inputs()]
-    try:
-        # numpy's names hidden: the scipy chain, with _flapack loaded by file path
-        _hide_numpy_names(monkeypatch)
-        flapack = kernels.provider()
-        assert flapack.integer is ctypes.c_int
-        assert ctypes.cast(flapack.zlahqr, ctypes.c_void_p).value == flapack_zlahqr
-        flapack_forms = [kernels.schur(b) for b in _schur_inputs()]
-        for (t, z), (want_t, want_z) in zip(flapack_forms, forms):
-            _assert_close(t, want_t)
-            _assert_close(z, want_z)
-        _assert_providers_agree(default, flapack)
-        # _flapack missing as well: scipy.linalg.lapack
-        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
-        kernels.provider.cache_clear()
-        lapack = kernels.provider()
-        for name in ("zgehrd", "zunghr", "ztrsen", "ztrsyl"):
-            assert getattr(lapack, name) is getattr(scipy.linalg.lapack, name)
-        # scipy.linalg.lapack is no shared library, so zlahqr comes from the capsule
-        assert ctypes.cast(lapack.zlahqr, ctypes.c_void_p).value == cython_zlahqr
-        for b, (t, z) in zip(_schur_inputs(), flapack_forms):
-            again_t, again_z = kernels.schur(b)
-            assert np.array_equal(again_t, t) and np.array_equal(again_z, z)
-        spec = _many_cluster_spec(np.random.default_rng(35))
-        _, out = canonicalize_pair(*scrambled(spec, 35))
-        assert out.matches(spec)
-    finally:
-        kernels.provider.cache_clear()
+    # numpy's names hidden: the LP64 names of the library _flapack links against
+    flapack = lapack_source("flapack")
+    assert _entry_points(flapack) == _flapack_addresses()
+    flapack_forms = [kernels.schur(b) for b in _schur_inputs()]
+    for (t, z), (want_t, want_z) in zip(flapack_forms, forms):
+        _assert_close(t, want_t)
+        _assert_close(z, want_z)
+    _assert_providers_agree(flapack, default)
+    # _flapack's names hidden as well: scipy's Cython capsules, called without
+    # hidden lengths, on the same library, so with the same bits
+    capsules = lapack_source("capsules")
+    assert _entry_points(capsules) == {name: _capsule_address(capi[name]) for name in kernels._ROUTINES}
+    for b, (t, z) in zip(_schur_inputs(), flapack_forms):
+        again_t, again_z = kernels.schur(b)
+        assert np.array_equal(again_t, t) and np.array_equal(again_z, z)
+    _assert_providers_agree(capsules, flapack, exact=True)
+    spec = _many_cluster_spec(np.random.default_rng(35))
+    _, out = canonicalize_pair(*scrambled(spec, 35))
+    assert out.matches(spec)
 
 
 @pytest.mark.parametrize("hidden", sorted(kernels._ROUTINES))
 def test_one_missing_ilp64_name_sends_all_five_routines_to_scipy(monkeypatch, hidden):
-    import ctypes
+    want = _flapack_addresses()
     try:
-        _hide_numpy_names(monkeypatch, [hidden])
+        hide_names(monkeypatch, "_numpy_lapack_library", "_64_", [hidden])
         lapack = kernels.provider()
-        assert not isinstance(lapack, kernels._Ilp64Lapack)
-        assert lapack.integer is ctypes.c_int
-        assert ctypes.cast(lapack.zlahqr, ctypes.c_void_p).value == _flapack_zlahqr_address()
-        for name in ("zgehrd", "zunghr", "ztrsen", "ztrsyl"):
-            assert type(getattr(lapack, name)).__name__ == "fortran"  # an f2py wrapper
+        assert (lapack.integer, lapack._lengths) == (ctypes.c_int, True)
+        assert _entry_points(lapack) == want
     finally:
         kernels.provider.cache_clear()
-
-
-def _ilp64():
-    lapack = kernels.provider()
-    if not isinstance(lapack, kernels._Ilp64Lapack):
-        pytest.skip("numpy's LAPACK does not export the ILP64 names; scipy serves the kernels")
-    return lapack
 
 
 def test_illegal_lapack_argument_raises_naming_the_routine():
     t = np.triu(np.ones((4, 4))) + 0j
     with pytest.raises(np.linalg.LinAlgError, match="ztrsyl: argument 3"):
-        _ilp64().ztrsyl(t[:2, :2], t[2:, 2:], t[:2, 2:], isgn=0)
+        kernels.provider().ztrsyl(t[:2, :2], t[2:, 2:], t[:2, 2:], isgn=0)
 
 
 @pytest.mark.parametrize("n", [7, 160])
-def test_each_ilp64_kernel_makes_one_call_at_its_minimum_workspace(monkeypatch, n):
-    # LAPACK's documented minimum LWORK, the f2py wrappers' default, and no
-    # lwork = -1 query; zgehrd and zunghr then run unblocked above order 129
-    # too, so the two providers agree there as below
-    import ctypes
-    lapack = _ilp64()
-    lwork = {}
-    for name, slot in (("zgehrd", 7), ("zunghr", 7), ("ztrsen", 13)):
-        def watched(*args, fn=lapack._fn[name], name=name, slot=slot):
-            lwork.setdefault(name, []).append(ctypes.c_int64.from_address(args[slot]).value)
-            return fn(*args)
-
-        monkeypatch.setitem(lapack._fn, name, watched)
+def test_each_ilp64_kernel_makes_one_call_at_its_minimum_workspace(monkeypatch, lapack_source, n):
+    # LAPACK's documented minimum LWORK from every source, and no lwork = -1
+    # query; zgehrd and zunghr then run unblocked above order 129 too, so
+    # the sources agree there as below
     rng = np.random.default_rng(43)
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    t, z = kernels.schur(b)
-    _assert_schur_form(b, t, z)
     select = np.arange(n) % 2 == 1
-    ts, zs, _, sdim, _, _, info = lapack.ztrsen(select, t, z, job="N")
-    assert (sdim, info) == (n // 2, 0)
-    _assert_schur_form(b, ts, zs)
-    assert lwork == {"zgehrd": [n], "zunghr": [n - 1], "ztrsen": [1]}
-    try:
-        _hide_numpy_names(monkeypatch)
-        assert not isinstance(kernels.provider(), kernels._Ilp64Lapack)
-        want_t, want_z = kernels.schur(b)
-    finally:
-        kernels.provider.cache_clear()
-    _assert_close(t, want_t)
-    _assert_close(z, want_z)
+    forms = {}
+    for source in LAPACK_SOURCES:
+        lapack = lapack_source(source)
+        lwork = {}
+        for name, slot in (("zgehrd", 7), ("zunghr", 7), ("ztrsen", 13)):
+            def watched(*args, fn=lapack._fn[name], name=name, slot=slot, width=lapack.integer):
+                lwork.setdefault(name, []).append(width.from_address(args[slot]).value)
+                return fn(*args)
+
+            monkeypatch.setitem(lapack._fn, name, watched)
+        t, z = kernels.schur(b)
+        _assert_schur_form(b, t, z)
+        ts, zs, _, sdim, _, _, info = lapack.ztrsen(select, t, z, job="N")
+        assert (sdim, info) == (n // 2, 0)
+        _assert_schur_form(b, ts, zs)
+        assert lwork == {"zgehrd": [n], "zunghr": [n - 1], "ztrsen": [1]}, source
+        forms[source] = (t, z, ts, zs)
+    for got, want in zip(forms["flapack"], forms["numpy"]):
+        _assert_close(got, want)
+    for got, want in zip(forms["capsules"], forms["flapack"]):
+        assert np.array_equal(got, want)
 
 
 def _svd_radius(b):

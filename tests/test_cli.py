@@ -266,26 +266,24 @@ _CANONICALIZING = {"root": ["root", "--m", "2"], "check": ["check", "--m", "2"],
 @pytest.mark.parametrize("command", sorted(_CANONICALIZING))
 def test_canonicalizing_commands_leave_scipy_linalg_unloaded(command):
     # the Schur kernels come from numpy's LAPACK, or where that lacks the
-    # ILP64 names from scipy's compiled LAPACK module alone, found without
-    # importing the scipy package
+    # ILP64 names from the library scipy.linalg._flapack links against,
+    # dlopened without importing any scipy module
     import os
     rc, bundle, _ = run_cli(["gen", "--seed", "2", "--m", "2"])
     assert rc == 0
     code = ("import io, sys, qroot.cli, qroot.lapack as c; "
             "sys.stdin = io.StringIO(sys.argv[1]); rc = qroot.cli.main(sys.argv[2:]); "
-            "print('scipy.linalg' in sys.modules, 'scipy' in sys.modules, file=sys.stderr); "
-            "print(isinstance(c.provider(), c._Ilp64Lapack), "
-            "[m for m in sys.modules if m.startswith('scipy')], file=sys.stderr); "
+            "print(c.provider()._lengths, "
+            "[m for m in sys.modules if m.split('.')[0] == 'scipy'], file=sys.stderr); "
             "sys.exit(rc)")
     proc = subprocess.run([PYTHON, "-c", code, bundle, *_CANONICALIZING[command]],
                           capture_output=True, text=True, env=dict(os.environ))
     assert proc.returncode in (0, 2), proc.stderr
     assert "error" not in json.loads(proc.stdout)
-    lines = proc.stderr.strip().splitlines()
-    assert lines[-2] == "False False"
-    if lines[-1].startswith("False"):
-        pytest.skip("numpy's LAPACK lacks the ILP64 names; scipy's _flapack serves the kernels")
-    assert lines[-1] == "True []"  # no scipy module at all
+    lengths, modules = proc.stderr.strip().splitlines()[-1].split(" ", 1)
+    if lengths == "False":
+        pytest.skip("scipy's Cython LAPACK serves the kernels; loading it imports scipy.linalg")
+    assert modules == "[]"  # no scipy module at all
 
 
 def _main_on(tmp_path, capsys, args, payload):
@@ -482,3 +480,68 @@ def test_a_seed_that_is_not_a_natural_number_is_a_usage_error(seed):
     assert rc == 1
     assert out == ""
     assert err.startswith("qroot gen: error: argument --seed: ")
+
+
+_READERS = [["embed"], ["extract"], ["canon"], ["check", "--m", "2"],
+            ["check", "--m", "2", "--format", "spec"], ["root", "--m", "2"], ["verify"],
+            ["gen"]]
+
+
+@pytest.mark.parametrize("args", _READERS, ids=" ".join)
+def test_json_nested_too_deeply_is_a_parse_error(tmp_path, capsys, args):
+    # json's parser ran out of recursion: a RecursionError traceback, nothing on stdout
+    import qroot.cli
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert qroot.cli.main(args + ["--in", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": "ParseError"}
+    assert err == f"qroot {args[0]}: invalid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize("args", [["embed"], ["root", "--m", "2"]])
+def test_an_undecodable_in_file_is_a_parse_error(tmp_path, args):
+    # UnicodeDecodeError is a ValueError, which main filed as a NumericError;
+    # the same bytes on stdin were already a ParseError
+    path = tmp_path / "payload.json"
+    path.write_bytes(b"\xff\xfe{")
+    for extra, inp in ((["--in", str(path)], None), ([], b"\xff\xfe{")):
+        proc = subprocess.run([PYTHON, "-m", "qroot.cli", *args, *extra], input=inp,
+                              capture_output=True)
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout) == {"error": "ParseError"}
+        assert len(proc.stderr.splitlines()) == 1
+
+
+# the CLI with its address space capped at 3 GiB, so that an allocation that
+# grows with m fails at once instead of filling the machine's memory
+_CAPPED = ("import resource, runpy, sys; "
+           "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+           "runpy.run_module('qroot.cli', run_name='__main__')")
+_ZERO_PAIR = {"blocks": [{"lambda": [0, 0], "size": 1, "sign": 1},
+                         {"lambda": [0, 0], "size": 1, "sign": -1}], "doubled": True}
+
+
+def _run_capped(args, inp):
+    import os
+    proc = subprocess.run([PYTHON, "-c", _CAPPED, *args], input=inp, capture_output=True,
+                          text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps RLIMIT_AS")
+def test_the_zero_class_decision_does_not_grow_with_m():
+    # the plan built every m-tuple's m signs: a MemoryError traceback at m = 10^9
+    rc, out, err = _run_capped(["check", "--format", "spec", "--m", "1000000000"],
+                               json.dumps(_ZERO_PAIR))
+    assert (rc, json.loads(out)) == (0, {"exists": True, "certificate": None}), err
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps RLIMIT_AS")
+def test_a_root_too_large_for_memory_is_a_numeric_error():
+    # Smith's recurrence keeps (m - 1) powers of the 2n x 2n form's diagonal
+    rc, bundle, _ = run_cli(["gen", "--seed", "1", "--m", "2"])
+    assert rc == 0
+    rc, out, err = _run_capped(["root", "--m", "100000000"], bundle)
+    assert (rc, json.loads(out)) == (1, {"error": "NumericError"})
+    assert len(err.splitlines()) == 1 and "allocate" in err

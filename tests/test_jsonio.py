@@ -79,3 +79,8 @@ def test_dumps_refuses_non_finite_floats(bad):
                 [[0.0, 1.0], [2.0, bad]], [[bad, -0.0, 0.0, 1.0]] * 3):
         with pytest.raises(ParseError):
             jsonio.dumps(doc)
+
+
+def test_loads_nested_too_deeply_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        jsonio.loads("[" * 100000 + "]" * 100000)

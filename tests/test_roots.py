@@ -19,6 +19,7 @@ from qroot.roots import (MTuple, RootDecision, RootResult, assemble_root,
                          _tuple_epsilons)
 from qroot.verify import random_instance, verify_root
 
+from lapack_sources import LAPACK_SOURCES, lapack_source  # noqa: F401
 from oracles import m_tuple_partition
 
 
@@ -857,17 +858,33 @@ def test_unconstrained_solve_takes_one_schur_form_and_no_deflation(tmp_path, mon
 
 
 def _count_kernels(monkeypatch) -> Counter:
-    """Calls of each of the provider's five LAPACK routines, by name."""
-    from qroot.lapack import _ROUTINES, provider
+    """Calls of each of the five LAPACK routines, by name, counted at _Lapack._call."""
+    from qroot.lapack import _Lapack
     calls = Counter()
-    lapack = provider()
-    for name in _ROUTINES:
-        def counting(*args, _inner=getattr(lapack, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _inner(*args, **kwargs)
+    inner = _Lapack._call
 
-        monkeypatch.setattr(lapack, name, counting)
+    def counting(self, name, *args, **kwargs):
+        calls[name] += 1
+        return inner(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(_Lapack, "_call", counting)
     return calls
+
+
+@pytest.mark.parametrize("source", list(LAPACK_SOURCES))
+def test_every_kernel_of_a_solve_goes_through_one_call(monkeypatch, lapack_source, source):
+    # a one-cluster X at m = 2 runs each of the five kernels once, from
+    # whichever source provides them, and the root is the same to 1e-13
+    spec = CanonicalSpec((CanonicalBlock(-1.3, 2, 1), CanonicalBlock(-1.3, 2, -1),
+                          CanonicalBlock(0.9, 2, 1), CanonicalBlock(0.6 + 1.1j, 1, None))).sorted()
+    b, h = _scrambled_instance(spec, 83)
+    want = mth_root(b, h, 2).root.data
+    lapack_source(source)
+    calls = _count_kernels(monkeypatch)
+    out = mth_root(b, h, 2)
+    assert isinstance(out, RootResult) and verify_root(out.root, b, h, 2).passed
+    assert calls == {"zgehrd": 1, "zunghr": 1, "zlahqr": 1, "ztrsen": 1, "ztrsyl": 1}
+    assert np.linalg.norm(out.root.data - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_solve_reorders_the_schur_form_once(monkeypatch):
@@ -954,14 +971,14 @@ def test_mth_root_branch_changes_nonreal_part_next_to_constrained_part():
 
 
 _MAPPED_OPENBLAS = """
-import json, os
+import ctypes, json, os
 import qroot.lapack as c
 from qroot.roots import mth_root
 from qroot.verify import random_instance
 b, h, _ = random_instance(3, {"m": 2, "force": "admit"})
 mth_root(b, h, 2)
 paths = {line.split()[-1] for line in open("/proc/self/maps") if len(line.split()) >= 6}
-print(isinstance(c.provider(), c._Ilp64Lapack))
+print(c.provider().integer is ctypes.c_int64)
 print(json.dumps(sorted(p for p in paths if "openblas" in os.path.basename(p))))
 """
 
@@ -979,3 +996,35 @@ def test_a_solve_maps_one_openblas_library():
     if ilp64 == "False":
         pytest.skip("numpy's LAPACK lacks the ILP64 names; scipy's _flapack serves the kernels")
     assert len(json.loads(libraries)) == 1, libraries
+
+
+_FLAPACK_SOLVE = """
+import ctypes, sys
+import qroot.lapack as c
+from qroot.roots import mth_root
+from qroot.verify import random_instance
+
+
+def hidden():
+    raise OSError("numpy's ILP64 names hidden")
+
+
+c._numpy_lapack_library = hidden
+b, h, _ = random_instance(3, {"m": 2, "force": "admit"})
+mth_root(b, h, 2)
+print(c.provider().integer is ctypes.c_int, c.provider()._lengths)
+print([m for m in sys.modules if m.split(".")[0] == "scipy"])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="a handle reaches its dependencies' names on Linux")
+def test_a_solve_from_the_flapack_library_imports_no_scipy_module():
+    # without numpy's ILP64 names the kernels come from the library that
+    # scipy.linalg._flapack links against, dlopened without importing scipy
+    import os
+    import subprocess
+    proc = subprocess.run([sys.executable, "-c", _FLAPACK_SOLVE], capture_output=True,
+                          text=True, env=dict(os.environ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True True", "[]"]
