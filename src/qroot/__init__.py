@@ -13,10 +13,9 @@ from .canonical import (CanonicalBlock, CanonicalSpec, SegreSequence,
 from .omega import (OmegaMatrix, omega_embed, omega_extract,
                     omega_membership, selfadjoint_residual)
 from .quaternion import Quaternion, QuatMatrix
-from .roots import (Certificate, MTuple, RootDecision, RootResult, assemble_root,
-                    mth_root, root_block_negative_even, root_block_nilpotent,
-                    root_block_nonreal, root_block_real, root_exists,
-                    sign_pattern_check)
+from .roots import (Certificate, RootDecision, RootResult, assemble_root, mth_root,
+                    root_block_negative_even, root_block_nilpotent,
+                    root_block_nonreal, root_block_real, root_exists)
 from .verify import VerificationReport, random_instance, verify_root
 
 __all__ = [
@@ -26,8 +25,7 @@ __all__ = [
     "CanonicalBlock", "CanonicalSpec", "SegreSequence",
     "jordan_block", "sip_matrix", "materialize_pair", "segre_characteristic",
     "canonicalize_pair", "inertia",
-    "MTuple", "Certificate", "RootDecision", "RootResult",
-    "root_exists", "sign_pattern_check",
+    "Certificate", "RootDecision", "RootResult", "root_exists",
     "root_block_real", "root_block_nonreal",
     "root_block_negative_even", "root_block_nilpotent", "assemble_root",
     "mth_root",

@@ -60,10 +60,6 @@ class ClusterOverlap(QRootError):
     kind = "ClusterOverlap"
 
 
-class SignPatternViolation(QRootError):
-    kind = "SignPatternViolation"
-
-
 class ClassMismatch(QRootError):
     kind = "ClassMismatch"
 

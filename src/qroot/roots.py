@@ -26,8 +26,7 @@ from .canonical import (DEFAULT_TOL, CanonicalBlock, CanonicalSpec, Reduction,
                         _canonicalize, _check_tol, block_diag, canonicalize_pair,
                         jordan_block)
 from .errors import (ClassMismatch, DimensionMismatch, NearSingularH,
-                     NotSelfadjoint, RankAmbiguous, SignPatternViolation,
-                     Singular, SpecInvalid)
+                     NotSelfadjoint, RankAmbiguous, Singular, SpecInvalid)
 from .omega import (OmegaMatrix, omega_embed, omega_extract, omega_project,
                     selfadjoint_residual)
 from .quaternion import QuatMatrix
@@ -38,37 +37,6 @@ ZERO_CLASS_FACTOR = 1e-8  # |lambda| below this (relative) counts as zero
 # ---------------------------------------------------------------------------
 # decision types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MTuple:
-    """One m-tuple of the zero-eigenvalue grouping.
-
-    Represents r blocks of size a+1 and m-r blocks of size a (size-0 blocks
-    absent); epsilons lists the m signs, eta-majority first in each group.
-    """
-
-    a: int
-    r: int
-    eta: int
-    epsilons: tuple[int, ...]
-    m: int
-
-    def __post_init__(self):
-        if not (0 < self.r <= self.m) or self.a < 0:
-            raise SpecInvalid("m-tuple needs 0 < r <= m and a >= 0")
-        if len(self.epsilons) != self.m:
-            raise SpecInvalid("m-tuple carries m signs")
-
-    @property
-    def total(self) -> int:
-        return self.a * self.m + self.r
-
-    def sizes_and_signs(self) -> list[tuple[int, int]]:
-        out = [(self.a + 1, e) for e in self.epsilons[:self.r]]
-        if self.a > 0:
-            out += [(self.a, e) for e in self.epsilons[self.r:]]
-        return out
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -220,33 +188,6 @@ def _group_plus_demand(count: int, eta: int) -> int:
     return (count + 1) // 2 if eta == 1 else count // 2
 
 
-def sign_pattern_check(tuples) -> tuple[bool, list[dict]]:
-    """Validate the eta half-and-half rule per tuple; diagnosis lists eta."""
-    diagnosis = []
-    for t in tuples:
-        entry = {"a": t.a, "r": t.r, "ok": False, "eta": None}
-        for eta in (1, -1):
-            big = t.epsilons[:t.r]
-            ok = sum(1 for e in big if e == 1) == _group_plus_demand(t.r, eta)
-            if ok and t.a > 0:
-                small = t.epsilons[t.r:]
-                ok = sum(1 for e in small if e == 1) == _group_plus_demand(t.m - t.r, eta)
-            if ok:
-                entry.update(ok=True, eta=eta)
-                break
-        diagnosis.append(entry)
-    return all(d["ok"] for d in diagnosis), diagnosis
-
-
-def _tuple_epsilons(a: int, r: int, m: int, eta: int) -> tuple[int, ...]:
-    """Deterministic sign placement: eta signs first within each size group."""
-    def group(count: int) -> list[int]:
-        n_eta = (count + 1) // 2
-        return [eta] * n_eta + [-eta] * (count - n_eta)
-
-    return tuple(group(r) + group(m - r))
-
-
 def _zero_plan(zero_blocks: list[CanonicalBlock], m: int):
     """The zero part's m-tuples as [(a, r, eta)], or a refusal Certificate."""
     sizes = tuple(sorted((b.size for b in zero_blocks), reverse=True))
@@ -267,7 +208,6 @@ def _zero_plan(zero_blocks: list[CanonicalBlock], m: int):
 
 @dataclass
 class _Plan:
-    m: int
     positive: list[int] = field(default_factory=list)
     negative: list[int] = field(default_factory=list)
     nonreal: list[int] = field(default_factory=list)
@@ -279,16 +219,10 @@ class _Plan:
     def decision(self) -> RootDecision:
         return RootDecision(self.certificate is None, self.certificate)
 
-    @property
-    def zero_tuples(self) -> list[MTuple]:
-        """The zero grouping's m-tuples.  Each holds m signs, so only a root builds them."""
-        return [MTuple(a, r, eta, _tuple_epsilons(a, r, self.m, eta), self.m)
-                for a, r, eta in self.zero_grouping]
-
 
 def _classify_and_plan(spec: CanonicalSpec, m: int) -> _Plan:
     blocks = spec.blocks
-    plan = _Plan(m)
+    plan = _Plan()
     scale = max([1.0] + [abs(b.lam) for b in blocks])
     zero_tol = ZERO_CLASS_FACTOR * scale
     for i, b in enumerate(blocks):
@@ -418,51 +352,51 @@ def root_block_negative_even(lam: float, k: int, m: int, branch: int = 0) -> np.
     return np.block([[f.real, 1j * f.imag], [1j * f.imag, f.real]])
 
 
-def canonicalize_nilpotent_copy(tuples: list[MTuple], m: int):
+def canonicalize_nilpotent_copy(grouping, m: int):
     """Canonical basis of (J^m, G) for J = sum of J_t(0), G = sum of eta Q_t.
 
-    One block per tuple, in the given order, with t = a*m + r.  The residue
-    classes mod m of J_t(0)'s basis split J_t(0)^m into r chains of length
-    a+1 and m-r of length a, and eta*Q_t pairs class c with class
-    (r-1-c) mod m.  A self-paired class keeps eta; a pair u, v becomes
-    (u+v)/sqrt(2) with eta and (u-v)/sqrt(2) with -eta.
+    One block per m-tuple (a, r, eta) of the grouping, in the given order,
+    with t = a*m + r.  The residue classes mod m of J_t(0)'s basis split
+    J_t(0)^m into r chains of length a+1 and m-r of length a, and eta*Q_t
+    pairs class c with class (r-1-c) mod m, of the same length.  A
+    self-paired class keeps eta; a pair u, v becomes (u+v)/sqrt(2) with eta
+    and (u-v)/sqrt(2) with -eta.  Only the first min(m, t) classes are not
+    empty, so the cost does not grow with m.
 
     Returns (P, blocks): P is real orthogonal, P^T J^m P is the sum of
     J_k(0) and P^T G P the sum of sign*Q_k over blocks, sorted canonically.
     """
-    n = sum(t.total for t in tuples)
+    n = sum(a * m + r for a, r, _ in grouping)
     found = []  # (CanonicalBlock, n x size columns)
     offset = 0
-    for t in tuples:
-        classes = [offset + np.arange(c, t.total, m) for c in range(m)]
-        for c in range(m):
-            d = (t.r - 1 - c) % m
-            size = len(classes[c])
-            if d < c or size == 0:
+    for a, r, eta in grouping:
+        t = a * m + r
+        for c in range(min(m, t)):
+            d = (r - 1 - c) % m
+            if d < c:
                 continue
-            signs = (t.eta,) if d == c else (t.eta, -t.eta)
+            rows_c, rows_d = (offset + np.arange(e, t, m) for e in (c, d))
+            size = len(rows_c)
+            signs = (eta,) if d == c else (eta, -eta)
             for sign in signs:
                 cols = np.zeros((n, size))
-                cols[classes[c], np.arange(size)] = 1.0
-                cols[classes[d], np.arange(size)] = sign * t.eta  # same entries if d == c
+                cols[rows_c, np.arange(size)] = 1.0
+                cols[rows_d, np.arange(size)] = sign * eta  # same entries if d == c
                 found.append((CanonicalBlock(0.0, size, sign), cols / np.sqrt(len(signs))))
-        offset += t.total
+        offset += t
     found.sort(key=lambda e: e[0].sort_key())
     return np.hstack([cols for _, cols in found]), tuple(b for b, _ in found)
 
 
-def root_block_nilpotent(tuples: list[MTuple], m: int) -> np.ndarray:
-    """Per-copy root block for the zero part: J = sum of J_{t_j}(0).
+def root_block_nilpotent(grouping, m: int) -> np.ndarray:
+    """Per-copy root block for the zero part: J = sum of J_t(0), one per (a, r, eta).
 
-    P from canonicalize_nilpotent_copy carries (J^m, sum of eta_j Q_{t_j})
-    to the canonical form with the tuples' sizes and signs, so P^T J P is
-    the root.
+    P from canonicalize_nilpotent_copy carries (J^m, sum of eta Q_t) to
+    the canonical form with the sizes and signs the triples imply, so
+    P^T J P is the root.
     """
-    ok, _ = sign_pattern_check(tuples)
-    if not ok:
-        raise SignPatternViolation("tuples fail the sign rule")
-    order = sorted(tuples, key=lambda t: (-t.total, -t.eta))
-    j0 = block_diag(*[jordan_block(0.0, t.total) for t in order])
+    order = sorted(grouping, key=lambda g: (-(g[0] * m + g[1]), -g[2]))
+    j0 = block_diag(*[jordan_block(0.0, a * m + r) for a, r, _ in order])
     p, _ = canonicalize_nilpotent_copy(order, m)
     return p.T @ j0 @ p
 
@@ -505,7 +439,7 @@ def _build_canonical_root(spec: CanonicalSpec, plan: _Plan, m: int,
         parts.append(([ip, im_], root_block_negative_even(b.lam.real, b.size, m, branch)))
     if plan.zero:
         zero_sorted = sorted(plan.zero, key=lambda i: blocks[i].sort_key())
-        parts.append((zero_sorted, root_block_nilpotent(plan.zero_tuples, m)))
+        parts.append((zero_sorted, root_block_nilpotent(plan.zero_grouping, m)))
     return assemble_root([b.copy_width() for b in blocks], parts).array
 
 

@@ -20,7 +20,7 @@ from .errors import (DimensionMismatch, OracleDisagreement, ProfileInvalid,
                      QRootError)
 from .omega import omega_embed, omega_extract
 from .quaternion import QuatMatrix
-from .roots import _check_m, _is_integer, _tuple_epsilons, root_exists
+from .roots import _check_m, _group_plus_demand, _is_integer, root_exists
 
 CLASSES = ("positive", "nonreal", "negative", "zero")
 
@@ -141,10 +141,11 @@ def _admit_blocks(rng, classes, budget: int, m: int) -> list[CanonicalBlock]:
                 continue
             r = int(rng.integers(1, r_cap + 1))
             eta = int(rng.choice([-1, 1]))
-            for size, sign in zip([a + 1] * r + [a] * (m - r),
-                                  _tuple_epsilons(a, r, m, eta)):
-                if size > 0:
-                    blocks.append(CanonicalBlock(0.0, size, sign))
+            for size, count in ((a + 1, r), (a, m - r)):
+                if size:  # with a = 0 the tuple is r blocks of size 1
+                    plus = _group_plus_demand(count, eta)
+                    blocks += ([CanonicalBlock(0.0, size, 1)] * plus
+                               + [CanonicalBlock(0.0, size, -1)] * (count - plus))
             budget -= a * m + r
     return blocks
 
@@ -154,7 +155,8 @@ def _refuse_blocks(rng, classes, budget: int, m: int) -> list[CanonicalBlock]:
     if "negative" in classes and m % 2 == 0 and budget >= 2:
         modes.append("negpair")
     if "zero" in classes and m >= 2:
-        if budget >= 3 or (m == 2 and budget >= 3):
+        # J_2(0) next to one J_1(0) for m even, to m - 1 of them for m odd
+        if budget >= (3 if m % 2 == 0 else m + 1):
             modes.append("zerosign")
         if budget >= m:
             modes.append("zerosegre")

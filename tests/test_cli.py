@@ -538,6 +538,21 @@ def test_the_zero_class_decision_does_not_grow_with_m():
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps RLIMIT_AS")
+def test_a_zero_only_root_does_not_grow_with_m(tmp_path):
+    # gen wrote out every m-tuple's m signs (a NumericError at m = 10^9), and
+    # the builder walked all m residue classes of each tuple
+    profile = tmp_path / "zero.json"
+    profile.write_text(json.dumps({"classes": ["zero"], "force": "admit"}))
+    m = "1000000000"
+    text = ""
+    for args in (["gen", "--in", str(profile), "--seed", "1", "--m", m],
+                 ["root", "--m", m], ["verify"]):
+        rc, text, err = _run_capped(args, text)
+        assert rc == 0, (args, text, err)
+    assert json.loads(text)["passed"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps RLIMIT_AS")
 def test_a_root_too_large_for_memory_is_a_numeric_error():
     # Smith's recurrence keeps (m - 1) powers of the 2n x 2n form's diagonal
     rc, bundle, _ = run_cli(["gen", "--seed", "1", "--m", "2"])

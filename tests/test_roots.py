@@ -11,12 +11,12 @@ from qroot.canonical import (CanonicalBlock, CanonicalSpec, SegreSequence,
 from qroot.errors import ClassMismatch, DimensionMismatch, SpecInvalid
 from qroot.omega import omega_extract, omega_membership
 from qroot.quaternion import QuatMatrix
-from qroot.roots import (MTuple, RootDecision, RootResult, assemble_root,
+from qroot.roots import (RootDecision, RootResult, assemble_root,
                          canonicalize_nilpotent_copy, mth_root, root_block_negative_even,
                          root_block_nilpotent, root_block_nonreal,
-                         root_block_real, root_exists, sign_pattern_check,
-                         _classify_and_plan, _primary_root, _root_branch, _smith_root,
-                         _tuple_epsilons)
+                         root_block_real, root_exists,
+                         _classify_and_plan, _group_plus_demand, _primary_root,
+                         _root_branch, _smith_root)
 from qroot.verify import random_instance, verify_root
 
 from lapack_sources import LAPACK_SOURCES, lapack_source  # noqa: F401
@@ -109,25 +109,41 @@ def test_partition_backtracking_not_greedy_only():
     assert decision.certificate.kind == "SignPatternViolation"
 
 
-def test_sign_pattern_check_examples():
-    ok, _ = sign_pattern_check([MTuple(0, 2, 1, (1, -1), 2)])
-    assert ok
-    ok, _ = sign_pattern_check([MTuple(0, 2, 1, (1, 1), 2)])
-    assert not ok
-    ok, diag = sign_pattern_check([MTuple(1, 1, 1, (1, 1), 2)])
-    assert ok and diag[0]["eta"] == 1
-    ok, _ = sign_pattern_check([MTuple(1, 1, 1, (1, -1), 2)])
-    assert not ok
+def _zero_plan_of(m, *blocks):
+    return _classify_and_plan(CanonicalSpec(tuple(
+        CanonicalBlock(0.0, k, e) for k, e in blocks)).sorted(), m)
+
+
+def test_sign_rule_examples():
+    # m = 2: a (0, 2) tuple splits its two signs, so two plus J_1(0) take
+    # two (0, 1) tuples instead; a (1, 1) tuple needs equal signs
+    assert _zero_plan_of(2, (1, 1), (1, -1)).zero_grouping == [(0, 2, 1)]
+    assert _zero_plan_of(2, (1, 1), (1, 1)).zero_grouping == [(0, 1, 1), (0, 1, 1)]
+    assert _zero_plan_of(2, (2, 1), (1, 1)).zero_grouping == [(1, 1, 1)]
+    assert _zero_plan_of(2, (2, 1), (1, -1)).certificate.kind == "SignPatternViolation"
+
+
+def _signed_sizes(grouping, m):
+    """The (size, sign) blocks the triples (a, r, eta) stand for, by the sign rule."""
+    out = []
+    for a, r, eta in grouping:
+        for size, count in ((a + 1, r), (a, m - r)):
+            if size:
+                plus = _group_plus_demand(count, eta)
+                out += [(size, 1)] * plus + [(size, -1)] * (count - plus)
+    return sorted(out, key=lambda p: (-p[0], -p[1]))
 
 
 def test_tuple_epsilons_satisfy_rule():
+    # the signs the builder gives a triple are the rule's, and the gate admits them
     for m in range(1, 7):
         for r in range(1, m + 1):
             for a in (0, 1, 3):
                 for eta in (1, -1):
-                    t = MTuple(a, r, eta, _tuple_epsilons(a, r, m, eta), m)
-                    ok, diag = sign_pattern_check([t])
-                    assert ok, (a, r, m, eta, diag)
+                    _, blocks = canonicalize_nilpotent_copy([(a, r, eta)], m)
+                    assert [(b.size, b.sign) for b in blocks] == _signed_sizes([(a, r, eta)], m)
+                    plan = _classify_and_plan(CanonicalSpec(blocks), m)
+                    assert plan.certificate is None, (a, r, m, eta)
 
 
 # -- closed-form builders: property grids --------------------------------------
@@ -202,20 +218,17 @@ def test_root_block_nilpotent_property_grid():
         for r in range(1, m + 1):
             for a_ in range(4):
                 for eta in (1, -1):
-                    t = MTuple(a_, r, eta, _tuple_epsilons(a_, r, m, eta), m)
-                    other = MTuple(1, 1, -eta, _tuple_epsilons(1, 1, m, -eta), m)
-                    for tuples in ([t], [t, other]):
-                        a = root_block_nilpotent(tuples, m)
-                        want = sorted((p for u in tuples for p in u.sizes_and_signs()),
-                                      key=lambda p: (-p[0], -p[1]))
-                        p, blocks = canonicalize_nilpotent_copy(tuples, m)
+                    for grouping in ([(a_, r, eta)], [(a_, r, eta), (1, 1, -eta)]):
+                        a = root_block_nilpotent(grouping, m)
+                        want = _signed_sizes(grouping, m)
+                        p, blocks = canonicalize_nilpotent_copy(grouping, m)
                         assert [(blk.size, blk.sign) for blk in blocks] == want
                         assert np.allclose(p.T @ p, np.eye(len(p)), rtol=0, atol=1e-15)
                         b1, h1 = _one_copy(CanonicalSpec(
                             tuple(CanonicalBlock(0.0, k, e) for k, e in want)))
                         assert _rel(np.linalg.matrix_power(a, m), b1) <= 1e-12, (a_, r, m)
                         assert _selfadjoint_rel(h1, a) <= 1e-12
-                        sizes = tuple(sorted((u.total for u in tuples), reverse=True))
+                        sizes = tuple(sorted((u * m + v for u, v, _ in grouping), reverse=True))
                         assert segre_characteristic(a, 0.0).parts == sizes
 
 
@@ -293,14 +306,12 @@ def test_root_block_negative_even_class_mismatch():
 
 
 def test_root_block_nilpotent_m1_is_input():
-    tuples = [MTuple(2, 1, 1, _tuple_epsilons(2, 1, 1, 1), 1)]
-    a = root_block_nilpotent(tuples, 1)
+    a = root_block_nilpotent([(2, 1, 1)], 1)
     assert np.array_equal(a, jordan_block(0.0, 3))
 
 
 def test_root_block_nilpotent_m2():
-    tuples = [MTuple(1, 1, 1, (1, 1), 2)]
-    a = root_block_nilpotent(tuples, 2)
+    a = root_block_nilpotent([(1, 1, 1)], 2)
     assert segre_characteristic(np.linalg.matrix_power(a, 2), 0.0).parts == (2, 1)
     assert _nilpotent_similar_to_single_block(a, 3)
 
@@ -311,8 +322,7 @@ def _nilpotent_similar_to_single_block(a, k):
 
 def test_root_block_nilpotent_paper_example():
     # per-copy Segre (3,3,2,2) with admissible signs, m = 4: root has Segre (10)
-    tuples = [MTuple(2, 2, 1, _tuple_epsilons(2, 2, 4, 1), 4)]
-    a = root_block_nilpotent(tuples, 4)
+    a = root_block_nilpotent([(2, 2, 1)], 4)
     assert segre_characteristic(a, 0.0).parts == (10,)
     assert segre_characteristic(np.linalg.matrix_power(a, 4), 0.0).parts == (3, 3, 2, 2)
 
@@ -349,7 +359,7 @@ def test_assemble_split_pairs_and_zero_tuple_between_classes():
     m = 2
     pair = root_block_negative_even(-1.5, 1, m)
     nonreal = root_block_nonreal(-0.9 + 1.1j, 2, m)
-    zero = root_block_nilpotent([MTuple(1, 1, 1, (1, 1), m)], m)
+    zero = root_block_nilpotent([(1, 1, 1)], m)
     positive = root_block_real(0.8, 2, -1, m)
     widths = [b.copy_width() for b in spec.blocks]
     out = assemble_root(widths, [([7], positive), ([0, 2], pair), ([5, 6], zero),
@@ -747,7 +757,7 @@ def _reference_root(b, h, m, branch):
               for i in plan.nonreal]
     if plan.zero:
         zero = sorted(plan.zero, key=lambda i: blocks[i].sort_key())
-        parts.append((zero, root_block_nilpotent(plan.zero_tuples, m)))
+        parts.append((zero, root_block_nilpotent(plan.zero_grouping, m)))
     a_c = assemble_root([blk.copy_width() for blk in blocks], parts).array
     return np.linalg.solve(s.array.T, (s.array @ a_c).T).T
 

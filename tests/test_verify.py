@@ -120,6 +120,22 @@ def test_generator_forced_refusal():
     assert decision.certificate.kind == "NegativeSignPairing"
 
 
+@pytest.mark.parametrize("m", range(2, 10))
+def test_every_refusal_fits_max_size(m):
+    # for m odd the sign refusal J_2(0)+ with m - 1 J_1(0)+ has copy size m + 1;
+    # it was drawn from max_size 3 up, so m = 5 gave size 6 at max_size 3
+    for classes in (["zero"], ["negative", "zero"]):
+        for max_size in range(1, 9):
+            for seed in range(6):
+                try:
+                    _, _, spec = random_instance(seed, {"classes": classes, "m": m,
+                                                        "force": "refuse", "max_size": max_size})
+                except ProfileInvalid:
+                    continue
+                assert not root_exists(spec, m).exists
+                assert spec.copy_size() <= max_size, (classes, max_size, seed)
+
+
 def test_generator_profile_validation():
     with pytest.raises(ProfileInvalid):
         random_instance(0, {"classes": ["bogus"]})

@@ -17,9 +17,8 @@ import qroot.cli
 from qroot.canonical import CanonicalBlock, CanonicalSpec, materialize_pair
 from qroot.omega import omega_extract, omega_project
 from qroot.quaternion import QuatMatrix
-from qroot.roots import (Certificate, MTuple, _build_canonical_root, _classify_and_plan,
-                         _group_plus_demand, _tuple_epsilons, root_exists,
-                         sign_pattern_check)
+from qroot.roots import (Certificate, _build_canonical_root, _classify_and_plan,
+                         _group_plus_demand, root_exists)
 from qroot.verify import verify_root
 
 
@@ -57,7 +56,7 @@ def _iter_partitions(sizes, m):
 
 
 def _oracle_zero_plan(zero_blocks, m):
-    """The first (grouping, eta) that fits, or a refusal Certificate."""
+    """The first grouping with signs that fits, as [(a, r, eta)], or a refusal Certificate."""
     sizes = tuple(sorted((b.size for b in zero_blocks), reverse=True))
     plus_avail = {}
     for b in zero_blocks:
@@ -74,8 +73,7 @@ def _oracle_zero_plan(zero_blocks, m):
                     demand[a] = demand.get(a, 0) + _group_plus_demand(m - r, eta)
             if all(demand.get(s, 0) == plus_avail.get(s, 0)
                    for s in set(demand) | set(plus_avail)):
-                return [MTuple(a, r, eta, _tuple_epsilons(a, r, m, eta), m)
-                        for (a, r), eta in zip(partition, etas)]
+                return [(a, r, eta) for (a, r), eta in zip(partition, etas)]
     if not found_partition:
         return Certificate("SegreTupleMismatch", 0.0,
                            f"zero Segre {sizes} admits no {m}-tuple grouping")
@@ -92,12 +90,11 @@ def test_zero_plan_agrees_with_the_exhaustive_search(m):
         for combo in itertools.combinations_with_replacement(kinds, count):
             spec = CanonicalSpec(tuple(CanonicalBlock(0.0, s, e) for s, e in combo))
             plan = _classify_and_plan(spec, m)
-            got = plan.certificate or plan.zero_tuples
+            got = plan.certificate or plan.zero_grouping
             assert got == _oracle_zero_plan(list(spec.blocks), m), combo
             if plan.certificate:
                 continue
             admitted += 1
-            assert sign_pattern_check(got)[0], combo
             a1, a2, _ = omega_project(_build_canonical_root(spec, plan, m, 0))
             bm, hm = materialize_pair(spec)
             root = QuatMatrix.from_complex_pair(a1, a2)
