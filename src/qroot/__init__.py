@@ -7,12 +7,11 @@ exists, and verifies the result independently.
 """
 
 from . import errors
-from .canonical import (CanonicalBlock, CanonicalSpec, SegreSequence,
-                        canonicalize_pair, inertia, jordan_block,
-                        materialize_pair, segre_characteristic, sip_matrix)
+from .canonical import (CanonicalBlock, CanonicalSpec, canonicalize_pair,
+                        jordan_block, materialize_pair, sip_matrix)
 from .omega import (OmegaMatrix, omega_embed, omega_extract,
                     omega_membership, selfadjoint_residual)
-from .quaternion import Quaternion, QuatMatrix
+from .quaternion import QuatMatrix
 from .roots import (Certificate, RootDecision, RootResult, assemble_root, mth_root,
                     root_block_negative_even, root_block_nilpotent,
                     root_block_nonreal, root_block_real, root_exists)
@@ -20,11 +19,10 @@ from .verify import VerificationReport, random_instance, verify_root
 
 __all__ = [
     "errors",
-    "Quaternion", "QuatMatrix", "OmegaMatrix",
+    "QuatMatrix", "OmegaMatrix",
     "omega_embed", "omega_extract", "omega_membership", "selfadjoint_residual",
-    "CanonicalBlock", "CanonicalSpec", "SegreSequence",
-    "jordan_block", "sip_matrix", "materialize_pair", "segre_characteristic",
-    "canonicalize_pair", "inertia",
+    "CanonicalBlock", "CanonicalSpec",
+    "jordan_block", "sip_matrix", "materialize_pair", "canonicalize_pair",
     "Certificate", "RootDecision", "RootResult", "root_exists",
     "root_block_real", "root_block_nonreal",
     "root_block_negative_even", "root_block_nilpotent", "assemble_root",

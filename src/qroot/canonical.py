@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import lapack
-from .errors import (ClusterOverlap, DimensionMismatch, NotHermitian, NotSelfadjoint,
-                     ParseError, RankAmbiguous, SpecInvalid, NearSingular)
+from .errors import (ClusterOverlap, DimensionMismatch, NotSelfadjoint, ParseError,
+                     RankAmbiguous, SpecInvalid)
 from .jsonio import integer
 from .omega import OmegaMatrix, chi, selfadjoint_residual
 
@@ -80,7 +80,7 @@ def _rank_threshold(m: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# blocks, specs, Segre sequences
+# blocks and specs
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -149,9 +149,6 @@ class CanonicalSpec:
     def sorted(self) -> "CanonicalSpec":
         return CanonicalSpec(tuple(sorted(self.blocks, key=CanonicalBlock.sort_key)))
 
-    def copy_size(self) -> int:
-        return sum(b.copy_width() for b in self.blocks)
-
     def matches(self, other: "CanonicalSpec", lam_tol: float = 1e-6) -> bool:
         """Structural equality up to block permutation; eigenvalues within lam_tol."""
         a, b = list(self.blocks), list(other.blocks)
@@ -178,22 +175,6 @@ class CanonicalSpec:
         if obj.get("doubled", True) is not True:
             raise SpecInvalid("Omega-level specs are always doubled")
         return CanonicalSpec(tuple(blocks))
-
-
-@dataclass(frozen=True)
-class SegreSequence:
-    """Non-increasing Jordan block sizes at one eigenvalue."""
-
-    eigenvalue: complex
-    parts: tuple[int, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        if any(p <= 0 for p in parts):
-            raise SpecInvalid("Segre parts must be positive")
-        if list(parts) != sorted(parts, reverse=True):
-            raise SpecInvalid("Segre parts must be non-increasing")
-        object.__setattr__(self, "parts", parts)
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +227,8 @@ def materialize_pair(spec: CanonicalSpec) -> tuple[OmegaMatrix, OmegaMatrix]:
             OmegaMatrix(block_diag(h1, h1), check=False))
 
 
-def inertia(h: np.ndarray) -> tuple[int, int]:
-    """(n_plus, n_minus) of a Hermitian matrix; congruence invariant."""
-    h = h.array if isinstance(h, OmegaMatrix) else np.asarray(h, dtype=complex)
-    if np.linalg.norm(h - h.conj().T) > 1e-10 * max(1.0, np.linalg.norm(h)):
-        raise NotHermitian("inertia expects a Hermitian matrix")
-    w = np.linalg.eigvalsh(h)
-    if np.any(np.abs(w) <= _rank_threshold(h)):
-        raise NearSingular("eigenvalue within rank tolerance of zero")
-    return int(np.sum(w > 0)), int(np.sum(w < 0))
-
-
 # ---------------------------------------------------------------------------
-# rank staircase / Segre characteristic
+# rank staircase and deflation
 # ---------------------------------------------------------------------------
 
 def _rank_with_guard(s: np.ndarray, thr: float) -> int:
@@ -314,7 +284,7 @@ def _reorder(schur: tuple[np.ndarray, np.ndarray], select: np.ndarray,
     """
     if select[:expected].all() and not select[expected:].any():
         return schur
-    ts, zs, _, sdim, _, _, info = lapack.provider().ztrsen(select, *schur, job="N")
+    ts, zs, sdim, info = lapack.reorder(select, *schur)
     if sdim != expected or info != 0:
         raise ClusterOverlap(
             f"Schur selection found {sdim} eigenvalues, expected {expected} "
@@ -336,23 +306,6 @@ def _deflate_cluster(b: np.ndarray, schur: tuple[np.ndarray, np.ndarray],
     q1 = _reorder(schur, select, expected)[1][:, :expected]
     t11 = q1.conj().T @ b @ q1
     return q1, t11 - centroid * np.eye(expected, dtype=complex)
-
-
-def segre_characteristic(m: np.ndarray, lam: complex) -> SegreSequence:
-    """Segre characteristic of m at lam from the rank staircase of (m - lam I)."""
-    m = m.array if isinstance(m, OmegaMatrix) else np.asarray(m, dtype=complex)
-    radius = _cluster_radius(m)
-    schur = lapack.schur(m)
-    eigs = np.diag(schur[0])
-    mult = int(np.sum(np.abs(eigs - lam) <= radius))
-    if mult == 0:
-        return SegreSequence(lam, ())
-    centroid = complex(np.mean(eigs[np.abs(eigs - lam) <= radius]))
-    if abs(centroid.imag) <= radius:
-        centroid = complex(centroid.real, 0.0)
-    _, n_defl = _deflate_cluster(m, schur, centroid, radius, mult)
-    parts, _ = _staircase(n_defl, mult)
-    return SegreSequence(lam, tuple(parts))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ writes a single machine-readable {"error": kind} object on stdout.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -43,8 +42,8 @@ def _seed(text: str) -> int:
 
 _FLAGS = {
     "--m": dict(type=int, default=None, help="root order"),
-    "--tol": dict(type=float, default=None,
-                  help="residual tolerance (default 1e-8 or QROOT_TOL)"),
+    "--tol": dict(type=float, default=DEFAULT_TOL,
+                  help=f"residual tolerance (default {DEFAULT_TOL:g})"),
     "--branch": dict(type=int, default=0, help="m-th root branch index (default 0)"),
     "--seed": dict(type=_seed, default=0, help="generator seed (an integer >= 0)"),
 }
@@ -103,19 +102,12 @@ def _require_m(m) -> int:
 
 
 def _tolerance(args) -> float:
-    """--tol, else QROOT_TOL, else DEFAULT_TOL: a positive finite number."""
-    tol = args.tol
-    if tol is None:
-        env = os.environ.get("QROOT_TOL")
-        try:
-            tol = float(env) if env else DEFAULT_TOL
-        except ValueError:
-            raise ParseError(f"QROOT_TOL={env!r} is not a number") from None
+    """--tol, a positive finite number."""
     try:
-        _check_tol(tol)  # the library's rule; from the command line it is a parse error
+        _check_tol(args.tol)  # the library's rule; from the command line it is a parse error
     except SpecInvalid as exc:
         raise ParseError(str(exc)) from None
-    return tol
+    return args.tol
 
 
 def _matrix_from(obj, fmt: str) -> QuatMatrix:

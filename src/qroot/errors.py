@@ -36,10 +36,6 @@ class Singular(QRootError):
     kind = "Singular"
 
 
-class NearSingular(QRootError):
-    kind = "NearSingular"
-
-
 class NearSingularH(QRootError):
     kind = "NearSingularH"
 

@@ -1,9 +1,9 @@
 """The five LAPACK kernels of a canonicalizing call, and the one module that binds them.
 
 A solve runs zgehrd, zunghr and zlahqr for its Schur form (schur), ztrsen to
-reorder that form and ztrsyl for the Sylvester step of the primary root
-(sylvester).  provider() finds, once per process, where the five live;
-every call, argument and workspace goes through _Lapack._call.
+reorder that form (reorder) and ztrsyl for the Sylvester step of the
+primary root (sylvester).  provider() finds, once per process, where the
+five live; every call, argument and workspace goes through _Lapack._call.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ _ROUTINES = {"zgehrd": (9, 0), "zunghr": (9, 0), "zlahqr": (13, 0),
 
 @functools.cache
 def provider() -> _Lapack:
-    """The process's one LAPACK provider for schur, sylvester and the ztrsen reordering.
+    """The process's one LAPACK provider for schur, reorder and sylvester.
 
     The five addresses come from the first of three sources that has all of
     them:
@@ -86,8 +86,8 @@ class _Lapack:
     `integer` is the ctypes type of INTEGER and LOGICAL (8 bytes for ILP64,
     4 for LP64), and `lengths` says whether gfortran's hidden CHARACTER
     lengths follow the arguments.  A kernel with a workspace gets LAPACK's
-    documented minimum: zgehrd n, zunghr n - 1 and ztrsen, for job N (the
-    one job a solve runs), 1.  So each kernel is one foreign call, and
+    documented minimum: zgehrd n, zunghr n - 1 and ztrsen, for the job N
+    that reorder runs, 1.  So each kernel is one foreign call, and
     zgehrd and zunghr run their unblocked code at every order, from every
     source.  A negative info (an illegal argument) raises LinAlgError
     naming the routine; the caller checks any other info.
@@ -129,49 +129,6 @@ class _Lapack:
             raise np.linalg.LinAlgError(f"{name}: argument {-slots[-1]} had an illegal value")
         return slots[-1]
 
-    def zgehrd(self, a):
-        h = np.array(a, dtype=complex, order="F")
-        n = h.shape[0]
-        tau = np.empty(max(n - 1, 0), dtype=complex)
-        return h, tau, self._call("zgehrd", n, 1, n, h, max(n, 1), tau, lwork=max(n, 1))
-
-    def zunghr(self, a, tau):
-        q = np.array(a, dtype=complex, order="F")
-        n = q.shape[0]
-        return q, self._call("zunghr", n, 1, n, q, max(n, 1),
-                             np.ascontiguousarray(tau, dtype=complex), lwork=max(n - 1, 1))
-
-    def zlahqr(self, h, z):
-        """The Schur form of Hessenberg h, with z times its Schur vectors; (T, Z, info).
-
-        h and z are overwritten when they are complex and Fortran-ordered.
-        """
-        h, z = np.asfortranarray(h, dtype=complex), np.asfortranarray(z, dtype=complex)
-        n = h.shape[0]
-        w = np.empty(n, dtype=complex)
-        return h, z, self._call("zlahqr", 1, 1, n, 1, n, h, max(n, 1), w, 1, n, z, max(n, 1))
-
-    def ztrsen(self, select, t, q, job="N"):
-        ts = np.array(t, dtype=complex, order="F")
-        qs = np.array(q, dtype=complex, order="F")
-        n = ts.shape[0]
-        w = np.empty(n, dtype=complex)
-        m, s, sep = self.integer(0), ctypes.c_double(0.0), ctypes.c_double(0.0)
-        select = np.ascontiguousarray(select, dtype=self.integer)  # LOGICAL
-        info = self._call("ztrsen", job.encode(), b"V", select, n, ts, max(n, 1), qs,
-                          max(n, 1), w, m, s, sep, lwork=1)
-        return ts, qs, w, m.value, s.value, sep.value, info
-
-    def ztrsyl(self, a, b, c, isgn=1):
-        x = np.array(c, dtype=complex, order="F")
-        rows, cols = x.shape
-        scale = ctypes.c_double(0.0)
-        info = self._call("ztrsyl", b"N", b"N", isgn, rows, cols,
-                          np.asfortranarray(a, dtype=complex), max(rows, 1),
-                          np.asfortranarray(b, dtype=complex), max(cols, 1),
-                          x, max(rows, 1), scale)
-        return x, scale.value, info
-
 
 def schur(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex Schur form (T, Z), B = Z T Z^*, by LAPACK zgehrd, zunghr and zlahqr.
@@ -188,17 +145,38 @@ def schur(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     if n <= 1:  # order 0 or 1 is triangular already
         return a.copy(), np.eye(n, dtype=complex)
-    lapack = provider()
-    h, tau, info = lapack.zgehrd(a)
+    call = provider()._call
+    h = np.array(a, order="F")
+    tau = np.empty(n - 1, dtype=complex)
+    info = call("zgehrd", n, 1, n, h, n, tau, lwork=n)
     if info == 0:
-        z, info = lapack.zunghr(h, tau)
+        z = np.array(h, order="F")
+        info = call("zunghr", n, 1, n, z, n, tau, lwork=n - 1)
     if info != 0:
         raise np.linalg.LinAlgError(f"Hessenberg reduction failed (info {info})")
-    h, z, info = lapack.zlahqr(h, z)
+    info = call("zlahqr", 1, 1, n, 1, n, h, n, np.empty(n, dtype=complex), 1, n, z, n)
     if info != 0:
         raise np.linalg.LinAlgError(f"Schur form not found (zlahqr info {info})")
     h[np.tri(n, k=-1, dtype=bool)] = 0.0  # zgehrd's reflectors lie below the subdiagonal
     return h, z
+
+
+def reorder(select: np.ndarray, t: np.ndarray, z: np.ndarray):
+    """The Schur form (T, Z) with the selected eigenvalues leading, by LAPACK ztrsen.
+
+    Returns (T', Z', count, info): count is the number of selected
+    eigenvalues, and T and Z are left as they are.
+    """
+    lapack = provider()
+    ts, zs = np.array(t, dtype=complex, order="F"), np.array(z, dtype=complex, order="F")
+    n = ts.shape[0]
+    count = lapack.integer(0)
+    select = np.ascontiguousarray(select, dtype=lapack.integer)  # LOGICAL
+    # job N: S and SEP, the condition estimates, are neither computed nor read
+    info = lapack._call("ztrsen", b"N", b"V", select, n, ts, max(n, 1), zs, max(n, 1),
+                        np.empty(n, dtype=complex), count, ctypes.c_double(0.0),
+                        ctypes.c_double(0.0), lwork=1)
+    return ts, zs, count.value, info
 
 
 def sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -206,7 +184,10 @@ def sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     ztrsyl solves for scale * C, with scale <= 1 against overflow.
     """
-    x, scale, info = provider().ztrsyl(a, b, c, isgn=-1)
-    if info < 0:
-        raise np.linalg.LinAlgError(f"Sylvester solve failed (ztrsyl info {info})")
-    return x / scale
+    x = np.array(c, dtype=complex, order="F")
+    rows, cols = x.shape
+    scale = ctypes.c_double(0.0)
+    provider()._call("ztrsyl", b"N", b"N", -1, rows, cols, np.asfortranarray(a, dtype=complex),
+                     max(rows, 1), np.asfortranarray(b, dtype=complex), max(cols, 1),
+                     x, max(rows, 1), scale)
+    return x / scale.value

@@ -49,10 +49,6 @@ class OmegaMatrix:
     def to_json(self) -> dict:
         return complex_to_json(self.array)
 
-    @staticmethod
-    def from_json(obj: dict) -> "OmegaMatrix":
-        return OmegaMatrix(complex_from_json(obj))
-
     def __repr__(self) -> str:
         return f"OmegaMatrix(2n={self.dim})"
 

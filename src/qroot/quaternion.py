@@ -1,7 +1,7 @@
-"""Quaternion scalars and dense quaternion matrices.
+"""Dense quaternion matrices.
 
-A quaternion w + x*i + y*j + z*k is stored as four floats.  A matrix is
-stored as an (n_rows, n_cols, 4) float64 array.  For the algebra we use the
+A quaternion w + x*i + y*j + z*k is stored as four floats, and a matrix as
+an (n_rows, n_cols, 4) float64 array.  For the algebra we use the
 splitting q = z1 + j*z2 with complex z1 = w + x*i and z2 = y - z*i; matrix
 products are evaluated through the complex pair (A1, A2) of that splitting,
 which is exactly the arithmetic of the 2n x 2n complex representation.
@@ -9,69 +9,10 @@ which is exactly the arithmetic of the 2n x 2n complex representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError
 from .jsonio import integer, numbers_only
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """Scalar quaternion w + x*i + y*j + z*k."""
-
-    w: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        a, b = self, other
-        return Quaternion(
-            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-            a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-            a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-        )
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm_sq(self) -> float:
-        return self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
-
-    def __abs__(self) -> float:
-        return float(np.sqrt(self.norm_sq()))
-
-    def inverse(self) -> "Quaternion":
-        n2 = self.norm_sq()
-        if n2 == 0.0:
-            raise ZeroDivisionError("inverse of zero quaternion")
-        c = self.conjugate()
-        return Quaternion(c.w / n2, c.x / n2, c.y / n2, c.z / n2)
-
-    def scale(self, s: float) -> "Quaternion":
-        return Quaternion(s * self.w, s * self.x, s * self.y, s * self.z)
-
-    def to_pair(self) -> tuple[complex, complex]:
-        """Complex splitting q = z1 + j*z2 with z1 = w + x*i, z2 = y - z*i."""
-        return complex(self.w, self.x), complex(self.y, -self.z)
-
-    @staticmethod
-    def from_pair(z1: complex, z2: complex) -> "Quaternion":
-        return Quaternion(z1.real, z1.imag, z2.real, -z2.imag)
 
 
 class QuatMatrix:
@@ -113,11 +54,6 @@ class QuatMatrix:
         out[..., 3] = -a2.imag
         return QuatMatrix(out)
 
-    @staticmethod
-    def from_real(a: np.ndarray) -> "QuatMatrix":
-        a = np.asarray(a, dtype=float)
-        return QuatMatrix.from_complex_pair(a.astype(complex), np.zeros_like(a, dtype=complex))
-
     # -- basic structure ----------------------------------------------------
 
     @property
@@ -139,10 +75,6 @@ class QuatMatrix:
     @property
     def a2(self) -> np.ndarray:
         return self.data[..., 2] - 1j * self.data[..., 3]
-
-    def __getitem__(self, idx) -> Quaternion:
-        i, j = idx
-        return Quaternion(*self.data[i, j])
 
     # -- algebra ------------------------------------------------------------
 
@@ -213,10 +145,6 @@ class QuatMatrix:
         return omega_extract(inv)
 
     # -- predicates and norms ----------------------------------------------
-
-    def is_hermitian(self) -> bool:
-        diff = (self - self.adjoint()).norm()
-        return diff <= 1e-12 * max(1.0, self.norm())
 
     def norm(self) -> float:
         """Frobenius norm: sqrt of the sum of squared quaternion moduli."""

@@ -31,8 +31,6 @@ from .omega import (OmegaMatrix, omega_embed, omega_extract, omega_project,
                     selfadjoint_residual)
 from .quaternion import QuatMatrix
 
-ZERO_CLASS_FACTOR = 1e-8  # |lambda| below this (relative) counts as zero
-
 
 # ---------------------------------------------------------------------------
 # decision types
@@ -221,14 +219,19 @@ class _Plan:
 
 
 def _classify_and_plan(spec: CanonicalSpec, m: int) -> _Plan:
+    """The gate's plan for a spec.
+
+    A block is zero when its eigenvalue is exactly 0, and the blocks at a
+    negative eigenvalue pair by exact (lambda, size).  The matrix path
+    needs no looser rule: the engine snaps a zero cluster to 0.0, and two
+    real clusters lie more than the cluster radius apart.
+    """
     blocks = spec.blocks
     plan = _Plan()
-    scale = max([1.0] + [abs(b.lam) for b in blocks])
-    zero_tol = ZERO_CLASS_FACTOR * scale
     for i, b in enumerate(blocks):
         if not b.is_real:
             plan.nonreal.append(i)
-        elif abs(b.lam) <= zero_tol:
+        elif b.lam == 0:
             plan.zero.append(i)
         elif b.lam.real > 0:
             plan.positive.append(i)
@@ -240,24 +243,18 @@ def _classify_and_plan(spec: CanonicalSpec, m: int) -> _Plan:
 
     if plan.negative and m % 2 == 0:
         # group by (lambda, k); needs equal counts of each sign
+        keys: dict[complex, int] = {}  # lambda: its place in order of first appearance
         groups: dict[tuple[int, int], dict[int, list[int]]] = {}
-        keys: list[complex] = []
         for i in plan.negative:
             b = blocks[i]
-            ki = None
-            for idx, lam in enumerate(keys):
-                if abs(lam - b.lam) <= zero_tol:
-                    ki = idx
-                    break
-            if ki is None:
-                keys.append(b.lam)
-                ki = len(keys) - 1
+            ki = keys.setdefault(b.lam, len(keys))
             groups.setdefault((ki, b.size), {1: [], -1: []})[b.sign].append(i)
+        lams = list(keys)
         for (ki, k), d in sorted(groups.items()):
             if len(d[1]) != len(d[-1]):
                 plan.certificate = Certificate(
-                    "NegativeSignPairing", keys[ki],
-                    f"blocks J_{k}({keys[ki].real:g}) carry {len(d[1])} plus and "
+                    "NegativeSignPairing", lams[ki],
+                    f"blocks J_{k}({lams[ki].real:g}) carry {len(d[1])} plus and "
                     f"{len(d[-1])} minus signs; they must pair with opposite signs")
                 return plan
             plan.neg_pairs.extend(zip(d[1], d[-1]))

@@ -154,12 +154,11 @@ def _refuse_blocks(rng, classes, budget: int, m: int) -> list[CanonicalBlock]:
     modes = []
     if "negative" in classes and m % 2 == 0 and budget >= 2:
         modes.append("negpair")
-    if "zero" in classes and m >= 2:
+    if "zero" in classes and m >= 2 and budget >= 2:
         # J_2(0) next to one J_1(0) for m even, to m - 1 of them for m odd
         if budget >= (3 if m % 2 == 0 else m + 1):
             modes.append("zerosign")
-        if budget >= m:
-            modes.append("zerosegre")
+        modes.append("zerosegre")
     if not modes:
         raise ProfileInvalid(
             f"no refusal instance exists for classes={classes}, m={m}, max_size={budget}")
@@ -175,9 +174,10 @@ def _refuse_blocks(rng, classes, budget: int, m: int) -> list[CanonicalBlock]:
         # split half and half, so all-plus ones are infeasible
         return ([CanonicalBlock(0.0, 2, 1)]
                 + [CanonicalBlock(0.0, 1, 1) for _ in range(m - 1)])
-    # zerosegre: a lone 2 with m-2 ones admits no m-tuple grouping
+    # zerosegre: a lone 2 needs m - 1 ones beside it, so with at most m - 2
+    # ones it admits no m-tuple grouping
     return ([CanonicalBlock(0.0, 2, 1)]
-            + [CanonicalBlock(0.0, 1, 1) for _ in range(m - 2)])
+            + [CanonicalBlock(0.0, 1, 1) for _ in range(min(m - 2, budget - 2))])
 
 
 def omega_similarity(rng, n: int, cond_cap: float = 100.0) -> np.ndarray:

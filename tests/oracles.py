@@ -3,13 +3,38 @@
 from collections import Counter
 
 import numpy as np
+import scipy.linalg
 
-from qroot.canonical import DEGENERATE_FACTOR, SegreSequence, _chain_moment, _Imaged
+from qroot.canonical import DEGENERATE_FACTOR, _chain_moment, _Imaged
 from qroot.errors import RankAmbiguous
 from qroot.roots import _zero_grouping
 
 
-def power_segre_oracle(k: int, m: int) -> SegreSequence:
+def segre(m, lam: complex) -> tuple[int, ...]:
+    """The Jordan block sizes of m at lam, largest first, from ranks alone.
+
+    The eigenvalues within 0.25 of lam, which covers the scatter of a
+    defective block's computed eigenvalues on the tests' matrices, lead a
+    sorted complex Schur form (scipy's).  Numpy's SVD ranks the powers of
+    the leading block minus lam I: the kernel of the p-th power grows by
+    the number of blocks of size p or more.  An AssertionError says that
+    block is not nilpotent.
+    """
+    m = np.asarray(m, dtype=complex)
+    t, _, k = scipy.linalg.schur(m, output="complex", sort=lambda x: abs(x - lam) <= 0.25)
+    n_mat = t[:k, :k] - lam * np.eye(k)
+    dims, power = [0], np.eye(k, dtype=complex)
+    while dims[-1] < k:
+        power = power @ n_mat
+        s = np.linalg.svd(power, compute_uv=False)
+        dims.append(k - int(np.sum(s > 1e-8 * max(1.0, s[0]))))
+        assert dims[-1] > dims[-2], f"no Jordan structure at {lam}: kernel dimensions {dims}"
+    at_least = [b - a for a, b in zip(dims, dims[1:])] + [0]  # blocks of size >= p
+    return tuple(p for p in range(len(dims) - 1, 0, -1)
+                 for _ in range(at_least[p - 1] - at_least[p]))
+
+
+def power_segre_oracle(k: int, m: int) -> tuple[int, ...]:
     """Segre of (J_k(0))^m computed by the closed form and by rank staircase.
 
     The two routes must agree (k = a*m + r with 0 < r <= m gives r blocks of
@@ -19,37 +44,19 @@ def power_segre_oracle(k: int, m: int) -> SegreSequence:
     r = k - a * m
     closed = tuple(sorted([a + 1] * r + ([a] * (m - r) if a > 0 else []),
                           reverse=True))
-
     shift = np.eye(k, k, 1)
-    power = np.linalg.matrix_power(shift, m) if m < k else np.zeros((k, k))
-    dims = [0]
-    acc = np.eye(k)
-    for _ in range(k):
-        acc = acc @ power
-        d = k - np.linalg.matrix_rank(acc)
-        if d == dims[-1]:
-            break
-        dims.append(int(d))
-        if d == k:
-            break
-    counts = [dims[p] - dims[p - 1] for p in range(1, len(dims))]
-    parts: list[int] = []
-    for p, c in enumerate(counts, start=1):
-        nxt = counts[p] if p < len(counts) else 0
-        parts.extend([p] * (c - nxt))
-    staircase = tuple(sorted(parts, reverse=True))
-
+    staircase = segre(np.linalg.matrix_power(shift, m) if m < k else np.zeros((k, k)), 0.0)
     assert staircase == closed, (
         f"power Segre mismatch for k={k}, m={m}: closed {closed}, staircase {staircase}")
-    return SegreSequence(0.0, closed)
+    return closed
 
 
-def m_tuple_partition(segre: SegreSequence, m: int) -> list[tuple[int, int]] | None:
+def m_tuple_partition(parts: tuple[int, ...], m: int) -> list[tuple[int, int]] | None:
     """The first grouping of one copy's zero Segre into m-tuples, as [(a, r)], or None.
 
     It reads the library's program over sizes with the signs left free.
     """
-    grouping = _zero_grouping(Counter(segre.parts), None, m)
+    grouping = _zero_grouping(Counter(parts), None, m)
     return None if grouping is None else [(a, r) for a, r, _ in grouping]
 
 

@@ -11,13 +11,13 @@ import time
 import numpy as np
 
 from qroot.canonical import (CanonicalBlock, CanonicalSpec, canonicalize_pair,
-                             materialize_pair, segre_characteristic)
+                             materialize_pair)
 from qroot.omega import omega_embed
 from qroot.quaternion import QuatMatrix
 from qroot.roots import RootResult, mth_root, root_exists
 from qroot.verify import random_instance, verify_root
 
-from oracles import power_segre_oracle
+from oracles import power_segre_oracle, segre
 
 
 def _report(name, passed, detail=""):
@@ -152,7 +152,7 @@ def test_criterion_6_nilpotent_paper_example():
     verified = False
     if ok:
         root_omega = omega_embed(out.root).array
-        segre_ok = segre_characteristic(root_omega, 0.0).parts == (10, 10)
+        segre_ok = segre(root_omega, 0.0) == (10, 10)
         verified = verify_root(out.root, b, h, 4).passed
     _report("6 nilpotent (3,3,2,2) -> (10,10) at m=4", ok and segre_ok and verified,
             f"segre_ok={segre_ok} verified={verified}")

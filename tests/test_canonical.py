@@ -7,15 +7,14 @@ import scipy.linalg
 import qroot.canonical as canonical
 import qroot.lapack as kernels
 from qroot.canonical import (DEFAULT_TOL, CanonicalBlock, CanonicalSpec,
-                             block_diag, canonicalize_pair, inertia,
-                             jordan_block, materialize_pair,
-                             segre_characteristic, sip_matrix)
-from qroot.errors import NearSingular, NotSelfadjoint, SpecInvalid
+                             block_diag, canonicalize_pair, jordan_block,
+                             materialize_pair, sip_matrix)
+from qroot.errors import NotSelfadjoint, SpecInvalid
 from qroot.omega import omega_embed, omega_membership
 from qroot.quaternion import QuatMatrix
 
 from lapack_sources import LAPACK_SOURCES, hide_names, lapack_source  # noqa: F401
-from oracles import pair_loop_symplectic, pair_search_normalize
+from oracles import pair_loop_symplectic, pair_search_normalize, segre
 
 
 def omega_similarity(rng, n, cond_cap=100.0):
@@ -99,41 +98,25 @@ def test_spec_json_roundtrip():
 
 # -- Segre characteristic -----------------------------------------------------
 
-def _staircase_oracle(m, lam):
-    """Independent integer-rank staircase (exact for the 0/1 cases used)."""
-    n = m.shape[0]
-    t = m - lam * np.eye(n)
-    dims = [0]
-    acc = np.eye(n, dtype=complex)
-    while True:
-        acc = acc @ t
-        d = n - np.linalg.matrix_rank(acc)
-        if d == dims[-1]:
-            break
-        dims.append(int(d))
-    counts = [dims[p] - dims[p - 1] for p in range(1, len(dims))]
-    parts = []
-    for p, c in enumerate(counts, start=1):
-        nxt = counts[p] if p < len(counts) else 0
-        parts.extend([p] * (c - nxt))
-    return tuple(sorted(parts, reverse=True))
-
-
 def test_segre_examples():
-    import scipy.linalg
+    # the oracle on matrices whose Jordan form is known
     j33 = scipy.linalg.block_diag(jordan_block(0.0, 3), jordan_block(0.0, 3))
-    assert segre_characteristic(j33, 0.0).parts == (3, 3)
-    sq = j33 @ j33
-    assert _staircase_oracle(sq, 0.0) == (2, 2, 1, 1)
-    assert segre_characteristic(sq, 0.0).parts == (2, 2, 1, 1)
-    assert segre_characteristic(jordan_block(5.0, 2), 5.0).parts == (2,)
-    assert segre_characteristic(jordan_block(5.0, 2), 3.0).parts == ()
+    assert segre(j33, 0.0) == (3, 3)
+    assert segre(j33 @ j33, 0.0) == (2, 2, 1, 1)
+    assert segre(jordan_block(5.0, 2), 5.0) == (2,)
+    assert segre(jordan_block(5.0, 2), 3.0) == ()
+    assert segre(block_diag(jordan_block(1j, 2), jordan_block(-1j, 1)), 1j) == (2,)
 
 
 def test_segre_of_scrambled_matrix():
-    spec = CanonicalSpec((CanonicalBlock(0.0, 3, 1), CanonicalBlock(0.0, 1, -1)))
-    b, _ = scrambled(spec, 11)
-    assert segre_characteristic(b, 0.0).parts == (3, 3, 1, 1)
+    # the engine's spec and the oracle agree on a scrambled pair
+    spec = CanonicalSpec((CanonicalBlock(0.0, 3, 1), CanonicalBlock(0.0, 1, -1),
+                          CanonicalBlock(2.0, 2, 1)))
+    b, h = scrambled(spec, 11)
+    assert segre(b, 0.0) == (3, 3, 1, 1)
+    assert segre(b, 2.0) == (2, 2)
+    _, out = canonicalize_pair(b, h)
+    assert out.matches(spec.sorted())
 
 
 def test_doubling_corollary_50_random_nilpotent_members():
@@ -144,7 +127,7 @@ def test_doubling_corollary_50_random_nilpotent_members():
         data = rng.standard_normal((n, n, 4))
         data[np.tril_indices(n)] = 0.0  # strictly upper triangular, nilpotent
         arr = omega_embed(QuatMatrix(data)).array
-        parts = segre_characteristic(arr, 0.0).parts
+        parts = segre(arr, 0.0)
         assert sum(parts) == 2 * n
         for value in set(parts):
             assert parts.count(value) % 2 == 0
@@ -157,23 +140,12 @@ def test_doubling_for_general_real_eigenvalue():
         data = rng.standard_normal((4, 4, 4))
         data[np.tril_indices(4)] = 0.0
         mat = QuatMatrix(data) + QuatMatrix.eye(4).scale(1.5)
-        parts = segre_characteristic(omega_embed(mat).array, 1.5).parts
+        parts = segre(omega_embed(mat).array, 1.5)
         for value in set(parts):
             assert parts.count(value) % 2 == 0
 
 
-# -- inertia ------------------------------------------------------------------
-
-def test_inertia_examples():
-    assert inertia(sip_matrix(2)) == (1, 1)
-    assert inertia(np.diag([1.0, -1, 1, -1])) == (2, 2)
-    rng = np.random.default_rng(15)
-    h = np.diag([2.0, -1.0, 0.5, -3.0]).astype(complex)
-    s = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert inertia(s.conj().T @ h @ s) == inertia(h)
-    with pytest.raises(NearSingular):
-        inertia(np.diag([1.0, 1e-12]))
-
+# -- the signs of the canonical H ---------------------------------------------
 
 def test_inertia_matches_spec_prediction():
     # eta*Q_k contributes ceil/floor(k/2) per sign, Q_2k contributes (k, k),
@@ -188,7 +160,8 @@ def test_inertia_matches_spec_prediction():
 
     per_copy = [sip_inertia(3, 1), sip_inertia(2, -1), (2, 2)]
     expect = tuple(2 * sum(v) for v in zip(*per_copy))
-    assert inertia(h.array) == expect
+    w = np.linalg.eigvalsh(h.array)
+    assert (int(np.sum(w > 0.5)), int(np.sum(w < -0.5))) == expect
 
 
 # -- canonicalization ---------------------------------------------------------
@@ -298,7 +271,7 @@ def test_gram_normalization_multiplies_each_vector_by_g_once_per_round(monkeypat
 
     monkeypatch.setattr(canonical, "_normalize_hermitian_chains", counting)
     n = 12
-    out = mth_root(QuatMatrix(np.zeros((n, n, 4))), QuatMatrix.from_real(np.eye(n)), 2)
+    out = mth_root(QuatMatrix(np.zeros((n, n, 4))), QuatMatrix.eye(n), 2)
     assert isinstance(out, RootResult)
     assert len(forms) == 1 and forms[0].products <= n * (n + 1) // 2
 
@@ -317,7 +290,7 @@ def test_gram_normalization_reads_each_round_off_one_leading_moment_matrix(monke
 
     monkeypatch.setattr(canonical, "_chain_moment", counting)
     n = 12
-    out = mth_root(QuatMatrix(np.zeros((n, n, 4))), QuatMatrix.from_real(np.eye(n)), 2)
+    out = mth_root(QuatMatrix(np.zeros((n, n, 4))), QuatMatrix.eye(n), 2)
     assert isinstance(out, RootResult)
     assert len(calls) <= n * (n + 1) // 2
 
@@ -451,12 +424,10 @@ def _many_cluster_spec(rng):
         blocks.append(CanonicalBlock(lam, int(rng.integers(1, 4)), int(rng.choice([-1, 1]))))
     for lam in nonreal[:3]:
         blocks.append(CanonicalBlock(lam + rng.uniform(-0.05, 0.05), int(rng.integers(1, 4))))
-    spec = CanonicalSpec(tuple(blocks))
-    while spec.copy_size() < 24:
+    while sum(b.copy_width() for b in blocks) < 24:
         blocks.append(CanonicalBlock(blocks[0].lam, int(rng.integers(1, 3)),
                                      int(rng.choice([-1, 1]))))
-        spec = CanonicalSpec(tuple(blocks))
-    return spec.sorted()
+    return CanonicalSpec(tuple(blocks)).sorted()
 
 
 def _largest_principal_angle_sine(q, r):
@@ -594,47 +565,56 @@ def _assert_close(got, want, rtol=1e-13):
     assert np.linalg.norm(got - want) <= rtol * max(np.linalg.norm(want), 1e-300)
 
 
-def _assert_providers_agree(lapack, reference, exact=False):
-    """ztrsen and ztrsyl of two providers agree to 1e-13, bit for bit if `exact`.
+def _reorder_and_sylvester(t, z):
+    """reorder and sylvester on the Schur form (T, Z), from the current provider.
 
     SELECT picks places 1, 3 and 5: read with the wrong LOGICAL width it
     would pick others, and the reordered form would differ.
     """
-    close = np.testing.assert_array_equal if exact else _assert_close
-    t, z = kernels.schur(_schur_inputs()[2])
     select = np.zeros(len(t), dtype=bool)
     select[[1, 3, 5]] = True
-    got, want = lapack.ztrsen(select, t, z, job="N"), reference.ztrsen(select, t, z, job="N")
-    assert (got[3], got[6]) == (want[3], want[6]) == (3, 0)
-    for x, y in zip(got[:3], want[:3]):
-        close(x, y)
+    ts, zs, count, info = kernels.reorder(select, t, z)
+    assert (count, info) == (3, 0)
     c = np.random.default_rng(41).standard_normal((13, 27)) + 0j
-    got, want = (p.ztrsyl(t[:13, :13], t[13:, 13:], c, isgn=-1) for p in (lapack, reference))
-    assert (got[1:], want[1:]) == ((1.0, 0), (1.0, 0))
-    close(got[0], want[0])
+    return ts, zs, kernels.sylvester(t[:13, :13], t[13:, 13:], c)
 
 
 def test_schur_fallback_to_flapack_library_then_capsules(lapack_source):
     import scipy.linalg.cython_lapack
+    import scipy.linalg.lapack
     capi = scipy.linalg.cython_lapack.__pyx_capi__
-    default = kernels.provider()
     forms = [kernels.schur(b) for b in _schur_inputs()]
+    t, z = forms[2]
+    default = _reorder_and_sylvester(t, z)
     # numpy's names hidden: the LP64 names of the library _flapack links against
     flapack = lapack_source("flapack")
     assert _entry_points(flapack) == _flapack_addresses()
     flapack_forms = [kernels.schur(b) for b in _schur_inputs()]
-    for (t, z), (want_t, want_z) in zip(flapack_forms, forms):
-        _assert_close(t, want_t)
-        _assert_close(z, want_z)
-    _assert_providers_agree(flapack, default)
+    for (got_t, got_z), (want_t, want_z) in zip(flapack_forms, forms):
+        _assert_close(got_t, want_t)
+        _assert_close(got_z, want_z)
+    from_flapack = _reorder_and_sylvester(t, z)
+    for got, want in zip(from_flapack, default):
+        _assert_close(got, want)
+    # scipy's f2py wrappers call the same library, with the same workspace,
+    # so they give the same bits
+    select = np.zeros(len(t), dtype=np.int32)
+    select[[1, 3, 5]] = 1
+    ts, zs, _, count, _, _, info = scipy.linalg.lapack.ztrsen(select, t, z, job="N", lwork=1)
+    c = np.random.default_rng(41).standard_normal((13, 27)) + 0j
+    x, scale, info_x = scipy.linalg.lapack.ztrsyl(t[:13, :13], t[13:, 13:], c, isgn=-1)
+    assert (count, info, scale, info_x) == (3, 0, 1.0, 0)
+    for got, want in zip(from_flapack, (ts, zs, x)):
+        np.testing.assert_array_equal(got, want)
     # _flapack's names hidden as well: scipy's Cython capsules, called without
     # hidden lengths, on the same library, so with the same bits
     capsules = lapack_source("capsules")
     assert _entry_points(capsules) == {name: _capsule_address(capi[name]) for name in kernels._ROUTINES}
-    for b, (t, z) in zip(_schur_inputs(), flapack_forms):
+    for b, (got_t, got_z) in zip(_schur_inputs(), flapack_forms):
         again_t, again_z = kernels.schur(b)
-        assert np.array_equal(again_t, t) and np.array_equal(again_z, z)
-    _assert_providers_agree(capsules, flapack, exact=True)
+        assert np.array_equal(again_t, got_t) and np.array_equal(again_z, got_z)
+    for got, want in zip(_reorder_and_sylvester(t, z), from_flapack):
+        np.testing.assert_array_equal(got, want)
     spec = _many_cluster_spec(np.random.default_rng(35))
     _, out = canonicalize_pair(*scrambled(spec, 35))
     assert out.matches(spec)
@@ -653,9 +633,12 @@ def test_one_missing_ilp64_name_sends_all_five_routines_to_scipy(monkeypatch, hi
 
 
 def test_illegal_lapack_argument_raises_naming_the_routine():
-    t = np.triu(np.ones((4, 4))) + 0j
+    # ISGN = 0, ztrsyl's third argument, is neither 1 nor -1
+    t = np.asfortranarray(np.triu(np.ones((4, 4))) + 0j)
+    a, b, c = (np.asfortranarray(x) for x in (t[:2, :2], t[2:, 2:], t[:2, 2:]))
     with pytest.raises(np.linalg.LinAlgError, match="ztrsyl: argument 3"):
-        kernels.provider().ztrsyl(t[:2, :2], t[2:, 2:], t[:2, 2:], isgn=0)
+        kernels.provider()._call("ztrsyl", b"N", b"N", 0, 2, 2, a, 2, b, 2, c, 2,
+                                 ctypes.c_double(0.0))
 
 
 @pytest.mark.parametrize("n", [7, 160])
@@ -678,8 +661,8 @@ def test_each_ilp64_kernel_makes_one_call_at_its_minimum_workspace(monkeypatch, 
             monkeypatch.setitem(lapack._fn, name, watched)
         t, z = kernels.schur(b)
         _assert_schur_form(b, t, z)
-        ts, zs, _, sdim, _, _, info = lapack.ztrsen(select, t, z, job="N")
-        assert (sdim, info) == (n // 2, 0)
+        ts, zs, count, info = kernels.reorder(select, t, z)
+        assert (count, info) == (n // 2, 0)
         _assert_schur_form(b, ts, zs)
         assert lwork == {"zgehrd": [n], "zunghr": [n - 1], "ztrsen": [1]}, source
         forms[source] = (t, z, ts, zs)
@@ -727,7 +710,8 @@ def test_staircase_takes_one_svd_per_power(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     j33 = block_diag(jordan_block(0.0, 3), jordan_block(0.0, 3))
-    assert segre_characteristic(j33, 0.0).parts == (3, 3)
+    parts, kernels_ = canonical._staircase(j33, 6)
+    assert parts == [3, 3] and [k.shape[1] for k in kernels_] == [0, 2, 4, 6]
     assert len(calls) == 3
 
 

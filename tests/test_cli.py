@@ -7,13 +7,9 @@ import pytest
 PYTHON = sys.executable
 
 
-def run_cli(args, inp=None, env=None):
-    import os
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def run_cli(args, inp=None):
     proc = subprocess.run([PYTHON, "-m", "qroot.cli"] + args, input=inp,
-                          capture_output=True, text=True, env=full_env)
+                          capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -155,37 +151,20 @@ def test_usage_errors_exit_1():
     assert rc == 1
 
 
-def test_env_tolerance_override():
-    payload = json.dumps({"B": quat_json([[16, 0, 0, 0]], 1),
-                          "H": quat_json([[1, 0, 0, 0]], 1)})
-    rc, out, _ = run_cli(["root", "--m", "4"], inp=payload,
-                         env={"QROOT_TOL": "1e-6"})
-    assert rc == 0
-    rc, out, _ = run_cli(["root", "--m", "4"], inp=payload,
-                         env={"QROOT_TOL": "not-a-number"})
-    assert rc == 1
-
-
-def test_verify_rejects_nonpositive_tolerance(tmp_path, capsys, monkeypatch):
+def test_verify_rejects_nonpositive_tolerance(tmp_path, capsys):
     # a tolerance that is not a positive finite number is a ParseError for
     # every command that reads one, not a failed check of a valid root; a NaN
     # or inf tolerance used to switch the HB = B*H input check off
     pair = {"B": quat_json([[16, 0, 0, 0]], 1), "H": quat_json([[1, 0, 0, 0]], 1)}
     rc, doc = _main_on(tmp_path, capsys, ["root", "--m", "4"], pair)
     assert rc == 0
-    cases = [(["--tol", "-1"], None), (["--tol", "nan"], None), (["--tol", "inf"], None),
-             ([], "0"), ([], "nan"), ([], "abc")]
     spec = {"blocks": [{"lambda": [16.0, 0.0], "size": 1, "sign": 1}]}
     for args, payload in ((["canon"], pair), (["check", "--m", "4"], pair),
                           (["check", "--m", "4", "--format", "spec"], spec),
                           (["root", "--m", "4"], pair), (["verify", "--m", "4"], doc)):
-        for flags, env in cases:
-            if env is None:
-                monkeypatch.delenv("QROOT_TOL", raising=False)
-            else:
-                monkeypatch.setenv("QROOT_TOL", env)
-            assert _main_on(tmp_path, capsys, args + flags, payload) == (
-                1, {"error": "ParseError"}), (args, flags, env)
+        for tol in ("-1", "0", "nan", "inf"):
+            assert _main_on(tmp_path, capsys, args + ["--tol", tol], payload) == (
+                1, {"error": "ParseError"}), (args, tol)
 
 
 def test_verify_exits_1_on_a_root_outside_the_relative_bound(tmp_path, capsys):

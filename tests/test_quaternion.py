@@ -1,8 +1,62 @@
+"""QuatMatrix, checked against a scalar quaternion algebra written out in full."""
+
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from qroot.quaternion import Quaternion, QuatMatrix
+from qroot.quaternion import QuatMatrix
 from qroot.errors import DimensionMismatch, ParseError
+
+
+@dataclass(frozen=True)
+class Quaternion:
+    """Scalar quaternion w + x*i + y*j + z*k, the reference for QuatMatrix's entries."""
+
+    w: float = 0.0
+    x: float = 0.0
+    y: float = 0.0
+    z: float = 0.0
+
+    def __sub__(self, other: "Quaternion") -> "Quaternion":
+        return Quaternion(self.w - other.w, self.x - other.x,
+                          self.y - other.y, self.z - other.z)
+
+    def __neg__(self) -> "Quaternion":
+        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+
+    def __mul__(self, other: "Quaternion") -> "Quaternion":
+        a, b = self, other
+        return Quaternion(
+            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
+            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
+            a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
+            a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
+        )
+
+    def conjugate(self) -> "Quaternion":
+        return Quaternion(self.w, -self.x, -self.y, -self.z)
+
+    def norm_sq(self) -> float:
+        return self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
+
+    def __abs__(self) -> float:
+        return float(np.sqrt(self.norm_sq()))
+
+    def inverse(self) -> "Quaternion":
+        n2 = self.norm_sq()
+        if n2 == 0.0:
+            raise ZeroDivisionError("inverse of zero quaternion")
+        c = self.conjugate()
+        return Quaternion(c.w / n2, c.x / n2, c.y / n2, c.z / n2)
+
+    def to_pair(self) -> tuple[complex, complex]:
+        """Complex splitting q = z1 + j*z2 with z1 = w + x*i, z2 = y - z*i."""
+        return complex(self.w, self.x), complex(self.y, -self.z)
+
+    @staticmethod
+    def from_pair(z1: complex, z2: complex) -> "Quaternion":
+        return Quaternion(z1.real, z1.imag, z2.real, -z2.imag)
 
 
 def test_unit_multiplication_table():
@@ -53,6 +107,9 @@ def test_pair_roundtrip():
     q = Quaternion(1.5, -2.0, 0.25, 3.0)
     z1, z2 = q.to_pair()
     assert Quaternion.from_pair(z1, z2) == q
+    # QuatMatrix stores an entry by the same splitting
+    m = QuatMatrix.from_complex_pair(np.array([[z1]]), np.array([[z2]]))
+    assert Quaternion(*m.data[0, 0]) == q
 
 
 def test_matrix_adjoint_involution():
@@ -66,7 +123,7 @@ def test_matrix_product_matches_scalar_product():
     b = Quaternion(-1, 0.5, 3, 1)
     ma = QuatMatrix(np.array([[[a.w, a.x, a.y, a.z]]]))
     mb = QuatMatrix(np.array([[[b.w, b.x, b.y, b.z]]]))
-    got = (ma @ mb)[0, 0]
+    got = Quaternion(*(ma @ mb).data[0, 0])
     assert abs(got - a * b) < 1e-14
 
 
@@ -118,11 +175,12 @@ def test_matrix_inverse():
 
 
 def test_hermitian_predicate():
+    # (Y + Y*)/2 is its own adjoint, a random Y is not
     rng = np.random.default_rng(5)
     y = QuatMatrix(rng.standard_normal((3, 3, 4)))
     h = (y + y.adjoint()).scale(0.5)
-    assert h.is_hermitian()
-    assert not y.is_hermitian()
+    assert h.allclose(h.adjoint(), atol=0.0)
+    assert not y.allclose(y.adjoint(), atol=1e-8)
 
 
 def test_shape_errors():

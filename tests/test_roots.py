@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qroot.canonical import (CanonicalBlock, CanonicalSpec, SegreSequence,
-                             block_diag, jordan_block, materialize_pair,
-                             segre_characteristic, sip_matrix)
+from qroot.canonical import (CanonicalBlock, CanonicalSpec, block_diag,
+                             jordan_block, materialize_pair, sip_matrix)
 from qroot.errors import ClassMismatch, DimensionMismatch, SpecInvalid
 from qroot.omega import omega_extract, omega_membership
 from qroot.quaternion import QuatMatrix
@@ -20,11 +19,22 @@ from qroot.roots import (RootDecision, RootResult, assemble_root,
 from qroot.verify import random_instance, verify_root
 
 from lapack_sources import LAPACK_SOURCES, lapack_source  # noqa: F401
-from oracles import m_tuple_partition
+from oracles import m_tuple_partition, segre
+
+
+def quat_real(a):
+    """The quaternion matrix with real entries a."""
+    a = np.asarray(a, dtype=complex)
+    return QuatMatrix.from_complex_pair(a, np.zeros_like(a))
 
 
 def quat_scalar(value):
-    return QuatMatrix.from_real(np.array([[float(value)]]))
+    return quat_real([[float(value)]])
+
+
+def _copy_size(spec):
+    """The order of one copy of the spec's canonical pair."""
+    return sum(b.copy_width() for b in spec.blocks)
 
 
 # -- gate ---------------------------------------------------------------------
@@ -60,6 +70,21 @@ def test_gate_zero_segre_mismatch():
     assert decision.certificate.kind == "SegreTupleMismatch"
 
 
+@pytest.mark.parametrize("blocks, kind", [
+    # a positive eigenvalue far below 1e-8 of the largest one is not zero
+    (((1e-9, 2, 1), (1.0, 1, 1)), None),
+    (((5e-6, 2, 1), (1000.0, 1, 1)), None),
+    # two distinct negative eigenvalues, each with one unpaired block
+    (((-1.0, 1, 1), (-1.0 - 1e-9, 1, -1)), "NegativeSignPairing"),
+], ids=["tiny_positive", "small_positive", "close_negatives"])
+def test_gate_zero_and_pairing_are_exact_on_a_spec(blocks, kind):
+    spec = CanonicalSpec(tuple(CanonicalBlock(*b) for b in blocks))
+    decision = root_exists(spec, 2)
+    assert decision.exists == (kind is None)
+    if kind:
+        assert (decision.certificate.kind, decision.certificate.lam) == (kind, -1.0)
+
+
 def test_gate_m_one_always_exists():
     spec = CanonicalSpec((CanonicalBlock(-1.0, 1, 1), CanonicalBlock(-1.0, 1, 1)))
     assert root_exists(spec, 1).exists
@@ -86,15 +111,15 @@ def test_class_completeness_unconditional_specs():
 # -- m-tuple combinatorics ----------------------------------------------------
 
 def test_partition_paper_example():
-    assert m_tuple_partition(SegreSequence(0.0, (3, 3, 2, 2)), 4) == [(2, 2)]
+    assert m_tuple_partition((3, 3, 2, 2), 4) == [(2, 2)]
 
 
 def test_partition_small():
-    assert m_tuple_partition(SegreSequence(0.0, (2, 1)), 2) == [(1, 1)]
+    assert m_tuple_partition((2, 1), 2) == [(1, 1)]
 
 
 def test_partition_impossible():
-    assert m_tuple_partition(SegreSequence(0.0, (3, 1)), 2) is None
+    assert m_tuple_partition((3, 1), 2) is None
 
 
 def test_partition_backtracking_not_greedy_only():
@@ -229,7 +254,7 @@ def test_root_block_nilpotent_property_grid():
                         assert _rel(np.linalg.matrix_power(a, m), b1) <= 1e-12, (a_, r, m)
                         assert _selfadjoint_rel(h1, a) <= 1e-12
                         sizes = tuple(sorted((u * m + v for u, v, _ in grouping), reverse=True))
-                        assert segre_characteristic(a, 0.0).parts == sizes
+                        assert segre(a, 0.0) == sizes
 
 
 # -- class builders -----------------------------------------------------------
@@ -271,7 +296,7 @@ def test_root_block_nonreal_k2():
     power = np.linalg.matrix_power(a, m)
     assert np.linalg.norm(power - b1) <= 1e-10
     assert np.linalg.norm(h1 @ a - a.conj().T @ h1) <= 1e-10
-    assert segre_characteristic(power, lam).parts == (2,)
+    assert segre(power, lam) == (2,)
 
 
 def test_root_block_nonreal_branches_differ():
@@ -295,7 +320,7 @@ def test_root_block_negative_even_k2():
                                       CanonicalBlock(-4.0, 2, -1))))
     assert np.linalg.norm(power - b1) <= 1e-9
     assert np.linalg.norm(h1 @ a - a.conj().T @ h1) <= 1e-9
-    assert segre_characteristic(power, -4.0).parts == (2, 2)
+    assert segre(power, -4.0) == (2, 2)
 
 
 def test_root_block_negative_even_class_mismatch():
@@ -312,19 +337,19 @@ def test_root_block_nilpotent_m1_is_input():
 
 def test_root_block_nilpotent_m2():
     a = root_block_nilpotent([(1, 1, 1)], 2)
-    assert segre_characteristic(np.linalg.matrix_power(a, 2), 0.0).parts == (2, 1)
+    assert segre(np.linalg.matrix_power(a, 2), 0.0) == (2, 1)
     assert _nilpotent_similar_to_single_block(a, 3)
 
 
 def _nilpotent_similar_to_single_block(a, k):
-    return segre_characteristic(a, 0.0).parts == (k,)
+    return segre(a, 0.0) == (k,)
 
 
 def test_root_block_nilpotent_paper_example():
     # per-copy Segre (3,3,2,2) with admissible signs, m = 4: root has Segre (10)
     a = root_block_nilpotent([(2, 2, 1)], 4)
-    assert segre_characteristic(a, 0.0).parts == (10,)
-    assert segre_characteristic(np.linalg.matrix_power(a, 4), 0.0).parts == (3, 3, 2, 2)
+    assert segre(a, 0.0) == (10,)
+    assert segre(np.linalg.matrix_power(a, 4), 0.0) == (3, 3, 2, 2)
 
 
 # -- assembly -----------------------------------------------------------------
@@ -393,12 +418,12 @@ def test_mth_root_scalar_examples():
 
 
 def test_mth_root_negative_even_pairing():
-    b = QuatMatrix.from_real(-np.eye(2))
+    b = quat_real(-np.eye(2))
     decision = mth_root(b, QuatMatrix.eye(2), 2)
     assert isinstance(decision, RootDecision)
     assert decision.certificate.kind == "NegativeSignPairing"
 
-    h = QuatMatrix.from_real(np.diag([1.0, -1.0]))
+    h = quat_real(np.diag([1.0, -1.0]))
     out = mth_root(b, h, 2)
     assert isinstance(out, RootResult)
     assert out.residual_power <= 1e-12
@@ -445,8 +470,8 @@ def test_library_rejects_an_m_that_is_not_an_integer_of_at_least_one(m):
     from qroot.roots import reduce_pair
     # a +- pair at -1: a root exists for every integer m
     spec = CanonicalSpec((CanonicalBlock(-1.0, 1, 1), CanonicalBlock(-1.0, 1, -1)))
-    b = QuatMatrix.from_real(-np.eye(2))
-    h = QuatMatrix.from_real(np.diag([1.0, -1.0]))
+    b = quat_real(-np.eye(2))
+    h = quat_real(np.diag([1.0, -1.0]))
     with pytest.raises(SpecInvalid):
         root_exists(spec, m)
     with pytest.raises(SpecInvalid):
@@ -459,8 +484,8 @@ def test_library_rejects_an_m_that_is_not_an_integer_of_at_least_one(m):
 
 def test_library_takes_a_numpy_integer_m():
     spec = CanonicalSpec((CanonicalBlock(-1.0, 1, 1), CanonicalBlock(-1.0, 1, -1)))
-    b = QuatMatrix.from_real(-np.eye(2))
-    h = QuatMatrix.from_real(np.diag([1.0, -1.0]))
+    b = quat_real(-np.eye(2))
+    h = quat_real(np.diag([1.0, -1.0]))
     assert root_exists(spec, np.int64(2)) == root_exists(spec, 2)
     out = mth_root(b, h, np.int64(2))
     assert isinstance(out, RootResult)
@@ -474,8 +499,8 @@ def test_library_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
     from qroot.omega import omega_embed
     from qroot.roots import reduce_pair
     # HB - B*H has relative residual 0.41, which a NaN tolerance let through
-    b = QuatMatrix.from_real(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    h = QuatMatrix.from_real(np.diag([1.0, -1.0]))
+    b = quat_real(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    h = quat_real(np.diag([1.0, -1.0]))
     for m in (1, 2):
         with pytest.raises(SpecInvalid):
             reduce_pair(b, h, m, tol)
@@ -513,7 +538,7 @@ def test_gate_builder_agreement_random_specs():
 
 def test_forced_builder_cannot_verify_on_refused_instance():
     # pretend the signs were admissible and check the forgery fails against H
-    b = QuatMatrix.from_real(-np.eye(2))
+    b = quat_real(-np.eye(2))
     h = QuatMatrix.eye(2)  # actual H: both signs +1 -> no root
     forged = root_block_negative_even(-1.0, 1, 2)  # root for the paired signs
     a = omega_extract(block_diag(forged, np.conj(forged)))
@@ -532,7 +557,7 @@ def test_nilpotent_structural_oracle_doubled_grid():
             a, r = (k - 1) // m, k - ((k - 1) // m) * m
             expect = sorted(([a + 1] * r + ([a] * (m - r) if a else [])) * 2,
                             reverse=True)
-            assert segre_characteristic(power, 0.0).parts == tuple(expect), (k, m)
+            assert segre(power, 0.0) == tuple(expect), (k, m)
 
 
 def test_mth_root_near_singular_h():
@@ -545,8 +570,8 @@ def test_mth_root_near_singular_h():
 
 def test_mth_root_rejects_non_selfadjoint_b():
     from qroot.errors import NotSelfadjoint
-    b = QuatMatrix.from_real(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    h = QuatMatrix.from_real(np.eye(2))
+    b = quat_real(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    h = quat_real(np.eye(2))
     for m in (1, 2):
         with pytest.raises(NotSelfadjoint):
             mth_root(b, h, m)
@@ -609,7 +634,7 @@ def test_mth_root_near_axis_nonreal_with_fillers():
     spec = CanonicalSpec((
         CanonicalBlock(0.1 + 1.0j, 1, None), CanonicalBlock(2.0, 2, 1),
         CanonicalBlock(-1.5, 2, -1), CanonicalBlock(1.7 + 0.8j, 1, None))).sorted()
-    assert spec.copy_size() == 8
+    assert _copy_size(spec) == 8
     for seed in range(3):
         b, h = _scrambled_instance(spec, seed)
         out = mth_root(b, h, 3)
@@ -627,7 +652,7 @@ def test_mth_root_pairs_nonreal_cluster_with_nearest_conjugate():
         CanonicalBlock(-0.57 + 1.99j, 1, None), CanonicalBlock(-0.57 + 1.99j, 1, None),
         CanonicalBlock(1.2, 1, 1), CanonicalBlock(2.4, 1, -1),
         CanonicalBlock(1.8 + 0.6j, 1, None))).sorted()
-    assert spec.copy_size() == 10
+    assert _copy_size(spec) == 10
     for seed in range(3):
         b, h = _scrambled_instance(spec, seed)
         out = mth_root(b, h, 2)
@@ -643,7 +668,7 @@ def test_mth_root_negative_even_j6_pair_with_fillers():
         CanonicalBlock(-4.5, 6, 1), CanonicalBlock(-4.5, 6, -1),
         CanonicalBlock(-4.5, 3, 1), CanonicalBlock(-4.5, 3, -1),
         CanonicalBlock(1.7, 3, 1))).sorted()
-    assert spec.copy_size() >= 21
+    assert _copy_size(spec) >= 21
     for seed in (3, 4):
         b, h = _scrambled_instance(spec, seed)
         out = mth_root(b, h, 4)
@@ -794,7 +819,7 @@ def test_mth_root_close_simple_positive_eigenvalues(gap):
                CanonicalBlock(-1.2 + 1.4j, 1, None), CanonicalBlock(1.8 + 2.0j, 2, None)]
     spec = CanonicalSpec(tuple(fillers) + (CanonicalBlock(5.5, 1, 1),
                                            CanonicalBlock(5.5 + gap, 1, -1))).sorted()
-    assert spec.copy_size() >= 24
+    assert _copy_size(spec) >= 24
     for m in (2, 3):
         b, h = _scrambled_instance(spec, 60 + m)
         out = mth_root(b, h, m)
@@ -827,7 +852,7 @@ def _jittered_spec(rng, n):
 def test_mth_root_jittered_unconstrained_spectra(i, n):
     rng = np.random.default_rng(70 + i)
     spec = _jittered_spec(rng, n)
-    assert spec.copy_size() == n
+    assert _copy_size(spec) == n
     m = 2 + i % 2
     b, h = _scrambled_instance(spec, 70 + i)
     out = mth_root(b, h, m)
@@ -960,7 +985,7 @@ def test_two_cluster_x_matches_full_canonicalization_reference(m, monkeypatch):
         assert isinstance(got, RootResult) and verify_root(got.root, b, h, m).passed
         # one reordering puts X first, then each X cluster is deflated as canon does
         assert calls["ztrsen"] == 3
-        assert got.similarity.shape == (2 * spec.copy_size(), 2 * 6)
+        assert got.similarity.shape == (2 * _copy_size(spec), 2 * 6)
         want = _reference_root(b, h, m, branch)
         a = omega_embed(got.root).array
         assert np.linalg.norm(a - want) <= 1e-10 * np.linalg.norm(want)
@@ -977,7 +1002,7 @@ def test_mth_root_branch_changes_nonreal_part_next_to_constrained_part():
     assert not np.allclose(out0.root.data, out1.root.data)
     for out in (out0, out1):
         assert verify_root(out.root, b, h, 2).passed
-        assert out.similarity.shape == (2 * spec.copy_size(), 2 * 5)
+        assert out.similarity.shape == (2 * _copy_size(spec), 2 * 5)
 
 
 _MAPPED_OPENBLAS = """

@@ -12,7 +12,7 @@ from oracles import power_segre_oracle
 
 
 def quat_scalar(value):
-    return QuatMatrix.from_real(np.array([[float(value)]]))
+    return QuatMatrix(np.array([[[float(value), 0.0, 0.0, 0.0]]]))
 
 
 # -- verify_root --------------------------------------------------------------
@@ -78,18 +78,18 @@ def test_verify_tampered_root():
 # -- power Segre oracle -------------------------------------------------------
 
 def test_power_segre_examples():
-    assert power_segre_oracle(3, 2).parts == (2, 1)
-    assert power_segre_oracle(5, 3).parts == (2, 2, 1)
-    assert power_segre_oracle(4, 5).parts == (1, 1, 1, 1)
+    assert power_segre_oracle(3, 2) == (2, 1)
+    assert power_segre_oracle(5, 3) == (2, 2, 1)
+    assert power_segre_oracle(4, 5) == (1, 1, 1, 1)
 
 
 def test_power_segre_full_grid():
     for k in range(1, 13):
         for m in range(1, 7):
-            seg = power_segre_oracle(k, m)
-            assert sum(seg.parts) == k
+            parts = power_segre_oracle(k, m)
+            assert sum(parts) == k
             a, r = (k - 1) // m, k - ((k - 1) // m) * m
-            assert seg.parts.count(a + 1) == r
+            assert parts.count(a + 1) == r
 
 
 # -- generator ----------------------------------------------------------------
@@ -133,7 +133,25 @@ def test_every_refusal_fits_max_size(m):
                 except ProfileInvalid:
                     continue
                 assert not root_exists(spec, m).exists
-                assert spec.copy_size() <= max_size, (classes, max_size, seed)
+                assert sum(b.copy_width() for b in spec.blocks) <= max_size, (
+                    classes, max_size, seed)
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_zero_refusals_exist_from_max_size_2(m):
+    # J_2(0)+ with at most m - 2 J_1(0)+ admits no m-tuple grouping; it was
+    # offered only from max_size m up, so zero-only refusals below that
+    # were ProfileInvalid.  At max_size 1 no zero refusal exists
+    for max_size in range(1, 9):
+        profile = {"classes": ["zero"], "m": m, "force": "refuse", "max_size": max_size}
+        if max_size == 1:
+            with pytest.raises(ProfileInvalid):
+                random_instance(0, profile)
+            continue
+        for seed in range(4):
+            _, _, spec = random_instance(seed, profile)
+            assert sum(b.copy_width() for b in spec.blocks) <= max_size
+            assert not root_exists(spec, m).exists, (m, max_size, seed)
 
 
 def test_generator_profile_validation():
