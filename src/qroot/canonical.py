@@ -274,38 +274,36 @@ def _staircase(n_mat: np.ndarray, expected_dim: int) -> tuple[list[int], list[np
     return parts, kernels
 
 
-def _reorder(schur: tuple[np.ndarray, np.ndarray], select: np.ndarray,
-             expected: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Schur form (T, Z) reordered so the `expected` selected eigenvalues lead.
+def _reorder(schur: tuple[np.ndarray, np.ndarray],
+             select: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Schur form (T, Z) reordered so the selected eigenvalues lead.
 
     LAPACK ztrsen (Bai & Demmel swaps) keeps the order within the selected
     and within the other eigenvalues and leaves the input form as it is.  A
     selection that already leads needs no swaps, so ztrsen is not called.
     """
-    if select[:expected].all() and not select[expected:].any():
+    if select[:int(select.sum())].all():
         return schur
-    ts, zs, sdim, info = lapack.reorder(select, *schur)
-    if sdim != expected or info != 0:
-        raise ClusterOverlap(
-            f"Schur selection found {sdim} eigenvalues, expected {expected} "
-            f"(ztrsen info {info})")
+    ts, zs, _, info = lapack.reorder(select, *schur)
+    if info != 0:
+        raise ClusterOverlap(f"Schur form could not be reordered (ztrsen info {info})")
     return ts, zs
 
 
 def _deflate_cluster(b: np.ndarray, schur: tuple[np.ndarray, np.ndarray],
-                     centroid: complex, radius: float,
-                     expected: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deflate the invariant subspace of the eigenvalue cluster.
+                     centroid: complex, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deflate the invariant subspace of the cluster at places members of diag(T).
 
-    Reorders the Schur form (T, Z) of b so the cluster's eigenvalues lead.
-    Returns (Q1, N) with B Q1 = Q1 (N + centroid I) up to backward error;
-    rank decisions on powers of the full matrix would drown in the growth of
-    the other eigenvalues, so all staircase work happens on N.
+    Reorders the Schur form (T, Z) of b so the members lead.  Returns (Q1, N)
+    with B Q1 = Q1 (N + centroid I) up to backward error; rank decisions on
+    powers of the full matrix would drown in the growth of the other
+    eigenvalues, so all staircase work happens on N.
     """
-    select = np.abs(np.diag(schur[0]) - centroid) <= radius
-    q1 = _reorder(schur, select, expected)[1][:, :expected]
+    select = np.zeros(len(schur[0]), dtype=bool)
+    select[members] = True
+    q1 = _reorder(schur, select)[1][:, :len(members)]
     t11 = q1.conj().T @ b @ q1
-    return q1, t11 - centroid * np.eye(expected, dtype=complex)
+    return q1, t11 - centroid * np.eye(len(members), dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +323,9 @@ def _cluster_eigenvalues(eigs: np.ndarray, radius: float) -> list[_Cluster]:
     The clusters are the connected components of the graph of eigenvalue
     pairs within radius.  Each sorted index takes the smallest label among
     its neighbours, then jumps to its label's label, until nothing moves;
-    every component is then labelled by its smallest index.
+    every component is then labelled by its smallest index.  Sorted by
+    centroid, a centroid within radius of the real axis is then snapped to
+    it, and to zero within radius of zero.
     """
     order = np.lexsort((eigs.imag, eigs.real))
     eigs = eigs[order]
@@ -343,6 +343,9 @@ def _cluster_eigenvalues(eigs: np.ndarray, radius: float) -> list[_Cluster]:
     clusters = [_Cluster(complex(np.mean(eigs[g])), len(g), order[g])
                 for g in (np.flatnonzero(labels == root) for root in roots)]
     clusters.sort(key=lambda c: (c.centroid.real, c.centroid.imag))
+    for c in clusters:
+        if abs(c.centroid.imag) <= radius:
+            c.centroid = complex(0.0 if abs(c.centroid.real) <= radius else c.centroid.real, 0.0)
     return clusters
 
 
@@ -501,10 +504,11 @@ def _normalize_hermitian_chains(chains, g, partner):
         a = int(np.argmax(lead.diagonal()))
         i = tops[a]
         if lead[a, a] < 0.1 * peak:
-            # fold chain j into chain i, at the first peak in row-major order
-            # (off the diagonal, which stays below it); the folded self-moment
-            # is h + 2|m| + h_j with |h|, |h_j| < 0.1 |m|, hence nonzero
-            a, b = np.unravel_index(np.argmax(lead), lead.shape)
+            # fold the later chain j into the earlier chain i, at the first
+            # largest lead[a, b] + lead[b, a] above the diagonal (equal in exact
+            # arithmetic, so rounding does not pick the direction); the folded
+            # self-moment is h + 2|m| + h_j with |h|, |h_j| < 0.1 |m|, so nonzero
+            a, b = np.unravel_index(np.argmax(np.triu(lead + lead.T, 1)), lead.shape)
             i, j = tops[a], tops[b]
             m1, m2 = moment(chains[i], chains[j], kappa + 1)
             mod = float(np.sqrt(abs(m1) ** 2 + abs(m2) ** 2))
@@ -628,8 +632,9 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None) -> 
     Checks H and HB = B*H and takes one Schur form B = Z T Z^*.  keep(c)
     says whether the cluster with snapped centroid c is canonicalized; None
     keeps every cluster.  The kept clusters' eigenvalues are moved to the
-    lead of the form once (ztrsen, none of it when every cluster is kept),
-    and the form that the root of the rest reads is returned in a Reduction.
+    lead of the form once (ztrsen, none of it when every cluster is kept);
+    each kept cluster is deflated from that form by its members, and the
+    root of the rest reads the form off the returned Reduction.
     """
     _check_tol(tol)
     if barr.shape != harr.shape:
@@ -641,28 +646,17 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None) -> 
     n = barr.shape[0] // 2
     radius = _cluster_radius(barr)
     schur = lapack.schur(barr)
-    clusters = []
-    for c in _cluster_eigenvalues(np.diag(schur[0]), radius):
-        # snap real centroids to the real axis (and to zero) at cluster
-        # resolution; a nonreal centroid keeps its real part, however small
-        if abs(c.centroid.imag) <= radius:
-            re = 0.0 if abs(c.centroid.real) <= radius else c.centroid.real
-            c = _Cluster(complex(re, 0.0), c.mult, c.members)
-        clusters.append(c)
+    clusters = _cluster_eigenvalues(np.diag(schur[0]), radius)
     select = np.zeros(2 * n, dtype=bool)
     for c in clusters:
         if keep is None or keep(c.centroid):
             select[c.members] = True
     lead = int(select.sum())
-    reordered = _reorder(schur, select, lead)
+    reordered = _reorder(schur, select)
     # ztrsen keeps the order within the kept and within the other eigenvalues
     place = np.where(select, np.cumsum(select) - 1, lead + np.cumsum(~select) - 1)
     clusters = tuple(_Cluster(c.centroid, c.mult, place[c.members]) for c in clusters)
     kept = [c for c in clusters if c.members[0] < lead]
-    # a lone kept cluster already leads the reordered form.  Several are each
-    # deflated from the form as taken, like every cluster of canonicalize_pair,
-    # so a cluster's canonical columns do not depend on which others are kept
-    form = reordered if len(kept) == 1 else schur
     real_clusters = [c for c in kept if c.centroid.imag == 0]
     nonreal = [c for c in kept if c.centroid.imag > 0]
     # the mate is the nearest conjugate cluster; a neighbour's conjugate
@@ -678,7 +672,7 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None) -> 
     for c in real_clusters:
         if c.mult % 2:
             raise ClusterOverlap("real eigenvalue multiplicity must be even in Omega")
-        q1, nd = _deflate_cluster(barr, form, c.centroid, radius, c.mult)
+        q1, nd = _deflate_cluster(barr, reordered, c.centroid, c.members)
         x_c = q1.conj().T @ chi(q1)
         partner = lambda v, _x=x_c: _x @ np.conj(v)
         g_c = q1.conj().T @ harr @ q1
@@ -687,7 +681,7 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None) -> 
             cols = q1 @ np.column_stack(chain)
             entries.append((CanonicalBlock(c.centroid, len(chain), eta), cols))
     for c in nonreal:
-        q1, nd = _deflate_cluster(barr, form, c.centroid, radius, c.mult)
+        q1, nd = _deflate_cluster(barr, reordered, c.centroid, c.members)
         hc = np.conj(harr)
         phi = q1.T @ np.hstack([-hc[:, n:], hc[:, :n]]) @ q1  # conj(H) K, a column swap
         bform = lambda x, y, _p=phi: x @ (_p @ y)

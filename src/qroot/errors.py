@@ -52,6 +52,10 @@ class RankAmbiguous(QRootError):
     kind = "RankAmbiguous"
 
 
+class RootInaccurate(QRootError):
+    kind = "RootInaccurate"
+
+
 class ClusterOverlap(QRootError):
     kind = "ClusterOverlap"
 

@@ -26,7 +26,7 @@ from .canonical import (DEFAULT_TOL, CanonicalBlock, CanonicalSpec, Reduction,
                         _canonicalize, _check_tol, block_diag, canonicalize_pair,
                         jordan_block)
 from .errors import (ClassMismatch, DimensionMismatch, NearSingularH,
-                     NotSelfadjoint, RankAmbiguous, Singular, SpecInvalid)
+                     NotSelfadjoint, RootInaccurate, Singular, SpecInvalid)
 from .omega import (OmegaMatrix, omega_embed, omega_extract, omega_project,
                     selfadjoint_residual)
 from .quaternion import QuatMatrix
@@ -511,7 +511,7 @@ def _schur_root(schur, lead: int, clusters, m: int, branch: int) -> np.ndarray:
     """
     t, z = schur
     k = lead
-    if k == len(t):  # all of X; ztrsyl's wrapper rejects an empty T22
+    if k == len(t):  # all of X; Smith's (m - 1)-row table of an empty T22 costs O(m)
         return np.zeros_like(t)
     cent = np.ones(len(t), dtype=complex)
     mu_c = np.zeros(len(t), dtype=complex)
@@ -537,17 +537,18 @@ def _result_from_omega(a_omega: np.ndarray, b: QuatMatrix, h: QuatMatrix, m: int
     a1, a2, omega_res = omega_project(a_omega)
     a_quat = QuatMatrix.from_complex_pair(a1, a2)
     report = verify_root(a_quat, b, h, m, tol)
+    cond = float(np.linalg.cond(similarity)) if similarity.size else 1.0
     if not report.passed:
-        raise RankAmbiguous(
+        raise RootInaccurate(
             f"constructed root failed verification: power {report.residual_power:.3e}, "
-            f"selfadjoint {report.residual_selfadjoint:.3e} (limit {tol:.1e})")
+            f"selfadjoint {report.residual_selfadjoint:.3e} (limit {tol:.1e}), cond(S_X) {cond:.3e}")
     return RootResult(
         root=a_quat,
         similarity=similarity,
         residual_power=report.residual_power,
         residual_selfadjoint=report.residual_selfadjoint,
         omega_residual=omega_res,
-        cond_similarity=float(np.linalg.cond(similarity)) if similarity.size else 1.0,
+        cond_similarity=cond,
     )
 
 

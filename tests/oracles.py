@@ -68,8 +68,10 @@ def pair_search_normalize(chains, g, partner, folds=None):
     """The Gram normalization with each round's pivot found pair by pair.
 
     It evaluates the leading moment of every ordered pair of top chains,
-    self pairs first; the library reads the same choice off one matrix.
-    Each fold (i, j) of chain j into chain i is appended to folds.
+    self pairs first; the library reads the same choice off one matrix.  A
+    fold takes the first largest sum of the two cross moduli over the pairs
+    i < j, in row-major order, and folds chain j into chain i.  Each fold
+    (i, j) is appended to folds.
     """
     def form(x, y):
         return (complex(np.vdot(y.v, x.gv)), complex(np.vdot(y.pv, x.gv)))
@@ -94,21 +96,20 @@ def pair_search_normalize(chains, g, partner, folds=None):
             h = _qs_abs(moment(chains[i], chains[i], kappa + 1))
             if h > best_self[0]:
                 best_self = (h, i)
-        best_cross = (0.0, None, None)
-        for i in tops:
-            for j in tops:
-                if j == i:
-                    continue
-                m = _qs_abs(moment(chains[i], chains[j], kappa + 1))
-                if m > best_cross[0]:
-                    best_cross = (m, i, j)
-        peak = max(best_self[0], best_cross[0])
+        peak, best_pair = best_self[0], (0.0, None, None)
+        for a, i in enumerate(tops):
+            for j in tops[a + 1:]:
+                m_ij = _qs_abs(moment(chains[i], chains[j], kappa + 1))
+                m_ji = _qs_abs(moment(chains[j], chains[i], kappa + 1))
+                peak = max(peak, m_ij, m_ji)
+                if m_ij + m_ji > best_pair[0]:
+                    best_pair = (m_ij + m_ji, i, j)
         if peak <= DEGENERATE_FACTOR * max(1.0, scale):
             raise RankAmbiguous("degenerate leading moments in Gram normalization")
         if best_self[0] >= 0.1 * peak:
             i = best_self[1]
         else:
-            _, i, j = best_cross
+            _, i, j = best_pair
             if folds is not None:
                 folds.append((i, j))
             m = moment(chains[i], chains[j], kappa + 1)

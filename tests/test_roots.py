@@ -761,19 +761,38 @@ def test_smith_root_of_triangular_forms():
         assert np.linalg.norm(power - t) <= 1e-13 * np.linalg.norm(t), (n, m)
 
 
-def _reference_root(b, h, m, branch):
+def _reference_root(b, h, m, branch, got):
     """The full-canonicalization root S A_c S^-1 every solve built before.
 
     A_c is assembled from every class's builder on the full spec, where a
-    solve builds only the constrained part X.
+    solve builds only the constrained part X.  X's columns of canon's S are
+    the solve's own, got.similarity: a solve deflates each X cluster from
+    the form reordered with X first, so its canonical columns of X may
+    differ from canon's.  The solve's S_X is checked against X's canonical
+    pair within the engine's residual bound.
     """
-    from qroot.canonical import canonicalize_pair
+    from qroot.canonical import DEFAULT_TOL, canonicalize_pair
     from qroot.omega import omega_embed
-    s, spec = canonicalize_pair(omega_embed(b), omega_embed(h))
+    from qroot.roots import _constrained, reduce_pair
+    barr, harr = omega_embed(b).array, omega_embed(h).array
+    s, spec = canonicalize_pair(barr, harr)
     plan = _classify_and_plan(spec, m)
     if plan.certificate is not None:
         return plan.decision()
     blocks = spec.blocks
+    in_x = [_constrained(blk.lam, m) for blk in blocks]
+    x_spec = reduce_pair(b, h, m).spec
+    assert x_spec.blocks == tuple(blk for blk, kept in zip(blocks, in_x) if kept)
+    s_x = got.similarity
+    if x_spec.blocks:
+        bc, hc = materialize_pair(x_spec)
+        res = (np.linalg.norm(barr @ s_x - s_x @ bc.array)
+               + np.linalg.norm(s_x.conj().T @ harr @ s_x - hc.array))
+        assert res <= (DEFAULT_TOL * max(1.0, np.linalg.norm(barr))
+                       + DEFAULT_TOL * max(1.0, np.linalg.norm(harr)))
+    cols = np.flatnonzero(np.repeat(in_x, [blk.copy_width() for blk in blocks]))
+    s = s.array.copy()
+    s[:, np.concatenate([cols, s.shape[1] // 2 + cols])] = s_x
     parts = [([i], root_block_real(blocks[i].lam.real, blocks[i].size, blocks[i].sign, m))
              for i in plan.positive + (plan.negative if m % 2 else [])]
     parts += [([i, j], root_block_negative_even(blocks[i].lam.real, blocks[i].size, m, branch))
@@ -784,7 +803,7 @@ def _reference_root(b, h, m, branch):
         zero = sorted(plan.zero, key=lambda i: blocks[i].sort_key())
         parts.append((zero, root_block_nilpotent(plan.zero_grouping, m)))
     a_c = assemble_root([blk.copy_width() for blk in blocks], parts).array
-    return np.linalg.solve(s.array.T, (s.array @ a_c).T).T
+    return np.linalg.solve(s.T, (s @ a_c).T).T
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -796,9 +815,10 @@ def test_mth_root_matches_full_canonicalization_reference(m):
         b, h, spec = random_instance(9100 + 10 * m + seed, {
             "classes": classes, "m": m, "force": "admit", "max_size": 12})
         branch = seed % 2
-        want = _reference_root(b, h, m, branch)
         got = mth_root(b, h, m, branch=branch)
-        assert isinstance(want, np.ndarray) and isinstance(got, RootResult)
+        assert isinstance(got, RootResult)
+        want = _reference_root(b, h, m, branch, got)
+        assert isinstance(want, np.ndarray)
         a = omega_embed(got.root).array
         assert np.linalg.norm(a - want) <= 1e-10 * np.linalg.norm(want), seed
         x_width = sum(2 * blk.copy_width() for blk in spec.blocks
@@ -983,12 +1003,58 @@ def test_two_cluster_x_matches_full_canonicalization_reference(m, monkeypatch):
         calls.clear()
         got = mth_root(b, h, m, branch=branch)
         assert isinstance(got, RootResult) and verify_root(got.root, b, h, m).passed
-        # one reordering puts X first, then each X cluster is deflated as canon does
-        assert calls["ztrsen"] == 3
+        # one reordering puts X first; each X cluster is deflated from that
+        # form, where the first of them leads already
+        assert calls["ztrsen"] == 2
         assert got.similarity.shape == (2 * _copy_size(spec), 2 * 6)
-        want = _reference_root(b, h, m, branch)
+        want = _reference_root(b, h, m, branch, got)
         a = omega_embed(got.root).array
         assert np.linalg.norm(a - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_three_cluster_x_reorders_once_per_cluster(monkeypatch):
+    # X is zero and +- pairs at two negative eigenvalues.  The form is
+    # reordered with X first, and each X cluster is deflated from it by its
+    # members, where the first of them leads already: three ztrsen calls in
+    # all, where a second reordering per cluster would make four
+    calls = _count_kernels(monkeypatch)
+    spec = CanonicalSpec((CanonicalBlock(-1.7, 2, 1), CanonicalBlock(-1.7, 2, -1),
+                          CanonicalBlock(-0.8, 1, 1), CanonicalBlock(-0.8, 1, -1),
+                          CanonicalBlock(0.0, 1, 1), CanonicalBlock(0.0, 1, -1),
+                          CanonicalBlock(0.9, 2, 1), CanonicalBlock(2.3, 1, -1),
+                          CanonicalBlock(0.6 + 1.1j, 1, None))).sorted()
+    b, h = _scrambled_instance(spec, 86)
+    got = mth_root(b, h, 2)
+    assert isinstance(got, RootResult) and verify_root(got.root, b, h, 2).passed
+    assert got.similarity.shape == (2 * _copy_size(spec), 2 * 8)
+    assert calls["ztrsen"] == 3
+
+
+def test_a_root_that_fails_its_self_check_is_root_inaccurate(tmp_path, monkeypatch, capsys):
+    # the self-check decides no rank, so its failure has a kind of its own,
+    # whose message carries both residuals and cond(S_X)
+    import json
+    import qroot.cli
+    import qroot.verify
+    from qroot.errors import RootInaccurate
+    from qroot.verify import VerificationReport
+    inner = qroot.verify.verify_root
+
+    def inaccurate(a, b, h, m, tol):
+        report = inner(a, b, h, m, tol)
+        return VerificationReport(10 * tol, report.residual_selfadjoint, False, tol)
+
+    monkeypatch.setattr(qroot.verify, "verify_root", inaccurate)
+    spec = CanonicalSpec((CanonicalBlock(-1.3, 2, 1), CanonicalBlock(-1.3, 2, -1),
+                          CanonicalBlock(0.9, 2, 1))).sorted()
+    b, h = _scrambled_instance(spec, 83)
+    with pytest.raises(RootInaccurate, match=r"power 1\.000e-07, selfadjoint \S+ "
+                                             r"\(limit 1\.0e-08\), cond\(S_X\) \d"):
+        mth_root(b, h, 2)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"B": b.to_json(), "H": h.to_json()}))
+    assert qroot.cli.main(["root", "--m", "2", "--in", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "RootInaccurate"}
 
 
 def test_mth_root_branch_changes_nonreal_part_next_to_constrained_part():
