@@ -465,38 +465,53 @@ def _cluster_root(c: complex, m: int, branch: int) -> complex:
 def _smith_root(t: np.ndarray, mu: np.ndarray, m: int) -> np.ndarray:
     """Upper triangular U with U^m = T and diag(U) = mu, for upper triangular T.
 
-    Smith's recurrence (SIMAX 24(4), 2003), one superdiagonal at a time.
-    With P_q = U^q for q < m, entry (i, j) of U^q splits into
-    mu_i^(q-1) u_ij + mu_j (U^(q-1))_ij + M_q, where M_q sums
-    (U^(q-1))_ik u_kj over i < k < j and needs only nearer diagonals.  So
-    (U^q)_ij = a_q u_ij + c_q, and U^m = T gives u_ij = (t_ij - c_m) / a_m,
-    with a_m = sum_h mu_i^(m-1-h) mu_j^h nonzero while equal eigenvalues
-    share a branch.
+    Smith's recurrence (SIMAX 24(4), 2003) on the left-to-right binary
+    chain of m (Greco & Iannazzo, Numer. Algorithms 55, 2010), one
+    superdiagonal at a time.  P_0 = U and P_(s+1) = P_s P_b, with b = s (a
+    square) or b = 0 (times U); the last P is U^m.  Entry (i, j) of P_(s+1)
+    is (P_s)_ii (P_b)_ij + (P_s)_ij (P_b)_jj + M, where M sums
+    (P_s)_ik (P_b)_kj over i < k < j and needs only nearer diagonals.  So
+    (P_s)_ij = a_s u_ij + c_s, and U^m = T gives u_ij = (t_ij - c) / a from
+    the last P, with a = sum_h mu_i^(m-1-h) mu_j^h nonzero while equal
+    eigenvalues share a branch.  The chain has at most 2 log2(m) links.
     """
     n = t.shape[0]
-    powers = mu ** np.arange(1, m)[:, None]  # mu^q for q < m
-    p = np.zeros((m - 1, n, n), dtype=complex)
+    exps, factor = [1], []  # P_s = U^exps[s]; P_(s+1) = P_s P_factor[s]
+    for bit in bin(m)[3:]:  # the bits of m after its leading 1
+        factor.append(len(exps) - 1)  # a square; P_0 squared is P_0 times U
+        exps.append(2 * exps[-1])
+        if bit == "1":
+            factor.append(0)
+            exps.append(exps[-1] + 1)
+    steps = len(factor)
+    # the factors P_0 .. P_(steps-1), and their diagonals; for m = 1, U alone
+    powers = mu ** np.array(exps[:max(steps, 1)])[:, None]
+    p = np.zeros((len(powers), n, n), dtype=complex)
     p[:, np.arange(n), np.arange(n)] = powers
     flat = p.reshape(-1)
     nn, sz = n * n, p.itemsize
     for d in range(1, n):
         w = n - d
-        mu_j = mu[d:]
-        a = np.ones(w, dtype=complex)
-        c = np.zeros(w, dtype=complex)
+        a, c = [np.ones(w, dtype=complex)], [np.zeros(w, dtype=complex)]
         if d > 1:
-            # views of p: left[q, i, k] = (U^(q+1))[i, i+1+k], right[i, k] = U[i+1+k, i+d]
-            left = np.ndarray((m - 1, w, d - 1), complex, p, sz, (nn * sz, (n + 1) * sz, sz))
-            right = np.ndarray((w, d - 1), complex, p, (n + d) * sz, ((n + 1) * sz, n * sz))
-            mq = np.einsum("qik,ik->qi", left, right)
-        coefs = []
-        for q in range(1, m):
-            coefs.append((a, c))
-            a = powers[q - 1][:w] + mu_j * a
-            c = mu_j * c + mq[q - 1] if d > 1 else mu_j * c
-        u = (np.diagonal(t, d) - c) / a
-        for q, (a, c) in enumerate(coefs):
-            flat[q * nn + d:(q + 1) * nn:n + 1][:w] = a * u + c  # diagonal d of U^(q+1)
+            # views of p: left[s, i, k] = (P_s)[i, i+1+k], right[s, i, k] = (P_s)[i+1+k, i+d]
+            left = np.ndarray((steps, w, d - 1), complex, p, sz, (nn * sz, (n + 1) * sz, sz))
+            right = np.ndarray((len(p), w, d - 1), complex, p, (n + d) * sz,
+                              (nn * sz, (n + 1) * sz, n * sz))
+            inner = np.einsum("sik,sik->si", left, right[factor])
+        for s, b in enumerate(factor):
+            mu_i, mu_j = powers[s, :w], powers[b, d:]
+            if b:  # P_s squared
+                a.append((mu_i + mu_j) * a[s])
+                c.append((mu_i + mu_j) * c[s])
+            else:  # P_s times U
+                a.append(mu_i + mu_j * a[s])
+                c.append(mu_j * c[s])
+            if d > 1:
+                c[-1] += inner[s]
+        u = (np.diagonal(t, d) - c[-1]) / a[-1]
+        for s in range(len(p)):
+            flat[s * nn + d:(s + 1) * nn:n + 1][:w] = a[s] * u + c[s]  # diagonal d of P_s
     return p[0]
 
 
@@ -511,8 +526,6 @@ def _schur_root(schur, lead: int, clusters, m: int, branch: int) -> np.ndarray:
     """
     t, z = schur
     k = lead
-    if k == len(t):  # all of X; Smith's (m - 1)-row table of an empty T22 costs O(m)
-        return np.zeros_like(t)
     cent = np.ones(len(t), dtype=complex)
     mu_c = np.zeros(len(t), dtype=complex)
     for c in clusters:

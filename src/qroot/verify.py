@@ -83,7 +83,7 @@ def _normalize_profile(profile: dict) -> dict:
     return prof
 
 
-def _draw_eigenvalues(rng, kind: str, count: int) -> list[complex]:
+def _draw_eigenvalue(rng, kind: str) -> complex:
     if kind == "positive":
         base = [0.7, 1.4, 2.2, 3.1]
     elif kind == "negative":
@@ -91,47 +91,29 @@ def _draw_eigenvalues(rng, kind: str, count: int) -> list[complex]:
     else:  # nonreal: grid keeps pairwise separation and distance to the axes
         base = [complex(re, im) for re in (-1.6, -0.5, 0.6, 1.7)
                 for im in (0.7, 1.5, 2.3)]
-    idx = rng.permutation(len(base))[:count]
-    out = []
-    for i in idx:
-        lam = complex(base[i])
-        jitter = 0.1 * (rng.random() - 0.5)
-        out.append(complex(lam.real + jitter, lam.imag + (0.1 * (rng.random() - 0.5)
-                                                          if lam.imag else 0.0)))
-    return out
+    lam = complex(base[rng.permutation(len(base))[0]])
+    jitter = 0.1 * (rng.random() - 0.5)
+    return complex(lam.real + jitter, lam.imag + (0.1 * (rng.random() - 0.5)
+                                                  if lam.imag else 0.0))
 
 
 def _admit_blocks(rng, classes, budget: int, m: int) -> list[CanonicalBlock]:
     blocks: list[CanonicalBlock] = []
-    order = list(classes)
-    for cls in order:
+    for cls in classes:
         if budget <= 0:
             break
-        if cls == "positive":
+        if cls == "positive" or cls == "negative" and m % 2:
             k = int(rng.integers(1, min(3, budget) + 1))
-            lam = _draw_eigenvalues(rng, "positive", 1)[0].real
+            lam = _draw_eigenvalue(rng, cls).real
             blocks.append(CanonicalBlock(lam, k, int(rng.choice([-1, 1]))))
             budget -= k
-        elif cls == "negative":
-            if m % 2 == 0:
-                k = int(rng.integers(1, min(2, max(1, budget // 2)) + 1))
-                if 2 * k > budget:
-                    continue
-                lam = _draw_eigenvalues(rng, "negative", 1)[0].real
-                blocks.append(CanonicalBlock(lam, k, 1))
-                blocks.append(CanonicalBlock(lam, k, -1))
-                budget -= 2 * k
-            else:
-                k = int(rng.integers(1, min(3, budget) + 1))
-                lam = _draw_eigenvalues(rng, "negative", 1)[0].real
-                blocks.append(CanonicalBlock(lam, k, int(rng.choice([-1, 1]))))
-                budget -= k
-        elif cls == "nonreal":
+        elif cls in ("nonreal", "negative"):  # a conjugate pair, or a +- pair for m even
             k = int(rng.integers(1, min(2, max(1, budget // 2)) + 1))
             if 2 * k > budget:
                 continue
-            lam = _draw_eigenvalues(rng, "nonreal", 1)[0]
-            blocks.append(CanonicalBlock(lam, k, None))
+            lam = _draw_eigenvalue(rng, cls)
+            blocks += ([CanonicalBlock(lam, k, None)] if cls == "nonreal"
+                       else [CanonicalBlock(lam.real, k, 1), CanonicalBlock(lam.real, k, -1)])
             budget -= 2 * k
         else:  # zero: one admissible m-tuple
             a_max = max(0, (budget - 1) // m)
@@ -164,7 +146,7 @@ def _refuse_blocks(rng, classes, budget: int, m: int) -> list[CanonicalBlock]:
             f"no refusal instance exists for classes={classes}, m={m}, max_size={budget}")
     mode = modes[int(rng.integers(0, len(modes)))]
     if mode == "negpair":
-        lam = _draw_eigenvalues(rng, "negative", 1)[0].real
+        lam = _draw_eigenvalue(rng, "negative").real
         return [CanonicalBlock(lam, 1, 1), CanonicalBlock(lam, 1, 1)]
     if mode == "zerosign":
         if m % 2 == 0:

@@ -60,6 +60,46 @@ def m_tuple_partition(parts: tuple[int, ...], m: int) -> list[tuple[int, int]] |
     return None if grouping is None else [(a, r) for a, r, _ in grouping]
 
 
+def smith_root(t: np.ndarray, mu: np.ndarray, m: int) -> np.ndarray:
+    """Upper triangular U with U^m = T and diag(U) = mu, by every power U^q for q < m.
+
+    The reference for the library's _smith_root, which walks m's binary chain.
+
+    Smith's recurrence (SIMAX 24(4), 2003), one superdiagonal at a time.
+    With P_q = U^q for q < m, entry (i, j) of U^q splits into
+    mu_i^(q-1) u_ij + mu_j (U^(q-1))_ij + M_q, where M_q sums
+    (U^(q-1))_ik u_kj over i < k < j and needs only nearer diagonals.  So
+    (U^q)_ij = a_q u_ij + c_q, and U^m = T gives u_ij = (t_ij - c_m) / a_m,
+    with a_m = sum_h mu_i^(m-1-h) mu_j^h nonzero while equal eigenvalues
+    share a branch.
+    """
+    n = t.shape[0]
+    powers = mu ** np.arange(1, m)[:, None]  # mu^q for q < m
+    p = np.zeros((m - 1, n, n), dtype=complex)
+    p[:, np.arange(n), np.arange(n)] = powers
+    flat = p.reshape(-1)
+    nn, sz = n * n, p.itemsize
+    for d in range(1, n):
+        w = n - d
+        mu_j = mu[d:]
+        a = np.ones(w, dtype=complex)
+        c = np.zeros(w, dtype=complex)
+        if d > 1:
+            # views of p: left[q, i, k] = (U^(q+1))[i, i+1+k], right[i, k] = U[i+1+k, i+d]
+            left = np.ndarray((m - 1, w, d - 1), complex, p, sz, (nn * sz, (n + 1) * sz, sz))
+            right = np.ndarray((w, d - 1), complex, p, (n + d) * sz, ((n + 1) * sz, n * sz))
+            mq = np.einsum("qik,ik->qi", left, right)
+        coefs = []
+        for q in range(1, m):
+            coefs.append((a, c))
+            a = powers[q - 1][:w] + mu_j * a
+            c = mu_j * c + mq[q - 1] if d > 1 else mu_j * c
+        u = (np.diagonal(t, d) - c) / a
+        for q, (a, c) in enumerate(coefs):
+            flat[q * nn + d:(q + 1) * nn:n + 1][:w] = a * u + c  # diagonal d of U^(q+1)
+    return p[0]
+
+
 def _qs_abs(q):
     return float(np.sqrt(abs(q[0]) ** 2 + abs(q[1]) ** 2))
 

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -531,11 +532,33 @@ def test_a_zero_only_root_does_not_grow_with_m(tmp_path):
     assert json.loads(text)["passed"]
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps RLIMIT_AS")
-def test_a_root_too_large_for_memory_is_a_numeric_error():
-    # Smith's recurrence keeps (m - 1) powers of the 2n x 2n form's diagonal
+def test_a_root_too_large_for_memory_is_a_numeric_error(monkeypatch, capsys):
+    import qroot.cli
+    import qroot.roots
+
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 14.9 GiB for an array")
+
     rc, bundle, _ = run_cli(["gen", "--seed", "1", "--m", "2"])
     assert rc == 0
-    rc, out, err = _run_capped(["root", "--m", "100000000"], bundle)
-    assert (rc, json.loads(out)) == (1, {"error": "NumericError"})
+    monkeypatch.setattr(qroot.roots, "_schur_root", too_large)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(bundle))
+    assert qroot.cli.main(["root", "--m", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": "NumericError"}
     assert len(err.splitlines()) == 1 and "allocate" in err
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps RLIMIT_AS")
+def test_a_primary_root_does_not_grow_with_m():
+    # Smith's recurrence kept m - 1 powers of the 2n x 2n Schur form: a
+    # NumericError at m = 10^8, where the binary chain keeps about 2 log2(m)
+    rc, bundle, _ = run_cli(["gen", "--seed", "1", "--m", "2"])
+    assert rc == 0
+    rc, text, err = _run_capped(["root", "--m", "100000"], bundle)
+    assert rc == 0, (text, err)
+    rc, report, err = _run_capped(["verify"], text)
+    assert rc == 0 and json.loads(report)["passed"], (report, err)
+    # the power residual grows with m and exceeds 1e-8 between m = 10^6 and 10^7
+    rc, out, err = _run_capped(["root", "--m", "100000000"], bundle)
+    assert (rc, json.loads(out)) == (1, {"error": "RootInaccurate"}), err

@@ -19,7 +19,7 @@ from qroot.roots import (RootDecision, RootResult, assemble_root,
 from qroot.verify import random_instance, verify_root
 
 from lapack_sources import LAPACK_SOURCES, lapack_source  # noqa: F401
-from oracles import m_tuple_partition, segre
+from oracles import m_tuple_partition, segre, smith_root
 
 
 def quat_real(a):
@@ -748,17 +748,38 @@ def test_outcome_does_not_depend_on_presentation_stock_specs(m):
 
 def test_smith_root_of_triangular_forms():
     rng = np.random.default_rng(50)
-    for n, m in [(1, 2), (2, 3), (9, 2), (17, 3), (30, 4)]:
+
+    def triangular(n):
         lam = rng.uniform(0.5, 3.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
         lam[: n // 3] = lam[0]  # a repeated eigenvalue, as in a Jordan block
         t = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
-        t += np.diag(lam)
+        return t + np.diag(lam), lam
+
+    for n, m in [(1, 2), (2, 3), (9, 2), (17, 3), (30, 4)]:
+        t, lam = triangular(n)
         mu = lam ** (1.0 / m)
         u = _smith_root(t, mu, m)
         assert np.array_equal(np.tril(u, -1), np.zeros((n, n)))
         assert np.array_equal(np.diag(u), mu)
         power = np.linalg.matrix_power(u, m)
         assert np.linalg.norm(power - t) <= 1e-13 * np.linalg.norm(t), (n, m)
+    t, lam = triangular(12)
+    assert np.array_equal(_smith_root(t, lam, 1), t)
+    # the binary chain against the table of every power U^q
+    for n, m in [(17, 5), (17, 8), (30, 64)]:
+        t, lam = triangular(n)
+        mu = lam ** (1.0 / m)
+        want = smith_root(t, mu, m)
+        assert np.linalg.norm(_smith_root(t, mu, m) - want) <= 1e-12 * np.linalg.norm(want)
+    # a table of m - 1 powers would not fit in memory; U commutes with T for any m
+    m = 10**9 + 7
+    t, lam = triangular(30)
+    mu = lam ** (1.0 / m)
+    u = _smith_root(t, mu, m)
+    assert np.array_equal(np.tril(u, -1), np.zeros((30, 30)))
+    assert np.array_equal(np.diag(u), mu)
+    assert (np.linalg.norm(u @ t - t @ u)
+            <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(t))
 
 
 def _reference_root(b, h, m, branch, got):
