@@ -1,65 +1,66 @@
 """Deterministic JSON output: sorted keys, 17-significant-digit floats.
 
 Python's json module formats floats with repr; pinning %.17g keeps every
-double bit-faithful on round trip and makes output byte-stable.
+double bit-faithful on round trip and makes output byte-stable.  A float
+ndarray of one or two dimensions encodes as the nested list of its values.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
 from .errors import ParseError
 
+_BLOCK = 1024  # floats per %-pass of an array: the Python floats alive at once
 
-def _format_floats(template: str, xs) -> str:
-    # one %-pass over a whole list of floats; "inf" and "nan" are the only
-    # outputs that contain an "n"
-    s = template % tuple(xs)
+
+def _format_floats(template: str, xs: tuple) -> str:
+    s = template % xs  # "inf" and "nan" are the only outputs with an "n"
     if "n" in s:
         raise ParseError("cannot serialize non-finite float")
     return s
 
 
-def _float_rows(rows) -> list | None:
-    """The items of rows flattened, when rows are equal-length lists of floats."""
-    k = len(rows[0]) if isinstance(rows[0], (list, tuple)) else 0
-    if not k or not all(isinstance(r, (list, tuple)) and len(r) == k for r in rows):
-        return None
-    flat = [v for r in rows for v in r]
-    return flat if all(type(v) is float for v in flat) else None
+def _array_chunks(arr: np.ndarray):
+    """A 1-D or 2-D float array, one fixed block of rows per %-pass of one row template."""
+    row = "%.17g" if arr.ndim == 1 else "[" + ",".join(["%.17g"] * arr.shape[1]) + "]"
+    rows = max(1, _BLOCK // max(1, arr[:1].size))  # arr[:1].size: the floats of a row
+    yield "["
+    for start in range(0, len(arr), rows):
+        block = arr[start:start + rows]
+        yield ("," if start else "") + _format_floats(",".join([row] * len(block)),
+                                                      tuple(block.ravel().tolist()))
+    yield "]"
 
 
-def _encode(obj) -> str:
-    if isinstance(obj, (list, tuple)):
-        if obj and all(type(v) is float for v in obj):
-            return "[" + _format_floats(("%.17g," * len(obj))[:-1], obj) + "]"
-        flat = _float_rows(obj) if obj else None
-        if flat is not None:  # e.g. quaternion entries: one pass for all rows
-            row = "[" + "%.17g," * (len(flat) // len(obj) - 1) + "%.17g],"
-            return "[" + _format_floats((row * len(obj))[:-1], flat) + "]"
-        return "[" + ",".join(_encode(v) for v in obj) + "]"
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_floats("%.17g", (obj,))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = []
-        for key in sorted(obj):
+def _chunks(obj):
+    """obj's JSON text, piece by piece, so that dumps joins it once."""
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2):
+        yield from _array_chunks(obj)
+    elif isinstance(obj, (list, tuple)):
+        yield "["
+        for i, v in enumerate(obj):
+            if i:
+                yield ","
+            yield from _chunks(v)
+        yield "]"
+    elif isinstance(obj, dict):
+        yield "{"
+        for i, key in enumerate(sorted(obj)):
             if not isinstance(key, str):
                 raise ParseError("JSON object keys must be strings")
-            items.append(json.dumps(key) + ":" + _encode(obj[key]))
-        return "{" + ",".join(items) + "}"
-    raise ParseError(f"cannot serialize {type(obj).__name__}")
+            yield ("," if i else "") + json.dumps(key) + ":"
+            yield from _chunks(obj[key])
+        yield "}"
+    elif isinstance(obj, float):
+        yield _format_floats("%.17g", (obj,))
+    elif obj is None or isinstance(obj, (str, int)):  # a bool is an int
+        yield json.dumps(obj)
+    else:
+        raise ParseError(f"cannot serialize {type(obj).__name__}")
 
 
 def integer(value, what: str) -> int:
@@ -69,17 +70,18 @@ def integer(value, what: str) -> int:
     return value
 
 
-def numbers_only(values, what: str) -> None:
-    """ParseError when the JSON array values holds a boolean or a string.
+def numbers_only(values, what: str, rows: bool = False) -> None:
+    """ParseError when the parsed JSON array values holds a boolean or a string.
 
-    numpy would read either as a number: true as 1, "16" as 16.
+    With rows, values is a list of rows, and their items are checked.  numpy
+    would read either as a number: true as 1, "16" as 16.
     """
-    if {bool, str} & set(map(type, np.asarray(values, dtype=object).ravel())):
+    if {bool, str} & set(map(type, chain.from_iterable(values) if rows else values)):
         raise ParseError(f"{what} must be numbers, not booleans or strings")
 
 
 def dumps(obj) -> str:
-    return _encode(obj)
+    return "".join(_chunks(obj))
 
 
 def loads(text: str):

@@ -55,11 +55,7 @@ class OmegaMatrix:
 
 def complex_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
-    return {
-        "dim": m.shape[0],
-        "re": m.real.ravel().tolist(),
-        "im": m.imag.ravel().tolist(),
-    }
+    return {"dim": m.shape[0], "re": m.real.ravel(), "im": m.imag.ravel()}
 
 
 def complex_from_json(obj: dict) -> np.ndarray:

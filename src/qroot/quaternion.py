@@ -164,10 +164,12 @@ class QuatMatrix:
     # -- JSON ----------------------------------------------------------------
 
     def to_json(self) -> dict:
-        """{"n": n, "entries": [[w,x,y,z], ...]} row-major, square only."""
+        """{"n": n, "entries": read-only row-major (n*n, 4) view of data}, square only."""
         if self.n_rows != self.n_cols:
             raise DimensionMismatch("JSON format covers square matrices")
-        return {"n": self.n_rows, "entries": self.data.reshape(-1, 4).tolist()}
+        entries = self.data.reshape(-1, 4)
+        entries.flags.writeable = False
+        return {"n": self.n_rows, "entries": entries}
 
     @staticmethod
     def from_json(obj: dict) -> "QuatMatrix":
@@ -184,7 +186,7 @@ class QuatMatrix:
             raise ParseError(f"quaternion matrix entries must be numbers: {exc}") from exc
         if data.shape != (n * n, 4):
             raise ParseError("quaternion matrix JSON needs n*n entries [w, x, y, z]")
-        numbers_only(entries, "quaternion matrix entries")
+        numbers_only(entries, "quaternion matrix entries", rows=True)
         if not np.isfinite(data).all():  # null reads as nan
             raise ParseError("quaternion matrix entries must be finite numbers")
         return QuatMatrix(data.reshape(n, n, 4))

@@ -905,6 +905,7 @@ def test_unconstrained_solve_takes_one_schur_form_and_no_deflation(tmp_path, mon
     import json
     import qroot.canonical
     import qroot.cli
+    import qroot.jsonio
     import qroot.lapack
     owners = {"schur": qroot.lapack, "_deflate_cluster": qroot.canonical}
     calls = {"schur": 0, "_deflate_cluster": 0}
@@ -923,7 +924,7 @@ def test_unconstrained_solve_takes_one_schur_form_and_no_deflation(tmp_path, mon
     assert isinstance(out, RootResult) and verify_root(out.root, b, h, 3).passed
     assert calls == {"schur": 1, "_deflate_cluster": 0}
     path = tmp_path / "pair.json"
-    path.write_text(json.dumps({"B": b.to_json(), "H": h.to_json()}))
+    path.write_text(qroot.jsonio.dumps({"B": b.to_json(), "H": h.to_json()}))
     assert qroot.cli.main(["check", "--m", "3", "--in", str(path)]) == 0
     assert json.loads(capsys.readouterr().out) == {"exists": True, "certificate": None}
     assert calls == {"schur": 2, "_deflate_cluster": 0}
@@ -1056,6 +1057,7 @@ def test_a_root_that_fails_its_self_check_is_root_inaccurate(tmp_path, monkeypat
     # whose message carries both residuals and cond(S_X)
     import json
     import qroot.cli
+    import qroot.jsonio
     import qroot.verify
     from qroot.errors import RootInaccurate
     from qroot.verify import VerificationReport
@@ -1073,7 +1075,7 @@ def test_a_root_that_fails_its_self_check_is_root_inaccurate(tmp_path, monkeypat
                                              r"\(limit 1\.0e-08\), cond\(S_X\) \d"):
         mth_root(b, h, 2)
     path = tmp_path / "pair.json"
-    path.write_text(json.dumps({"B": b.to_json(), "H": h.to_json()}))
+    path.write_text(qroot.jsonio.dumps({"B": b.to_json(), "H": h.to_json()}))
     assert qroot.cli.main(["root", "--m", "2", "--in", str(path)]) == 1
     assert json.loads(capsys.readouterr().out) == {"error": "RootInaccurate"}
 
