@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lapack
-from .errors import (ClusterOverlap, DimensionMismatch, NotSelfadjoint, ParseError,
-                     RankAmbiguous, SpecInvalid)
+from .errors import ClusterOverlap, NotSelfadjoint, ParseError, RankAmbiguous, SpecInvalid
 from .jsonio import integer
 from .omega import OmegaMatrix, chi, selfadjoint_residual
 
@@ -73,6 +72,18 @@ def _norm2_lower_bound(b: np.ndarray) -> float:
 def _check_tol(tol: float) -> None:
     if not 0 < tol < np.inf:  # NaN fails too
         raise SpecInvalid(f"tolerance must be a positive finite number, got {tol!r}")
+
+
+def _check_pair(barr: np.ndarray, harr: np.ndarray, tol: float) -> None:
+    """The one input check of a pair (B, H) in Omega_2n: tol, then HB = B*H within it.
+
+    selfadjoint_residual raises DimensionMismatch, NotHermitian and
+    NearSingularH; a residual over tol is NotSelfadjoint.
+    """
+    _check_tol(tol)
+    res = selfadjoint_residual(harr, barr)
+    if res > tol:
+        raise NotSelfadjoint(f"selfadjoint residual {res:.3e} exceeds tolerance")
 
 
 def _rank_threshold(m: np.ndarray) -> float:
@@ -148,20 +159,6 @@ class CanonicalSpec:
 
     def sorted(self) -> "CanonicalSpec":
         return CanonicalSpec(tuple(sorted(self.blocks, key=CanonicalBlock.sort_key)))
-
-    def matches(self, other: "CanonicalSpec", lam_tol: float = 1e-6) -> bool:
-        """Structural equality up to block permutation; eigenvalues within lam_tol."""
-        a, b = list(self.blocks), list(other.blocks)
-        if len(a) != len(b):
-            return False
-        for x in a:
-            cands = [i for i, y in enumerate(b)
-                     if y.size == x.size and y.sign == x.sign
-                     and abs(y.lam - x.lam) <= lam_tol]
-            if not cands:
-                return False
-            b.pop(min(cands, key=lambda i: abs(b[i].lam - x.lam)))
-        return True
 
     def to_json(self) -> dict:
         return {"blocks": [b.to_json() for b in self.blocks], "doubled": True}
@@ -599,7 +596,10 @@ class Reduction:
     B = Z T Z^* with the kept clusters' eigenvalues in the first `lead`
     places of diag(T); clusters lists every cluster, snapped, with its
     members on that diagonal.  residuals are those of B and H against the
-    canonical pair, which the gate accepted.
+    canonical pair, which the gate accepted.  The m = 1 branch of
+    roots.reduce_pair takes no Schur form: its Reduction holds only the
+    checked pair, with no blocks or columns, schur None, lead 0 and no
+    clusters.
     """
 
     b: np.ndarray
@@ -611,6 +611,13 @@ class Reduction:
     lead: int
     clusters: tuple[_Cluster, ...]
     residuals: tuple[float, float]
+
+
+def _empty_reduction(barr: np.ndarray, harr: np.ndarray, schur=None, lead: int = 0,
+                     clusters: tuple = ()) -> Reduction:
+    """The Reduction of a pair whose kept clusters hold no block."""
+    return Reduction(barr, harr, CanonicalSpec(()), np.zeros((len(barr), 0), dtype=complex),
+                     np.zeros((0, 0), dtype=complex), schur, lead, clusters, (0.0, 0.0))
 
 
 def canonicalize_pair(b, h, tol: float = DEFAULT_TOL) -> tuple[OmegaMatrix, CanonicalSpec]:
@@ -629,20 +636,15 @@ def canonicalize_pair(b, h, tol: float = DEFAULT_TOL) -> tuple[OmegaMatrix, Cano
 def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None) -> Reduction:
     """The canonicalization engine, on the eigenvalue clusters keep selects.
 
-    Checks H and HB = B*H and takes one Schur form B = Z T Z^*.  keep(c)
-    says whether the cluster with snapped centroid c is canonicalized; None
-    keeps every cluster.  The kept clusters' eigenvalues are moved to the
-    lead of the form once (ztrsen, none of it when every cluster is kept);
-    each kept cluster is deflated from that form by its members, and the
-    root of the rest reads the form off the returned Reduction.
+    Checks the pair (_check_pair) and takes one Schur form B = Z T Z^*.
+    keep(c) says whether the cluster with snapped centroid c is
+    canonicalized; None keeps every cluster.  The kept clusters'
+    eigenvalues are moved to the lead of the form once (ztrsen, none of it
+    when every cluster is kept); each kept cluster is deflated from that
+    form by its members, and the root of the rest reads the form off the
+    returned Reduction.
     """
-    _check_tol(tol)
-    if barr.shape != harr.shape:
-        raise DimensionMismatch("B and H must have equal shape")
-    res = selfadjoint_residual(harr, barr)  # validates Hermitian + invertible
-    if res > tol:
-        raise NotSelfadjoint(f"selfadjoint residual {res:.3e} exceeds tolerance")
-
+    _check_pair(barr, harr, tol)
     n = barr.shape[0] // 2
     radius = _cluster_radius(barr)
     schur = lapack.schur(barr)
@@ -692,9 +694,7 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None) -> 
             entries.append((CanonicalBlock(c.centroid, len(cc), None),
                             np.hstack([u_cols, w_cols])))
     if not entries:
-        empty = np.zeros((2 * n, 0), dtype=complex)
-        return Reduction(barr, harr, CanonicalSpec(()), empty, np.zeros((0, 0), dtype=complex),
-                         reordered, lead, clusters, (0.0, 0.0))
+        return _empty_reduction(barr, harr, reordered, lead, clusters)
 
     entries.sort(key=lambda e: e[0].sort_key())
     blocks = tuple(e[0] for e in entries)

@@ -32,10 +32,6 @@ class NotHermitian(QRootError):
     kind = "NotHermitian"
 
 
-class Singular(QRootError):
-    kind = "Singular"
-
-
 class NearSingularH(QRootError):
     kind = "NearSingularH"
 

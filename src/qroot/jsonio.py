@@ -70,14 +70,24 @@ def integer(value, what: str) -> int:
     return value
 
 
-def numbers_only(values, what: str, rows: bool = False) -> None:
-    """ParseError when the parsed JSON array values holds a boolean or a string.
+def float_array(values, shape: tuple, what: str) -> np.ndarray:
+    """The parsed JSON array values as a float array of the given shape, else ParseError.
 
-    With rows, values is a list of rows, and their items are checked.  numpy
-    would read either as a number: true as 1, "16" as 16.
+    Every item must be a finite number: numpy would read true as 1, "16"
+    as 16 and null as nan.  For a 2-D shape, values is a list of rows.
     """
-    if {bool, str} & set(map(type, chain.from_iterable(values) if rows else values)):
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # an int past float range overflows
+        raise ParseError(f"{what} must be numbers: {exc}") from exc
+    if arr.shape != shape:
+        raise ParseError(f"{what} must have shape {shape}, not {arr.shape}")
+    items = chain.from_iterable(values) if len(shape) == 2 else values
+    if {bool, str} & set(map(type, items)):
         raise ParseError(f"{what} must be numbers, not booleans or strings")
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{what} must be finite numbers")
+    return arr
 
 
 def dumps(obj) -> str:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (DimensionMismatch, NotHermitian, NotInOmega,
-                     OddDimension, ParseError, Singular)
-from .jsonio import integer, numbers_only
+from .errors import (DimensionMismatch, NearSingularH, NotHermitian, NotInOmega,
+                     OddDimension, ParseError)
+from .jsonio import float_array, integer
 from .quaternion import QuatMatrix
 
 MEMBERSHIP_FACTOR = 1e-10  # default tau_Omega = factor * max(1, inf-norm)
@@ -61,19 +61,14 @@ def complex_to_json(m: np.ndarray) -> dict:
 def complex_from_json(obj: dict) -> np.ndarray:
     try:
         dim = integer(obj["dim"], "complex matrix dim")
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        re, im = obj["re"], obj["im"]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad complex matrix JSON: {exc}") from exc
     if dim < 1:
         raise ParseError("complex matrix JSON needs dim >= 1")
-    if re.shape != (dim * dim,) or im.shape != (dim * dim,):
-        raise ParseError("complex matrix JSON needs flat re and im lists of dim*dim values")
-    numbers_only(obj["re"], "complex matrix re")
-    numbers_only(obj["im"], "complex matrix im")
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):  # null reads as nan
-        raise ParseError("complex matrix JSON needs finite numbers")
-    return (re + 1j * im).reshape(dim, dim)
+    shape = (dim * dim,)
+    return (float_array(re, shape, "complex matrix re")
+            + 1j * float_array(im, shape, "complex matrix im")).reshape(dim, dim)
 
 
 def membership_tolerance(m: np.ndarray) -> float:
@@ -133,20 +128,20 @@ def omega_extract(m, tol: float | None = None) -> QuatMatrix:
     return QuatMatrix.from_complex_pair(a1, a2)
 
 
-def selfadjoint_residual(h, a) -> float:
-    """||HA - A*H||_F / max(1, ||H||_F * ||A||_F) for Hermitian invertible H."""
+def selfadjoint_residual(h, b) -> float:
+    """||HB - B*H||_F / max(1, ||H||_F * ||B||_F) for Hermitian invertible H."""
     h = h.array if isinstance(h, OmegaMatrix) else np.asarray(h, dtype=complex)
-    a = a.array if isinstance(a, OmegaMatrix) else np.asarray(a, dtype=complex)
-    if h.shape != a.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionMismatch("H and A must be square with equal shape")
+    b = b.array if isinstance(b, OmegaMatrix) else np.asarray(b, dtype=complex)
+    if h.shape != b.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise DimensionMismatch("H and B must be square with equal shape")
     hn = np.linalg.norm(h)
     if np.linalg.norm(h - h.conj().T) > 1e-10 * max(1.0, hn):
         raise NotHermitian("H is not Hermitian at working tolerance")
     sv = np.abs(np.linalg.eigvalsh(h))  # H's singular values, as H is Hermitian
     if sv.min() * COND_LIMIT <= max(1.0, sv.max()):
-        raise Singular("H condition estimate beyond threshold")
-    num = np.linalg.norm(h @ a - a.conj().T @ h)
-    return float(num / max(1.0, hn * np.linalg.norm(a)))
+        raise NearSingularH("H condition estimate beyond threshold")
+    num = np.linalg.norm(h @ b - b.conj().T @ h)
+    return float(num / max(1.0, hn * np.linalg.norm(b)))
 
 
 # -- quaternionic structure helpers (used by the canonicalization) -----------

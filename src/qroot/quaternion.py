@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError
-from .jsonio import integer, numbers_only
+from .jsonio import float_array, integer
 
 
 class QuatMatrix:
@@ -27,12 +27,6 @@ class QuatMatrix:
         self.data = data
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zeros(n_rows: int, n_cols: int | None = None) -> "QuatMatrix":
-        if n_cols is None:
-            n_cols = n_rows
-        return QuatMatrix(np.zeros((n_rows, n_cols, 4)))
 
     @staticmethod
     def eye(n: int) -> "QuatMatrix":
@@ -78,20 +72,10 @@ class QuatMatrix:
 
     # -- algebra ------------------------------------------------------------
 
-    def __add__(self, other: "QuatMatrix") -> "QuatMatrix":
-        self._check_same_shape(other)
-        return QuatMatrix(self.data + other.data)
-
     def __sub__(self, other: "QuatMatrix") -> "QuatMatrix":
-        self._check_same_shape(other)
+        if self.shape != other.shape:
+            raise DimensionMismatch(f"shape {self.shape} != {other.shape}")
         return QuatMatrix(self.data - other.data)
-
-    def __neg__(self) -> "QuatMatrix":
-        return QuatMatrix(-self.data)
-
-    def scale(self, s: float) -> "QuatMatrix":
-        """Multiply by a real scalar (the representation is a real algebra)."""
-        return QuatMatrix(float(s) * self.data)
 
     def __matmul__(self, other: "QuatMatrix") -> "QuatMatrix":
         if self.n_cols != other.n_rows:
@@ -107,11 +91,6 @@ class QuatMatrix:
     def adjoint(self) -> "QuatMatrix":
         """Conjugate each entry, then transpose."""
         return QuatMatrix.from_complex_pair(np.conj(self.a1).T, -self.a2.T)
-
-    def conjugate(self) -> "QuatMatrix":
-        out = self.data.copy()
-        out[..., 1:] *= -1.0
-        return QuatMatrix(out)
 
     def power(self, m: int) -> "QuatMatrix":
         """m-th power by binary powering (m >= 0, square matrix).
@@ -138,25 +117,11 @@ class QuatMatrix:
             m >>= 1
         return result
 
-    def inverse(self) -> "QuatMatrix":
-        """Inverse through the complex representation."""
-        from .omega import omega_embed, omega_extract
-        inv = np.linalg.inv(omega_embed(self).array)
-        return omega_extract(inv)
-
-    # -- predicates and norms ----------------------------------------------
+    # -- norms ----------------------------------------------------------------
 
     def norm(self) -> float:
         """Frobenius norm: sqrt of the sum of squared quaternion moduli."""
         return float(np.linalg.norm(self.data))
-
-    def allclose(self, other: "QuatMatrix", atol: float = 1e-12) -> bool:
-        return self.shape == other.shape and bool(
-            np.allclose(self.data, other.data, rtol=0.0, atol=atol))
-
-    def _check_same_shape(self, other: "QuatMatrix") -> None:
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"shape {self.shape} != {other.shape}")
 
     def __repr__(self) -> str:
         return f"QuatMatrix({self.n_rows}x{self.n_cols})"
@@ -176,17 +141,9 @@ class QuatMatrix:
         try:
             n = integer(obj["n"], "quaternion matrix n")
             entries = obj["entries"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"bad quaternion matrix JSON: {exc}") from exc
         if n <= 0:
             raise ParseError("quaternion matrix JSON needs n >= 1")
-        try:
-            data = np.asarray(entries, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"quaternion matrix entries must be numbers: {exc}") from exc
-        if data.shape != (n * n, 4):
-            raise ParseError("quaternion matrix JSON needs n*n entries [w, x, y, z]")
-        numbers_only(entries, "quaternion matrix entries", rows=True)
-        if not np.isfinite(data).all():  # null reads as nan
-            raise ParseError("quaternion matrix entries must be finite numbers")
+        data = float_array(entries, (n * n, 4), "quaternion matrix entries")
         return QuatMatrix(data.reshape(n, n, 4))

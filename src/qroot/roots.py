@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lapack
-# canonicalize_pair and omega_extract stay importable from here;
-# bench/spans.py wraps them by these names
+# canonicalize_pair, omega_extract and selfadjoint_residual stay importable
+# from here; bench/spans.py wraps them by these names
 from .canonical import (DEFAULT_TOL, CanonicalBlock, CanonicalSpec, Reduction,
-                        _canonicalize, _check_tol, block_diag, canonicalize_pair,
-                        jordan_block)
-from .errors import (ClassMismatch, DimensionMismatch, NearSingularH,
-                     NotSelfadjoint, RootInaccurate, Singular, SpecInvalid)
+                        _canonicalize, _check_pair, _empty_reduction, block_diag,
+                        canonicalize_pair, jordan_block)
+from .errors import ClassMismatch, DimensionMismatch, RootInaccurate, SpecInvalid
 from .omega import (OmegaMatrix, omega_embed, omega_extract, omega_project,
                     selfadjoint_residual)
 from .quaternion import QuatMatrix
@@ -570,27 +569,16 @@ def reduce_pair(b: QuatMatrix, h: QuatMatrix, m: int, tol: float = DEFAULT_TOL) 
 
     X is the part of the spectrum the theorem constrains: zero, and negative
     when m is even.  Only its clusters are canonicalized; the gate reads
-    its spec.  For m = 1 every selfadjoint B is its own root, so nothing is
-    canonicalized and the Reduction holds no Schur form.
+    its spec.  For m = 1 every selfadjoint B is its own root, so the pair
+    is only checked (_check_pair, as the engine checks it) and the empty
+    Reduction, with no Schur form, is returned.
     """
     _check_m(m)
-    _check_tol(tol)
-    b_om = omega_embed(b)
-    h_om = omega_embed(h)
-    if b_om.dim != h_om.dim:
-        raise DimensionMismatch("H and B must be square with equal shape")
-    try:
-        if m > 1:
-            return _canonicalize(b_om.array, h_om.array, tol,
-                                 keep=lambda c: _constrained(c, m))  # checks H, HB = B*H
-        res = selfadjoint_residual(h_om, b_om)  # validates H as well
-    except Singular as exc:
-        raise NearSingularH(str(exc)) from exc
-    if res > tol:
-        raise NotSelfadjoint(f"HB - B*H residual {res:.3e} exceeds tolerance")
-    return Reduction(b_om.array, h_om.array, CanonicalSpec(()),
-                     np.zeros((b_om.dim, 0), dtype=complex), np.zeros((0, 0), dtype=complex),
-                     None, 0, (), (0.0, 0.0))
+    barr, harr = omega_embed(b).array, omega_embed(h).array
+    if m == 1:
+        _check_pair(barr, harr, tol)
+        return _empty_reduction(barr, harr)
+    return _canonicalize(barr, harr, tol, keep=lambda c: _constrained(c, m))
 
 
 def mth_root(b: QuatMatrix, h: QuatMatrix, m: int, tol: float = DEFAULT_TOL,

@@ -51,6 +51,24 @@ def power_segre_oracle(k: int, m: int) -> tuple[int, ...]:
     return closed
 
 
+def spec_matches(got, want, lam_tol: float = 1e-6) -> bool:
+    """Whether two canonical specs hold the same blocks up to order, eigenvalues within lam_tol.
+
+    Each block of got takes the remaining block of want of the same size
+    and sign whose eigenvalue is nearest.
+    """
+    rest = list(want.blocks)
+    if len(got.blocks) != len(rest):
+        return False
+    for x in got.blocks:
+        cands = [i for i, y in enumerate(rest)
+                 if y.size == x.size and y.sign == x.sign and abs(y.lam - x.lam) <= lam_tol]
+        if not cands:
+            return False
+        rest.pop(min(cands, key=lambda i: abs(rest[i].lam - x.lam)))
+    return True
+
+
 def m_tuple_partition(parts: tuple[int, ...], m: int) -> list[tuple[int, int]] | None:
     """The first grouping of one copy's zero Segre into m-tuples, as [(a, r)], or None.
 

@@ -289,8 +289,47 @@ def test_b_and_h_of_unequal_shape_are_one_error_kind(tmp_path, capsys, args):
     assert _main_on(tmp_path, capsys, args, payload) == (1, {"error": "DimensionMismatch"})
 
 
+_PAIR_COMMANDS = [["canon"], ["check", "--m", "1"], ["check", "--m", "2"],
+                  ["root", "--m", "1"], ["root", "--m", "2"]]
+
+
+@pytest.mark.parametrize("kind, payload", [
+    ("NearSingularH", {"B": quat_json([[1, 0, 0, 0]], 1), "H": quat_json([[1e-15, 0, 0, 0]], 1)}),
+    ("DimensionMismatch", {"B": quat_json([[16, 0, 0, 0]], 1), "H": EYE2}),
+    ("NotSelfadjoint", {"B": quat_json([[1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 0],
+                                        [4, 0, 0, 0]], 2), "H": EYE2}),
+])
+def test_each_fault_of_a_pair_is_one_error_on_every_command(tmp_path, capsys, kind, payload):
+    # canon, check and root at m = 1 and m = 2 check (B, H) in one place:
+    # one stdout line, and one stderr message after the command's prefix
+    import qroot.cli
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    seen = set()
+    for args in _PAIR_COMMANDS:
+        assert qroot.cli.main(args + ["--in", str(path)]) == 1
+        out, err = capsys.readouterr()
+        prefix = f"qroot {args[0]}: "
+        assert err.startswith(prefix)
+        seen.add((out, err[len(prefix):]))
+    assert len(seen) == 1 and json.loads(next(iter(seen))[0]) == {"error": kind}
+
+
 def _omega_one(re):
     return {"dim": 2, "re": re, "im": [0, 0, 0, 0]}
+
+
+@pytest.mark.parametrize("args, payload", [
+    (["extract"], _omega_one([10 ** 400, 0, 0, 10 ** 400])),
+    (["extract"], {"dim": 2, "re": [1, 0, 0, 1], "im": [0, -10 ** 400, 0, 0]}),
+    (["check", "--m", "2", "--format", "omega"],
+     {"B": _omega_one([10 ** 400, 0, 0, 10 ** 400]), "H": _omega_one([1, 0, 0, 1])}),
+    (["root", "--m", "2"],
+     {"B": quat_json([[10 ** 400, 0, 0, 0]], 1), "H": quat_json([[1, 0, 0, 0]], 1)}),
+])
+def test_an_integer_past_the_float_range_is_a_parse_error(tmp_path, capsys, args, payload):
+    # a 401-digit integer overflows float conversion in either matrix format
+    assert _main_on(tmp_path, capsys, args, payload) == (1, {"error": "ParseError"})
 
 
 @pytest.mark.parametrize("args, payload", [

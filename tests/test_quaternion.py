@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from qroot.omega import omega_embed, omega_extract
 from qroot.quaternion import QuatMatrix
 from qroot.errors import DimensionMismatch, ParseError
 
@@ -115,7 +116,7 @@ def test_pair_roundtrip():
 def test_matrix_adjoint_involution():
     rng = np.random.default_rng(2)
     x = QuatMatrix(rng.standard_normal((4, 4, 4)))
-    assert x.adjoint().adjoint().allclose(x, atol=0.0)
+    assert np.array_equal(x.adjoint().adjoint().data, x.data)
 
 
 def test_matrix_product_matches_scalar_product():
@@ -131,8 +132,8 @@ def test_matrix_power_binary():
     rng = np.random.default_rng(3)
     x = QuatMatrix(rng.standard_normal((3, 3, 4)))
     p3 = x.power(3)
-    assert p3.allclose(x @ x @ x, atol=1e-12)
-    assert x.power(0).allclose(QuatMatrix.eye(3), atol=0.0)
+    assert np.allclose(p3.data, (x @ x @ x).data, rtol=0.0, atol=1e-12)
+    assert np.array_equal(x.power(0).data, QuatMatrix.eye(3).data)
 
 
 def _power_from_identity(x, m):
@@ -170,24 +171,25 @@ def test_matrix_power_takes_no_wasted_products(monkeypatch, m, products):
 def test_matrix_inverse():
     rng = np.random.default_rng(4)
     x = QuatMatrix(rng.standard_normal((3, 3, 4)))
-    prod = x @ x.inverse()
-    assert prod.allclose(QuatMatrix.eye(3), atol=1e-10)
+    # the complex inverse of omega(X) lies in Omega, so it extracts to X^-1
+    prod = x @ omega_extract(np.linalg.inv(omega_embed(x).array))
+    assert np.allclose(prod.data, QuatMatrix.eye(3).data, rtol=0.0, atol=1e-10)
 
 
 def test_hermitian_predicate():
     # (Y + Y*)/2 is its own adjoint, a random Y is not
     rng = np.random.default_rng(5)
     y = QuatMatrix(rng.standard_normal((3, 3, 4)))
-    h = (y + y.adjoint()).scale(0.5)
-    assert h.allclose(h.adjoint(), atol=0.0)
-    assert not y.allclose(y.adjoint(), atol=1e-8)
+    h = QuatMatrix(0.5 * (y.data + y.adjoint().data))
+    assert np.array_equal(h.data, h.adjoint().data)
+    assert not np.allclose(y.data, y.adjoint().data, rtol=0.0, atol=1e-8)
 
 
 def test_shape_errors():
     with pytest.raises(DimensionMismatch):
         QuatMatrix(np.zeros((2, 2, 3)))
-    a = QuatMatrix.zeros(2, 3)
-    b = QuatMatrix.zeros(2, 3)
+    a = QuatMatrix(np.zeros((2, 3, 4)))
+    b = QuatMatrix(np.zeros((2, 3, 4)))
     with pytest.raises(DimensionMismatch):
         a @ b
 
@@ -196,7 +198,7 @@ def test_json_roundtrip():
     rng = np.random.default_rng(6)
     x = QuatMatrix(rng.standard_normal((3, 3, 4)))
     back = QuatMatrix.from_json(x.to_json())
-    assert back.allclose(x, atol=0.0)
+    assert np.array_equal(back.data, x.data)
 
 
 def test_json_errors():

@@ -19,7 +19,7 @@ from qroot.roots import (RootDecision, RootResult, assemble_root,
 from qroot.verify import random_instance, verify_root
 
 from lapack_sources import LAPACK_SOURCES, lapack_source  # noqa: F401
-from oracles import m_tuple_partition, segre, smith_root
+from oracles import m_tuple_partition, segre, smith_root, spec_matches
 
 
 def quat_real(a):
@@ -412,9 +412,9 @@ def test_assemble_rejects_uncovered_or_misshapen_parts():
 
 def test_mth_root_scalar_examples():
     out = mth_root(quat_scalar(16.0), QuatMatrix.eye(1), 4)
-    assert out.root.allclose(quat_scalar(2.0), atol=1e-12)
+    assert np.allclose(out.root.data, quat_scalar(2.0).data, rtol=0.0, atol=1e-12)
     out = mth_root(quat_scalar(-8.0), QuatMatrix.eye(1), 3)
-    assert out.root.allclose(quat_scalar(-2.0), atol=1e-12)
+    assert np.allclose(out.root.data, quat_scalar(-2.0).data, rtol=0.0, atol=1e-12)
 
 
 def test_mth_root_negative_even_pairing():
@@ -435,7 +435,7 @@ def test_mth_root_negative_even_pairing():
 def test_mth_root_m1_returns_input():
     b, h, _ = random_instance(40, {"classes": ["positive"], "m": 1, "force": "admit"})
     out = mth_root(b, h, 1)
-    assert out.root.allclose(b, atol=0.0)
+    assert np.array_equal(out.root.data, b.data)
     assert out.residual_power == 0.0
     # nothing is constrained at m = 1, so S_X has no columns
     assert out.similarity.shape == (2 * b.n_rows, 0)
@@ -997,6 +997,14 @@ def test_solve_reorders_the_schur_form_once(monkeypatch):
     assert isinstance(out, RootResult) and verify_root(out.root, b, h, 3).passed
     assert calls == {"zgehrd": 1, "zunghr": 1, "zlahqr": 1}
     assert in_schur_root == [0, 0]
+    # m = 1: B is its own root, so the pair is only checked; no Schur form
+    # is taken and no LAPACK kernel runs
+    calls.clear()
+    out = mth_root(b, h, 1)
+    assert isinstance(out, RootResult) and np.array_equal(out.root.data, b.data)
+    red = qroot.roots.reduce_pair(b, h, 1)
+    assert red.schur is None and red.spec.blocks == () and red.similarity.shape == (len(red.b), 0)
+    assert calls == {} and in_schur_root == [0, 0]
     # canon keeps every cluster: none is reordered first, and each deflated
     # cluster (real, or Im > 0) is moved to the lead unless it is there already
     barr = omega_embed(b).array
@@ -1007,7 +1015,7 @@ def test_solve_reorders_the_schur_form_once(monkeypatch):
     assert (len(clusters), len(deflated), len(leading)) == (5, 4, 1)
     calls.clear()
     _, got = canonicalize_pair(omega_embed(b), omega_embed(h))
-    assert got.matches(spec)
+    assert spec_matches(got, spec)
     assert calls["ztrsen"] == len(deflated) - len(leading)
     assert calls["zlahqr"] == 1 and calls["ztrsyl"] == 0
 
