@@ -238,11 +238,11 @@ def _rank_with_guard(s: np.ndarray, thr: float) -> int:
 
 
 def _staircase(n_mat: np.ndarray, expected_dim: int) -> tuple[list[int], list[np.ndarray]]:
-    """Jordan part sizes of a (numerically) nilpotent matrix via rank drops.
+    """Kernel dimensions of the powers of a (numerically) nilpotent matrix.
 
     One SVD per power N^p yields both its guarded rank and an orthonormal
-    basis of ker N^p.  Returns (parts, kernels) with kernels[p] that basis
-    for p = 0 .. largest part.
+    basis of ker N^p.  Returns (dims, kernels) with dims[p] = dim ker N^p
+    and kernels[p] that basis, for p = 0 .. the index of nilpotency.
     """
     n = n_mat.shape[0]
     dims = [0]
@@ -262,13 +262,7 @@ def _staircase(n_mat: np.ndarray, expected_dim: int) -> tuple[list[int], list[np
     if dims[-1] != expected_dim:
         raise ClusterOverlap(
             f"staircase dimension {dims[-1]} does not match cluster size {expected_dim}")
-    counts = [dims[p] - dims[p - 1] for p in range(1, len(dims))]  # chains >= p
-    parts: list[int] = []
-    for p, c in enumerate(counts, start=1):
-        nxt = counts[p] if p < len(counts) else 0
-        parts.extend([p] * (c - nxt))
-    parts.sort(reverse=True)
-    return parts, kernels
+    return dims, kernels
 
 
 def _reorder(schur: tuple[np.ndarray, np.ndarray],
@@ -370,19 +364,24 @@ def _append_orth(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _nilpotent_chains(n_mat: np.ndarray, expected_dim: int,
                       partner=None) -> list[list[np.ndarray]]:
-    """Jordan chains [c_1, ..., c_k] of nilpotent N with N c_i = c_{i-1}.
+    """Jordan chains [c_1, ..., c_k] of nilpotent N with N c_i = c_{i-1}, longest first.
 
-    With a partner map (antilinear, quaternionic mode) the returned chains
-    are one representative per quaternionic block; the partner images span
-    the remaining half of each kernel level.
+    One pass over the levels p from the top down: every chain, held
+    generator first, grows by N times its last vector, and then the level's
+    new generators are picked in ker N^p, away from ker N^(p-1) and those
+    last vectors.  With k_p = dim ker N^p - dim ker N^(p-1) chains reaching
+    level p, the level starts k_p - k_(p+1) of them.  With a partner map
+    (antilinear, quaternionic mode) the returned chains are one
+    representative per quaternionic block; the partner images span the
+    remaining half of each kernel level.
     """
-    parts, kernels = _staircase(n_mat, expected_dim)
-    kappa = parts[0] if parts else 0
-    counts = [sum(1 for p in parts if p >= q) for q in range(1, kappa + 2)]
-
-    gens: list[tuple[int, np.ndarray]] = []
-    for p in range(kappa, 0, -1):
-        need = counts[p - 1] - counts[p]
+    dims, kernels = _staircase(n_mat, expected_dim)
+    reach = [dims[p] - dims[p - 1] for p in range(1, len(dims))] + [0]  # reach[p - 1] = k_p
+    chains: list[list[np.ndarray]] = []
+    for p in range(len(dims) - 1, 0, -1):
+        for chain in chains:
+            chain.append(n_mat @ chain[-1])
+        need = reach[p - 1] - reach[p]
         if partner is not None:
             if need % 2:
                 raise ClusterOverlap("quaternionic level counts must be even")
@@ -391,13 +390,10 @@ def _nilpotent_chains(n_mat: np.ndarray, expected_dim: int,
             continue
         # span to avoid: lower kernel level plus descents of longer chains
         avoid = [kernels[p - 1]]
-        for length, g in gens:
-            v = g.copy()
-            for _ in range(length - p):
-                v = n_mat @ v
-            avoid.append(v[:, None])
+        for chain in chains:
+            avoid.append(chain[-1][:, None])
             if partner is not None:
-                avoid.append(partner(v)[:, None])
+                avoid.append(partner(chain[-1])[:, None])
         stack = np.hstack(avoid)
         q = _orth(stack) if stack.shape[1] else stack
         cand = kernels[p]
@@ -408,20 +404,11 @@ def _nilpotent_chains(n_mat: np.ndarray, expected_dim: int,
             if norms[best] < 1e-10:
                 raise RankAmbiguous("could not complete chain generators")
             g = resid[:, best] / norms[best]
-            gens.append((p, g))
+            chains.append([g])
             q = _append_orth(q, g)
             if partner is not None:
                 q = _append_orth(q, partner(g))
-
-    chains = []
-    for length, g in gens:
-        chain = [g]
-        for _ in range(length - 1):
-            chain.append(n_mat @ chain[-1])
-        chain.reverse()  # chain[0] is the eigenvector
-        chains.append(chain)
-    chains.sort(key=lambda c: -len(c))
-    return chains
+    return [chain[::-1] for chain in chains]  # chain[0] is the eigenvector
 
 
 # ---------------------------------------------------------------------------
@@ -682,10 +669,10 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None) -> 
         for eta, chain in _normalize_hermitian_chains(chains, g_c, partner):
             cols = q1 @ np.column_stack(chain)
             entries.append((CanonicalBlock(c.centroid, len(chain), eta), cols))
+    hk = np.conj(np.hstack([-harr[:, n:], harr[:, :n]])) if nonreal else None  # conj(H) K
     for c in nonreal:
         q1, nd = _deflate_cluster(barr, reordered, c.centroid, c.members)
-        hc = np.conj(harr)
-        phi = q1.T @ np.hstack([-hc[:, n:], hc[:, :n]]) @ q1  # conj(H) K, a column swap
+        phi = q1.T @ hk @ q1
         bform = lambda x, y, _p=phi: x @ (_p @ y)
         chains = _nilpotent_chains(nd, c.mult)
         for cc, dd in _normalize_symplectic_chains(chains, bform):

@@ -205,9 +205,7 @@ def _zero_plan(zero_blocks: list[CanonicalBlock], m: int):
 
 @dataclass
 class _Plan:
-    positive: list[int] = field(default_factory=list)
     negative: list[int] = field(default_factory=list)
-    nonreal: list[int] = field(default_factory=list)
     zero: list[int] = field(default_factory=list)
     neg_pairs: list[tuple[int, int]] = field(default_factory=list)
     zero_grouping: list[tuple[int, int, int]] = field(default_factory=list)  # (a, r, eta)
@@ -228,17 +226,10 @@ def _classify_and_plan(spec: CanonicalSpec, m: int) -> _Plan:
     blocks = spec.blocks
     plan = _Plan()
     for i, b in enumerate(blocks):
-        if not b.is_real:
-            plan.nonreal.append(i)
-        elif b.lam == 0:
+        if b.lam == 0:
             plan.zero.append(i)
-        elif b.lam.real > 0:
-            plan.positive.append(i)
-        else:
+        elif b.is_real and b.lam.real < 0:
             plan.negative.append(i)
-
-    if m == 1:
-        return plan
 
     if plan.negative and m % 2 == 0:
         # group by (lambda, k); needs equal counts of each sign
@@ -310,8 +301,7 @@ def root_block_real(lam: float, k: int, eta: int, m: int) -> np.ndarray:
         raise ClassMismatch("real builder handles lam > 0, or lam < 0 with m odd")
     if eta not in (-1, 1):
         raise SpecInvalid("eta must be +-1")
-    mu = lam ** (1.0 / m) if lam > 0 else -((-lam) ** (1.0 / m))
-    return _primary_root(lam, mu, k, m)
+    return _primary_root(lam, _cluster_root(complex(lam), m, 0), k, m)
 
 
 def _root_branch(lam: complex, m: int, branch: int) -> complex:

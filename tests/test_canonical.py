@@ -10,7 +10,7 @@ from qroot.canonical import (DEFAULT_TOL, CanonicalBlock, CanonicalSpec,
                              block_diag, canonicalize_pair, jordan_block,
                              materialize_pair, sip_matrix)
 from qroot.errors import NotSelfadjoint, SpecInvalid
-from qroot.omega import omega_embed, omega_membership
+from qroot.omega import chi, omega_embed, omega_membership
 from qroot.quaternion import QuatMatrix
 
 from lapack_sources import LAPACK_SOURCES, hide_names, lapack_source  # noqa: F401
@@ -716,9 +716,41 @@ def test_staircase_takes_one_svd_per_power(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     j33 = block_diag(jordan_block(0.0, 3), jordan_block(0.0, 3))
-    parts, kernels_ = canonical._staircase(j33, 6)
-    assert parts == [3, 3] and [k.shape[1] for k in kernels_] == [0, 2, 4, 6]
+    dims, kernels_ = canonical._staircase(j33, 6)
+    assert dims == [0, 2, 4, 6] and [k.shape[1] for k in kernels_] == dims
     assert len(calls) == 3
+
+
+class _CountingN:
+    """A matrix N that counts the products N @ v; arrays defer to its operators."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, a):
+        self.a, self.shape, self.products = a, a.shape, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.a @ v
+
+    def __rmatmul__(self, other):  # the staircase's powers
+        return other @ self.a
+
+
+@pytest.mark.parametrize("quaternionic", [False, True])
+def test_nilpotent_chains_apply_n_once_per_chain_vector(quaternionic):
+    # each chain vector below its generator is one product with N; the
+    # descents that generators at lower levels avoid are those same vectors
+    j = block_diag(jordan_block(0.0, 3), jordan_block(0.0, 2), jordan_block(0.0, 2))
+    partner = chi if quaternionic else None
+    n_mat = _CountingN(block_diag(j, j) if quaternionic else j)
+    chains = canonical._nilpotent_chains(n_mat, n_mat.shape[0], partner)
+    assert [len(c) for c in chains] == [3, 2, 2]
+    assert n_mat.products == sum(len(c) - 1 for c in chains)
+    for c in chains:
+        assert np.allclose(n_mat.a @ c[0], 0)
+        for lower, upper in zip(c, c[1:]):
+            assert np.allclose(n_mat.a @ upper, lower)
 
 
 def _snapped(centroid, radius):

@@ -814,12 +814,13 @@ def _reference_root(b, h, m, branch, got):
     cols = np.flatnonzero(np.repeat(in_x, [blk.copy_width() for blk in blocks]))
     s = s.array.copy()
     s[:, np.concatenate([cols, s.shape[1] // 2 + cols])] = s_x
-    parts = [([i], root_block_real(blocks[i].lam.real, blocks[i].size, blocks[i].sign, m))
-             for i in plan.positive + (plan.negative if m % 2 else [])]
+    parts = [([i], root_block_real(blk.lam.real, blk.size, blk.sign, m))
+             for i, blk in enumerate(blocks)
+             if blk.is_real and (blk.lam.real > 0 or (blk.lam.real < 0 and m % 2))]
     parts += [([i, j], root_block_negative_even(blocks[i].lam.real, blocks[i].size, m, branch))
               for i, j in plan.neg_pairs]
-    parts += [([i], root_block_nonreal(blocks[i].lam, blocks[i].size, m, branch))
-              for i in plan.nonreal]
+    parts += [([i], root_block_nonreal(blk.lam, blk.size, m, branch))
+              for i, blk in enumerate(blocks) if not blk.is_real]
     if plan.zero:
         zero = sorted(plan.zero, key=lambda i: blocks[i].sort_key())
         parts.append((zero, root_block_nilpotent(plan.zero_grouping, m)))
