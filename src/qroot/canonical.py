@@ -60,6 +60,9 @@ def _cluster_radius(b: np.ndarray) -> float:
     return max(CLUSTER_FACTOR * max(1.0, float(np.linalg.norm(b))), blob)
 
 
+# An overflow to inf still bounds ||B||_2 from below, and a NaN fails the
+# threshold test, leaving the cap to the SVD; neither is worth a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def _norm2_lower_bound(b: np.ndarray) -> float:
     """||B x|| / ||x|| <= ||B||_2 after two power steps on B^*B from B's largest column."""
     bh = b.conj().T
@@ -78,11 +81,12 @@ def _check_pair(barr: np.ndarray, harr: np.ndarray, tol: float) -> None:
     """The one input check of a pair (B, H) in Omega_2n: tol, then HB = B*H within it.
 
     selfadjoint_residual raises DimensionMismatch, NotHermitian and
-    NearSingularH; a residual over tol is NotSelfadjoint.
+    NearSingularH, and FloatingPointError for a pair it cannot measure; a
+    residual over tol (or NaN) is NotSelfadjoint.
     """
     _check_tol(tol)
     res = selfadjoint_residual(harr, barr)
-    if res > tol:
+    if not res <= tol:
         raise NotSelfadjoint(f"selfadjoint residual {res:.3e} exceeds tolerance")
 
 
@@ -614,8 +618,8 @@ def canonicalize_pair(b, h, tol: float = DEFAULT_TOL) -> tuple[OmegaMatrix, Cano
     materialize_pair(spec) within the residual tolerance, and spec sorted
     canonically.
     """
-    barr = b.array if isinstance(b, OmegaMatrix) else OmegaMatrix(np.asarray(b, dtype=complex)).array
-    harr = h.array if isinstance(h, OmegaMatrix) else OmegaMatrix(np.asarray(h, dtype=complex)).array
+    barr = b.array if isinstance(b, OmegaMatrix) else OmegaMatrix(b).array
+    harr = h.array if isinstance(h, OmegaMatrix) else OmegaMatrix(h).array
     red = _canonicalize(barr, harr, tol)
     return OmegaMatrix(red.similarity, check=False), red.spec
 

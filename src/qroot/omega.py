@@ -16,7 +16,7 @@ from .errors import (DimensionMismatch, NearSingularH, NotHermitian, NotInOmega,
 from .jsonio import float_array, integer
 from .quaternion import QuatMatrix
 
-MEMBERSHIP_FACTOR = 1e-10  # default tau_Omega = factor * max(1, inf-norm)
+MEMBERSHIP_FACTOR = 1e-10  # default tau_Omega = factor * max(1, max |m_ij|)
 COND_LIMIT = 1e12  # an H with a larger condition estimate counts as singular
 
 
@@ -26,31 +26,20 @@ class OmegaMatrix:
     __slots__ = ("array",)
 
     def __init__(self, array: np.ndarray, check: bool = True):
-        array = np.asarray(array, dtype=complex)
-        if array.ndim != 2 or array.shape[0] != array.shape[1]:
-            raise DimensionMismatch("OmegaMatrix expects a square array")
-        if array.shape[0] % 2:
-            raise OddDimension("OmegaMatrix dimension must be even")
+        array = _omega_array(array, "OmegaMatrix")
         if check:
-            res = omega_membership(array)
-            tol = membership_tolerance(array)
-            if res > tol:
-                raise NotInOmega(f"membership residual {res:.3e} exceeds {tol:.3e}")
+            _omega_member(array)
         self.array = array
 
     @property
     def half_n(self) -> int:
         return self.array.shape[0] // 2
 
-    @property
-    def dim(self) -> int:
-        return self.array.shape[0]
-
     def to_json(self) -> dict:
         return complex_to_json(self.array)
 
     def __repr__(self) -> str:
-        return f"OmegaMatrix(2n={self.dim})"
+        return f"OmegaMatrix(2n={self.array.shape[0]})"
 
 
 def complex_to_json(m: np.ndarray) -> dict:
@@ -71,16 +60,8 @@ def complex_from_json(obj: dict) -> np.ndarray:
             + 1j * float_array(im, shape, "complex matrix im")).reshape(dim, dim)
 
 
-def membership_tolerance(m: np.ndarray) -> float:
-    m = np.asarray(m)
-    scale = np.max(np.abs(m)) if m.size else 0.0
-    return MEMBERSHIP_FACTOR * max(1.0, float(scale))
-
-
 def omega_embed(a: QuatMatrix) -> OmegaMatrix:
     """Map A = A1 + j*A2 to [[A1, conj(A2)], [-A2, conj(A1)]]."""
-    if a.n_rows != a.n_cols:
-        raise DimensionMismatch("omega_embed expects a square matrix")
     return OmegaMatrix(_embed_pair(a.a1, a.a2), check=False)
 
 
@@ -103,45 +84,56 @@ def omega_project(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return a1, a2, res
 
 
-def omega_membership(m: np.ndarray) -> float:
+def _omega_array(m, caller: str) -> np.ndarray:
+    """An Omega argument's complex array, checked square and of even order for caller."""
+    arr = m.array if isinstance(m, OmegaMatrix) else np.asarray(m, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatch(f"{caller} expects a square matrix")
+    if arr.shape[0] % 2:
+        raise OddDimension(f"{caller} needs even dimension")
+    return arr
+
+
+def _omega_member(arr: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(A1, A2) of arr's nearest member of Omega_2n; NotInOmega when arr lies further than tol."""
+    a1, a2, res = omega_project(arr)
+    if tol is None:
+        tol = MEMBERSHIP_FACTOR * max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
+    if res > tol:
+        raise NotInOmega(f"membership residual {res:.3e} exceeds {tol:.3e}")
+    return a1, a2
+
+
+def omega_membership(m) -> float:
     """Max entrywise deviation from the nearest matrix in Omega_2n."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch("omega_membership expects a square matrix")
-    if m.shape[0] % 2:
-        raise OddDimension("omega_membership needs even dimension")
-    return omega_project(m)[2]
+    return omega_project(_omega_array(m, "omega_membership"))[2]
 
 
 def omega_extract(m, tol: float | None = None) -> QuatMatrix:
     """Inverse of omega_embed; symmetrizes roundoff inside the tolerance."""
-    arr = m.array if isinstance(m, OmegaMatrix) else np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch("omega_extract expects a square matrix")
-    if arr.shape[0] % 2:
-        raise OddDimension("omega_extract needs even dimension")
-    if tol is None:
-        tol = membership_tolerance(arr)
-    a1, a2, res = omega_project(arr)
-    if res > tol:
-        raise NotInOmega(f"membership residual {res:.3e} exceeds {tol:.3e}")
-    return QuatMatrix.from_complex_pair(a1, a2)
+    return QuatMatrix.from_complex_pair(*_omega_member(_omega_array(m, "omega_extract"), tol))
 
 
 def selfadjoint_residual(h, b) -> float:
-    """||HB - B*H||_F / max(1, ||H||_F * ||B||_F) for Hermitian invertible H."""
-    h = h.array if isinstance(h, OmegaMatrix) else np.asarray(h, dtype=complex)
-    b = b.array if isinstance(b, OmegaMatrix) else np.asarray(b, dtype=complex)
-    if h.shape != b.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
+    """||HB - B*H||_F / max(1, ||H||_F * ||B||_F) for Hermitian invertible H.
+
+    FloatingPointError when that cannot be measured: a norm or the residual overflows.
+    """
+    h, b = _omega_array(h, "selfadjoint_residual"), _omega_array(b, "selfadjoint_residual")
+    if h.shape != b.shape:
         raise DimensionMismatch("H and B must be square with equal shape")
-    hn = np.linalg.norm(h)
-    if np.linalg.norm(h - h.conj().T) > 1e-10 * max(1.0, hn):
-        raise NotHermitian("H is not Hermitian at working tolerance")
-    sv = np.abs(np.linalg.eigvalsh(h))  # H's singular values, as H is Hermitian
-    if sv.min() * COND_LIMIT <= max(1.0, sv.max()):
-        raise NearSingularH("H condition estimate beyond threshold")
-    num = np.linalg.norm(h @ b - b.conj().T @ h)
-    return float(num / max(1.0, hn * np.linalg.norm(b)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned
+        hn = np.linalg.norm(h)
+        if np.linalg.norm(h - h.conj().T) > 1e-10 * max(1.0, hn):
+            raise NotHermitian("H is not Hermitian at working tolerance")
+        sv = np.abs(np.linalg.eigvalsh(h))  # H's singular values, as H is Hermitian
+        if sv.min() * COND_LIMIT <= max(1.0, sv.max()):
+            raise NearSingularH("H condition estimate beyond threshold")
+        scale = hn * np.linalg.norm(b)
+        num = np.linalg.norm(h @ b - b.conj().T @ h)
+    if not (np.isfinite(scale) and np.isfinite(num)):
+        raise FloatingPointError(f"||H|| ||B|| {scale:.3e}, ||HB - B*H|| {num:.3e}: not measurable")
+    return float(num / max(1.0, scale))
 
 
 # -- quaternionic structure helpers (used by the canonicalization) -----------

@@ -189,8 +189,9 @@ def random_instance(seed: int, profile: dict | None = None):
 def _generate(rng, prof, m, force):
     if force == "admit":
         blocks = _admit_blocks(rng, prof["classes"], prof["max_size"], m)
-        if not blocks:
-            blocks = [CanonicalBlock(1.0, 1, 1)]
+        if not blocks:  # a nonreal block or a +- pair needs 2 of max_size
+            raise ProfileInvalid(
+                f"no block of classes={prof['classes']} fits max_size={prof['max_size']} at m={m}")
     else:
         blocks = _refuse_blocks(rng, prof["classes"], prof["max_size"], m)
     spec = CanonicalSpec(tuple(blocks)).sorted()

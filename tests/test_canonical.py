@@ -702,6 +702,7 @@ def test_cluster_radius_is_bitwise_the_svd_formula():
     q = np.linalg.qr(rng.standard_normal((20, 20)))[0]
     mats += [16.0 * (1.0 + d) * q for d in (-1e-9, 0.0, 1e-9, 1e-6, 1e-3)]  # ||B||_2 at 16
     mats.append(16.0 * np.eye(16))
+    mats += [c * np.eye(2) for c in (1e38, 1e50, 1e62)]  # the power steps overflow
     for b in mats:
         assert canonical._cluster_radius(b) == _svd_radius(b), b.shape
 

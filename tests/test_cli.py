@@ -298,10 +298,19 @@ _PAIR_COMMANDS = [["canon"], ["check", "--m", "1"], ["check", "--m", "2"],
     ("DimensionMismatch", {"B": quat_json([[16, 0, 0, 0]], 1), "H": EYE2}),
     ("NotSelfadjoint", {"B": quat_json([[1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 0],
                                         [4, 0, 0, 0]], 2), "H": EYE2}),
+    # ||H|| ||B|| overflows: a lone + block at -1e308 was "exists", 1e154
+    # RankAmbiguous, and a non-selfadjoint pair at 1e200 was "exists"
+    ("NumericError", {"B": quat_json([[-1e308, 0, 0, 0]], 1), "H": quat_json([[1, 0, 0, 0]], 1)}),
+    ("NumericError", {"B": quat_json([[1e154, 0, 0, 0]], 1), "H": quat_json([[1, 0, 0, 0]], 1)}),
+    ("NumericError", {"B": quat_json([[1e200, 0, 0, 0], [1e200, 0, 0, 0], [0, 0, 0, 0],
+                                      [1e200, 0, 0, 0]], 2),
+                      "H": quat_json([[1e200, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],
+                                      [1e200, 0, 0, 0]], 2)}),
 ])
 def test_each_fault_of_a_pair_is_one_error_on_every_command(tmp_path, capsys, kind, payload):
     # canon, check and root at m = 1 and m = 2 check (B, H) in one place:
     # one stdout line, and one stderr message after the command's prefix
+    # (an overflow warning would raise here, as pytest turns warnings into errors)
     import qroot.cli
     path = tmp_path / "payload.json"
     path.write_text(json.dumps(payload))

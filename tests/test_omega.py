@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qroot.errors import NearSingularH, NotHermitian, NotInOmega, OddDimension
-from qroot.omega import (chi, omega_embed, omega_extract, omega_membership,
+from qroot.errors import DimensionMismatch, NearSingularH, NotHermitian, NotInOmega, OddDimension
+from qroot.omega import (OmegaMatrix, chi, omega_embed, omega_extract, omega_membership,
                          omega_project, selfadjoint_residual)
 from qroot.quaternion import QuatMatrix
 
@@ -47,6 +47,17 @@ def test_membership_examples():
 def test_membership_odd_dimension():
     with pytest.raises(OddDimension):
         omega_membership(np.eye(3))
+
+
+@pytest.mark.parametrize("accept", [OmegaMatrix, omega_membership, omega_extract],
+                         ids=lambda f: f.__name__)
+def test_an_omega_argument_is_checked_by_one_rule(accept):
+    name = accept.__name__
+    with pytest.raises(DimensionMismatch, match=f"^{name} expects a square matrix$"):
+        accept(np.ones((2, 4)))
+    with pytest.raises(OddDimension, match=f"^{name} needs even dimension$"):
+        accept(np.eye(3))
+    accept(OmegaMatrix(np.eye(2)))  # an OmegaMatrix is an Omega argument too
 
 
 def test_homomorphism_laws_200_trials():
@@ -106,6 +117,11 @@ def test_selfadjoint_residual_errors():
         selfadjoint_residual(np.array([[0.0, 1], [0, 0]]), np.eye(2))
     with pytest.raises(NearSingularH):
         selfadjoint_residual(np.diag([1.0, 1e-15]), np.eye(2))
+    # ||H||_F ||B||_F overflows: the residual read 0 and the pair passed
+    with pytest.raises(FloatingPointError):
+        selfadjoint_residual(np.eye(2), np.diag([-1e308, -1e308]))
+    with pytest.raises(FloatingPointError):  # a NaN residual passed too
+        selfadjoint_residual(1e200 * np.eye(2), 1e200 * np.array([[1.0, 1], [0, 1]]))
 
 
 def test_chi_is_quaternionic_structure():

@@ -417,6 +417,19 @@ def test_mth_root_scalar_examples():
     assert np.allclose(out.root.data, quat_scalar(-2.0).data, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("c", [1e38, 1e50, 1e62, 9e153])
+def test_mth_root_of_a_huge_scalar_warns_of_no_overflow(c):
+    # the norm bound of the cluster radius overflowed on the way to the same
+    # 0.25 cap, and warned (1, 2 and 3 RuntimeWarnings at the first three);
+    # 9e153 is just below where ||B||_F overflows and the pair is refused
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = mth_root(quat_scalar(c), QuatMatrix.eye(1), 2)
+    assert out.root.data[0, 0, 0] == pytest.approx(np.sqrt(c), rel=1e-15)
+    assert out.residual_power <= 1e-15
+
+
 def test_mth_root_negative_even_pairing():
     b = quat_real(-np.eye(2))
     decision = mth_root(b, QuatMatrix.eye(2), 2)

@@ -154,6 +154,19 @@ def test_zero_refusals_exist_from_max_size_2(m):
             assert not root_exists(spec, m).exists, (m, max_size, seed)
 
 
+@pytest.mark.parametrize("profile", [{"classes": ["nonreal"], "max_size": 1, "force": "admit"},
+                                     {"classes": ["negative"], "max_size": 1, "m": 2},
+                                     {"classes": ["nonreal"], "max_size": 1, "force": "any"},
+                                     {"classes": ["negative"], "max_size": 1, "m": 2,
+                                      "force": "any"}])
+def test_a_profile_that_places_no_block_is_invalid(profile):
+    # a nonreal block or a +- pair at m even needs 2 of max_size; the
+    # generator used to fall back to J_1(1)+, outside the profile's classes
+    for seed in range(4):
+        with pytest.raises(ProfileInvalid):
+            random_instance(seed, profile)
+
+
 def test_generator_profile_validation():
     with pytest.raises(ProfileInvalid):
         random_instance(0, {"classes": ["bogus"]})
