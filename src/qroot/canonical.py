@@ -28,6 +28,7 @@ from . import lapack
 from .errors import ClusterOverlap, NotSelfadjoint, ParseError, RankAmbiguous, SpecInvalid
 from .jsonio import integer
 from .omega import OmegaMatrix, chi, selfadjoint_residual
+from .quaternion import frobenius_norm
 
 _EPS = np.finfo(float).eps
 
@@ -57,7 +58,7 @@ def _cluster_radius(b: np.ndarray) -> float:
         bnorm = float(np.linalg.norm(b, 2)) if b.size else 0.0
         blob = 2.0 * (max(_EPS * max(1.0, bnorm), 1e-300)) ** (1.0 / kbound)
         blob = min(blob, 0.25)
-    return max(CLUSTER_FACTOR * max(1.0, float(np.linalg.norm(b))), blob)
+    return max(CLUSTER_FACTOR * max(1.0, frobenius_norm(b)), blob)
 
 
 # An overflow to inf still bounds ||B||_2 from below, and a NaN fails the
@@ -285,22 +286,6 @@ def _reorder(schur: tuple[np.ndarray, np.ndarray],
     return ts, zs
 
 
-def _deflate_cluster(b: np.ndarray, schur: tuple[np.ndarray, np.ndarray],
-                     centroid: complex, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deflate the invariant subspace of the cluster at places members of diag(T).
-
-    Reorders the Schur form (T, Z) of b so the members lead.  Returns (Q1, N)
-    with B Q1 = Q1 (N + centroid I) up to backward error; rank decisions on
-    powers of the full matrix would drown in the growth of the other
-    eigenvalues, so all staircase work happens on N.
-    """
-    select = np.zeros(len(schur[0]), dtype=bool)
-    select[members] = True
-    q1 = _reorder(schur, select)[1][:, :len(members)]
-    t11 = q1.conj().T @ b @ q1
-    return q1, t11 - centroid * np.eye(len(members), dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # eigenvalue clustering
 # ---------------------------------------------------------------------------
@@ -435,6 +420,12 @@ def _chain_moment(form, c, d, s, zero):
     return form(d[i - 1], c[j - 1])
 
 
+def _modulus(x, y):
+    """sqrt(x^2 + y^2) (x = |q1|, y = |q2| of q1 + j q2) under an exact power-of-two scale."""
+    sc = int(np.frexp(np.max([x, y]))[1])
+    return np.ldexp(np.sqrt(np.ldexp(x, -sc) ** 2 + np.ldexp(y, -sc) ** 2), sc)
+
+
 class _Imaged:
     """A chain vector v with its images G v and partner(v), each made when first read."""
 
@@ -485,7 +476,7 @@ def _normalize_hermitian_chains(chains, g, partner):
         gt = np.column_stack([chains[i][-1].gv for i in tops])
         e = np.column_stack([chains[i][0].v for i in tops])
         p = np.column_stack([chains[i][0].pv for i in tops])
-        lead = np.sqrt(np.abs(e.conj().T @ gt) ** 2 + np.abs(p.conj().T @ gt) ** 2)
+        lead = _modulus(np.abs(e.conj().T @ gt), np.abs(p.conj().T @ gt))
         peak = lead.max()
         if peak <= DEGENERATE_FACTOR * max(1.0, scale):
             raise RankAmbiguous("degenerate leading moments in Gram normalization")
@@ -499,7 +490,7 @@ def _normalize_hermitian_chains(chains, g, partner):
             a, b = np.unravel_index(np.argmax(np.triu(lead + lead.T, 1)), lead.shape)
             i, j = tops[a], tops[b]
             m1, m2 = moment(chains[i], chains[j], kappa + 1)
-            mod = float(np.sqrt(abs(m1) ** 2 + abs(m2) ** 2))
+            mod = float(_modulus(abs(m1), abs(m2)))
             q = (np.conj(m1) / mod, -m2 / mod)
             for idx in range(kappa):
                 chains[i][idx] = imaged(chains[i][idx].v + rmul(chains[j][idx], q))
@@ -629,28 +620,21 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None) -> 
 
     Checks the pair (_check_pair) and takes one Schur form B = Z T Z^*.
     keep(c) says whether the cluster with snapped centroid c is
-    canonicalized; None keeps every cluster.  The kept clusters'
-    eigenvalues are moved to the lead of the form once (ztrsen, none of it
-    when every cluster is kept); each kept cluster is deflated from that
-    form by its members, and the root of the rest reads the form off the
-    returned Reduction.
+    canonicalized; None keeps every cluster, a solve only real ones.  Each
+    kept cluster with Im c >= 0, in the order of its first place on the
+    diagonal, is moved to the lead of the form the previous one left
+    (ztrsen, none of it when it leads already) and deflated there: its
+    columns are Z[:, :k] and its nilpotent part T[:k, :k] - cI.  The last
+    form has every kept cluster in its lead (Im < 0 ones are never moved,
+    so only with keep None), where the root of the rest reads it off.
     """
     _check_pair(barr, harr, tol)
     n = barr.shape[0] // 2
     radius = _cluster_radius(barr)
     schur = lapack.schur(barr)
     clusters = _cluster_eigenvalues(np.diag(schur[0]), radius)
-    select = np.zeros(2 * n, dtype=bool)
-    for c in clusters:
-        if keep is None or keep(c.centroid):
-            select[c.members] = True
-    lead = int(select.sum())
-    reordered = _reorder(schur, select)
-    # ztrsen keeps the order within the kept and within the other eigenvalues
-    place = np.where(select, np.cumsum(select) - 1, lead + np.cumsum(~select) - 1)
-    clusters = tuple(_Cluster(c.centroid, c.mult, place[c.members]) for c in clusters)
-    kept = [c for c in clusters if c.members[0] < lead]
-    real_clusters = [c for c in kept if c.centroid.imag == 0]
+    kept = [c for c in clusters if keep is None or keep(c.centroid)]
+    lead = sum(c.mult for c in kept)
     nonreal = [c for c in kept if c.centroid.imag > 0]
     # the mate is the nearest conjugate cluster; a neighbour's conjugate
     # may lie within 2*radius as well
@@ -660,32 +644,40 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None) -> 
         gap, mult = min(gaps, default=(np.inf, 0))
         if gap > 2 * radius or mult != c.mult:
             raise ClusterOverlap("conjugate eigenvalue clusters do not match")
+    if any(c.mult % 2 for c in kept if c.centroid.imag == 0):
+        raise ClusterOverlap("real eigenvalue multiplicity must be even in Omega")
 
-    entries = []  # (CanonicalBlock, columns) in extraction order
-    for c in real_clusters:
-        if c.mult % 2:
-            raise ClusterOverlap("real eigenvalue multiplicity must be even in Omega")
-        q1, nd = _deflate_cluster(barr, reordered, c.centroid, c.members)
-        x_c = q1.conj().T @ chi(q1)
-        partner = lambda v, _x=x_c: _x @ np.conj(v)
-        g_c = q1.conj().T @ harr @ q1
-        chains = _nilpotent_chains(nd, c.mult, partner=partner)
-        for eta, chain in _normalize_hermitian_chains(chains, g_c, partner):
-            cols = q1 @ np.column_stack(chain)
-            entries.append((CanonicalBlock(c.centroid, len(chain), eta), cols))
     hk = np.conj(np.hstack([-harr[:, n:], harr[:, :n]])) if nonreal else None  # conj(H) K
-    for c in nonreal:
-        q1, nd = _deflate_cluster(barr, reordered, c.centroid, c.members)
-        phi = q1.T @ hk @ q1
-        bform = lambda x, y, _p=phi: x @ (_p @ y)
-        chains = _nilpotent_chains(nd, c.mult)
-        for cc, dd in _normalize_symplectic_chains(chains, bform):
-            u_cols = q1 @ np.column_stack(dd)
-            w_cols = chi(q1 @ np.column_stack(cc))
-            entries.append((CanonicalBlock(c.centroid, len(cc), None),
-                            np.hstack([u_cols, w_cols])))
+    place = np.arange(2 * n)  # each eigenvalue's place on the diagonal of the current form
+    entries = []  # (CanonicalBlock, columns) in extraction order
+    for c in sorted((c for c in kept if c.centroid.imag >= 0), key=lambda c: c.members.min()):
+        k = c.mult
+        select = np.zeros(2 * n, dtype=bool)
+        select[place[c.members]] = True
+        schur = _reorder(schur, select)
+        # ztrsen keeps the order within the selected and within the other eigenvalues
+        place = np.where(select, np.cumsum(select) - 1, k + np.cumsum(~select) - 1)[place]
+        q1, nd = schur[1][:, :k], schur[0][:k, :k] - c.centroid * np.eye(k, dtype=complex)
+        if c.centroid.imag == 0:
+            x_c = q1.conj().T @ chi(q1)
+            partner = lambda v, _x=x_c: _x @ np.conj(v)
+            g_c = q1.conj().T @ harr @ q1
+            chains = _nilpotent_chains(nd, k, partner=partner)
+            for eta, chain in _normalize_hermitian_chains(chains, g_c, partner):
+                cols = q1 @ np.column_stack(chain)
+                entries.append((CanonicalBlock(c.centroid, len(chain), eta), cols))
+        else:
+            phi = q1.T @ hk @ q1
+            bform = lambda x, y, _p=phi: x @ (_p @ y)
+            chains = _nilpotent_chains(nd, k)
+            for cc, dd in _normalize_symplectic_chains(chains, bform):
+                u_cols = q1 @ np.column_stack(dd)
+                w_cols = chi(q1 @ np.column_stack(cc))
+                entries.append((CanonicalBlock(c.centroid, len(cc), None),
+                                np.hstack([u_cols, w_cols])))
+    clusters = tuple(_Cluster(c.centroid, c.mult, place[c.members]) for c in clusters)
     if not entries:
-        return _empty_reduction(barr, harr, reordered, lead, clusters)
+        return _empty_reduction(barr, harr, schur, lead, clusters)
 
     entries.sort(key=lambda e: e[0].sort_key())
     blocks = tuple(e[0] for e in entries)
@@ -700,13 +692,12 @@ def _canonicalize(barr: np.ndarray, harr: np.ndarray, tol: float, keep=None) -> 
 
     bm, hm = materialize_pair(spec)
     if keep is None:
-        res_b = np.linalg.norm(np.linalg.solve(s, barr @ s) - bm.array)
+        res_b = frobenius_norm(np.linalg.solve(s, barr @ s) - bm.array)
     else:
-        res_b = np.linalg.norm(barr @ s - s @ bm.array)
-    res_h = np.linalg.norm(s.conj().T @ harr @ s - hm.array)
-    limit = (tol * max(1.0, float(np.linalg.norm(barr)))
-             + tol * max(1.0, float(np.linalg.norm(harr))))
+        res_b = frobenius_norm(barr @ s - s @ bm.array)
+    res_h = frobenius_norm(s.conj().T @ harr @ s - hm.array)
+    limit = tol * max(1.0, frobenius_norm(barr)) + tol * max(1.0, frobenius_norm(harr))
     if not np.isfinite(res_b + res_h) or res_b + res_h > limit:
         raise RankAmbiguous(
             f"canonicalization residual {res_b + res_h:.3e} exceeds {limit:.3e}")
-    return Reduction(barr, harr, spec, s, hm.array, reordered, lead, clusters, (res_b, res_h))
+    return Reduction(barr, harr, spec, s, hm.array, schur, lead, clusters, (res_b, res_h))

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import (DimensionMismatch, NearSingularH, NotHermitian, NotInOmega,
                      OddDimension, ParseError)
 from .jsonio import float_array, integer
-from .quaternion import QuatMatrix
+from .quaternion import QuatMatrix, frobenius_norm
 
 MEMBERSHIP_FACTOR = 1e-10  # default tau_Omega = factor * max(1, max |m_ij|)
 COND_LIMIT = 1e12  # an H with a larger condition estimate counts as singular
@@ -96,10 +96,11 @@ def _omega_array(m, caller: str) -> np.ndarray:
 
 def _omega_member(arr: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(A1, A2) of arr's nearest member of Omega_2n; NotInOmega when arr lies further than tol."""
-    a1, a2, res = omega_project(arr)
+    with np.errstate(invalid="ignore"):  # a non-finite entry's NaN residual is refused below
+        a1, a2, res = omega_project(arr)
     if tol is None:
         tol = MEMBERSHIP_FACTOR * max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
-    if res > tol:
+    if not res <= tol:  # a NaN residual fails too
         raise NotInOmega(f"membership residual {res:.3e} exceeds {tol:.3e}")
     return a1, a2
 
@@ -123,14 +124,14 @@ def selfadjoint_residual(h, b) -> float:
     if h.shape != b.shape:
         raise DimensionMismatch("H and B must be square with equal shape")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned
-        hn = np.linalg.norm(h)
-        if np.linalg.norm(h - h.conj().T) > 1e-10 * max(1.0, hn):
+        hn = frobenius_norm(h)
+        if frobenius_norm(h - h.conj().T) > 1e-10 * max(1.0, hn):
             raise NotHermitian("H is not Hermitian at working tolerance")
         sv = np.abs(np.linalg.eigvalsh(h))  # H's singular values, as H is Hermitian
         if sv.min() * COND_LIMIT <= max(1.0, sv.max()):
             raise NearSingularH("H condition estimate beyond threshold")
-        scale = hn * np.linalg.norm(b)
-        num = np.linalg.norm(h @ b - b.conj().T @ h)
+        scale = hn * frobenius_norm(b)
+        num = frobenius_norm(h @ b - b.conj().T @ h)
     if not (np.isfinite(scale) and np.isfinite(num)):
         raise FloatingPointError(f"||H|| ||B|| {scale:.3e}, ||HB - B*H|| {num:.3e}: not measurable")
     return float(num / max(1.0, scale))

@@ -15,6 +15,13 @@ from .errors import DimensionMismatch, ParseError
 from .jsonio import float_array, integer
 
 
+def frobenius_norm(a: np.ndarray) -> float:
+    """||a||_F under an exact power-of-two scale, so no square overflows; in range, the same bits."""
+    parts = np.ascontiguousarray(a).view(float)  # a complex entry's real and imaginary parts
+    e = int(np.frexp(np.max(np.abs(parts), initial=0.0))[1])
+    return float(np.ldexp(np.linalg.norm(np.ldexp(parts, -e).view(a.dtype)), e))
+
+
 class QuatMatrix:
     """Dense quaternion matrix backed by an (n_rows, n_cols, 4) real array."""
 
@@ -121,7 +128,7 @@ class QuatMatrix:
 
     def norm(self) -> float:
         """Frobenius norm: sqrt of the sum of squared quaternion moduli."""
-        return float(np.linalg.norm(self.data))
+        return frobenius_norm(self.data)
 
     def __repr__(self) -> str:
         return f"QuatMatrix({self.n_rows}x{self.n_cols})"

@@ -334,6 +334,17 @@ def test_gram_normalization_is_bitwise_the_pair_search(monkeypatch):
     assert folds and all(i < j for i, j in folds)
 
 
+def test_gram_normalization_of_a_large_form_squares_no_moment(monkeypatch):
+    # G of order 1e160 puts the moments' moduli near 1e160: their squares
+    # overflowed, in the leading-moment matrix (a warning) and in the fold
+    # (an OverflowError); both are squared under a power-of-two scale now
+    inputs = _normalization_inputs(monkeypatch)
+    for chains, g, partner in inputs:
+        want = canonical._normalize_hermitian_chains(chains, g, partner)
+        got = canonical._normalize_hermitian_chains(chains, 1e160 * g, partner)
+        assert [(eta, len(c)) for eta, c in got] == [(eta, len(c)) for eta, c in want]
+
+
 def test_symplectic_pairing_reads_each_round_off_one_leading_moment_matrix(monkeypatch):
     # 12 equal J_1(1+i) pairs make a nonreal cluster of 24 chains.  The pair
     # search evaluated every ordered pair of top chains in each round, 2,720
@@ -404,7 +415,7 @@ def test_symplectic_orientation_survives_the_transposed_form(monkeypatch, k):
         assert np.abs(s_t.array - s.array).max() <= 1e-10 * np.abs(s.array).max()
 
 
-# -- deflation: one Schur form reordered per cluster --------------------------
+# -- deflation: each cluster moved to the lead of the form the last one left ---
 
 def _reference_deflate(b, centroid, radius, expected):
     """Per-cluster sorted Schur deflation, the form ztrsen reordering replaced."""
@@ -449,18 +460,56 @@ def test_reordered_schur_matches_sorted_schur_reference(seed, monkeypatch):
         # (snapped) centroid selects, so canon deflates what it did before
         near = np.abs(np.diag(schur[0]) - c.centroid) <= radius
         assert sorted(c.members) == np.flatnonzero(near).tolist()
-        q_new, n_new = canonical._deflate_cluster(b, schur, c.centroid, c.members)
+    deflated = [c for c in clusters if c.centroid.imag >= 0]
+
+    def cluster_leading(t, k):
+        """The deflated cluster whose eigenvalues fill the first k places of diag(t)."""
+        found = [c for c in deflated
+                 if c.mult == k and np.all(np.abs(np.diag(t)[:k] - c.centroid) <= radius)]
+        assert len(found) == 1
+        return found[0]
+
+    # canon deflates each real or Im > 0 cluster once, at the lead of the
+    # form its reordering returns: columns Z[:, :k], nilpotent part T11 - cI
+    inner = canonical._reorder
+    forms = []
+
+    def recording(form, select):
+        out = inner(form, select)
+        forms.append((int(select.sum()), *out))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(canonical, "_reorder", recording)
+        s, out = canonicalize_pair(b, h)
+    assert len(forms) == len(deflated)
+    seen = []
+    for k, t, z in forms:
+        c = cluster_leading(t, k)
+        seen.append(c.centroid)
+        q_new, n_new = z[:, :k], t[:k, :k] - c.centroid * np.eye(k)
         q_ref, n_ref = _reference_deflate(b, c.centroid, radius, c.mult)
         assert q_new.shape == q_ref.shape == (b.shape[0], c.mult)
         assert np.allclose(q_new.conj().T @ q_new, np.eye(c.mult), atol=1e-12)
         assert _largest_principal_angle_sine(q_ref, q_new) < 1e-10
         resid = np.linalg.norm(b @ q_new - q_new @ (n_new + c.centroid * np.eye(c.mult)))
         assert resid <= _bound(b)
+    assert sorted(seen, key=lambda x: (x.real, x.imag)) == [c.centroid for c in deflated]
 
-    s, out = canonicalize_pair(b, h)
-    monkeypatch.setattr(canonical, "_deflate_cluster",
-                        lambda b_, _schur, centroid, members:
-                        _reference_deflate(b_, centroid, radius, len(members)))
+    def reference(form, select):
+        # the same form with its lead block deflated by scipy's sorted Schur
+        # form instead; the next cluster is moved on from it
+        t, z = inner(form, select)
+        k = int(select.sum())
+        c = cluster_leading(t, k)
+        q, nd = _reference_deflate(b, c.centroid, radius, k)
+        z = np.hstack([q, z[:, k:]])
+        t = t.copy()
+        t[:k, :k] = nd + c.centroid * np.eye(k)
+        t[:k, k:] = q.conj().T @ b @ z[:, k:]
+        return t, z
+
+    monkeypatch.setattr(canonical, "_reorder", reference)
     _, ref = canonicalize_pair(b, h)
     assert [(x.size, x.sign) for x in out.blocks] == [(x.size, x.sign) for x in ref.blocks]
     assert spec_matches(out, ref, lam_tol=1e-9) and spec_matches(out, spec)

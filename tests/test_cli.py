@@ -298,10 +298,14 @@ _PAIR_COMMANDS = [["canon"], ["check", "--m", "1"], ["check", "--m", "2"],
     ("DimensionMismatch", {"B": quat_json([[16, 0, 0, 0]], 1), "H": EYE2}),
     ("NotSelfadjoint", {"B": quat_json([[1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 0],
                                         [4, 0, 0, 0]], 2), "H": EYE2}),
-    # ||H|| ||B|| overflows: a lone + block at -1e308 was "exists", 1e154
-    # RankAmbiguous, and a non-selfadjoint pair at 1e200 was "exists"
+    # ||H|| ||B|| overflows: a lone + block at -1e308 was "exists", and a
+    # non-selfadjoint pair at 1e200 was "exists"
     ("NumericError", {"B": quat_json([[-1e308, 0, 0, 0]], 1), "H": quat_json([[1, 0, 0, 0]], 1)}),
-    ("NumericError", {"B": quat_json([[1e154, 0, 0, 0]], 1), "H": quat_json([[1, 0, 0, 0]], 1)}),
+    # ||H|| = 2e160 and ||B|| = 1.4e160 are finite, their product is not
+    ("NumericError", {"B": quat_json([[0, 0, 0, 0], [1e160, 0, 0, 0], [0, 0, 0, 0],
+                                      [0, 0, 0, 0]], 2),
+                      "H": quat_json([[0, 0, 0, 0], [1e160, 0, 0, 0], [1e160, 0, 0, 0],
+                                      [0, 0, 0, 0]], 2)}),
     ("NumericError", {"B": quat_json([[1e200, 0, 0, 0], [1e200, 0, 0, 0], [0, 0, 0, 0],
                                       [1e200, 0, 0, 0]], 2),
                       "H": quat_json([[1e200, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],
@@ -322,6 +326,25 @@ def test_each_fault_of_a_pair_is_one_error_on_every_command(tmp_path, capsys, ki
         assert err.startswith(prefix)
         seen.add((out, err[len(prefix):]))
     assert len(seen) == 1 and json.loads(next(iter(seen))[0]) == {"error": kind}
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e160])
+def test_a_large_h_is_answered_as_a_small_one(tmp_path, capsys, scale):
+    # J_2(0)+ against scale * sip: ||H||_F^2 overflows at 1e160, where the
+    # pair check refused the pair (NumericError); its norms are now taken
+    # under a power-of-two scale, and so are the Gram moments' moduli
+    payload = {"B": quat_json([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], 2),
+               "H": quat_json([[0, 0, 0, 0], [scale, 0, 0, 0], [scale, 0, 0, 0],
+                               [0, 0, 0, 0]], 2)}
+    for args in (["check", "--m", "2"], ["root", "--m", "3"]):
+        rc, out = _main_on(tmp_path, capsys, args, payload)
+        assert rc == 2 and out["certificate"]["kind"] == "SegreTupleMismatch"
+    rc, out = _main_on(tmp_path, capsys, ["canon"], payload)
+    assert rc == 0 and out["spec"]["blocks"] == [{"lambda": [0, 0], "size": 2, "sign": 1}]
+    # a large B as well: its square root comes back where the pair was refused
+    payload = {"B": quat_json([[1e154, 0, 0, 0]], 1), "H": quat_json([[1, 0, 0, 0]], 1)}
+    rc, out = _main_on(tmp_path, capsys, ["root", "--m", "2"], payload)
+    assert rc == 0 and out["root"]["entries"] == [[1e77, 0, 0, 0]]
 
 
 def _omega_one(re):

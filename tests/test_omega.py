@@ -122,6 +122,34 @@ def test_selfadjoint_residual_errors():
         selfadjoint_residual(np.eye(2), np.diag([-1e308, -1e308]))
     with pytest.raises(FloatingPointError):  # a NaN residual passed too
         selfadjoint_residual(1e200 * np.eye(2), 1e200 * np.array([[1.0, 1], [0, 1]]))
+    # a selfadjoint pair whose norms are finite but whose squared entries
+    # overflow is measured (it was refused): the norms are taken under a
+    # power-of-two scale, with no warning
+    sip = np.kron(np.eye(2), np.fliplr(np.eye(2)))
+    jordan = np.kron(np.eye(2), np.eye(2, k=1))
+    assert selfadjoint_residual(1e160 * sip, jordan) == 0.0
+    assert selfadjoint_residual(np.eye(2), 1e154 * np.eye(2)) == 0.0
+    # ... but ||H|| ||B|| itself overflows here, so the pair is still refused
+    with pytest.raises(FloatingPointError):
+        selfadjoint_residual(1e160 * sip, 1e160 * jordan)
+    # in range, the scale is exact: the bits of the unscaled formula
+    rng = np.random.default_rng(11)
+    for scale in (1e-3, 1.0, 7.0, 1e5):
+        x = QuatMatrix(rng.standard_normal((3, 3, 4)))
+        h = omega_embed(QuatMatrix(x.data + x.adjoint().data)).array
+        b = omega_embed(QuatMatrix(scale * rng.standard_normal((3, 3, 4)))).array
+        want = np.linalg.norm(h @ b - b.conj().T @ h) / max(
+            1.0, np.linalg.norm(h) * np.linalg.norm(b))
+        assert selfadjoint_residual(h, b) == want
+
+
+@pytest.mark.parametrize("accept", [OmegaMatrix, omega_extract], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_array_is_not_in_omega(accept, bad):
+    # its membership residual is NaN, which compared as "not above tol":
+    # omega_extract returned a matrix and OmegaMatrix accepted it
+    with pytest.raises(NotInOmega):
+        accept(np.array([[bad, 0], [0, 1]]))
 
 
 def test_chi_is_quaternionic_structure():

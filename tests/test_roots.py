@@ -417,11 +417,12 @@ def test_mth_root_scalar_examples():
     assert np.allclose(out.root.data, quat_scalar(-2.0).data, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("c", [1e38, 1e50, 1e62, 9e153])
+@pytest.mark.parametrize("c", [1e38, 1e50, 1e62, 9e153, 1e154, 1e300])
 def test_mth_root_of_a_huge_scalar_warns_of_no_overflow(c):
     # the norm bound of the cluster radius overflowed on the way to the same
     # 0.25 cap, and warned (1, 2 and 3 RuntimeWarnings at the first three);
-    # 9e153 is just below where ||B||_F overflows and the pair is refused
+    # from 1e154 the squares in ||B||_F overflow, so the pair was refused
+    # until its Frobenius norms were taken under a power-of-two scale
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -921,8 +922,8 @@ def test_unconstrained_solve_takes_one_schur_form_and_no_deflation(tmp_path, mon
     import qroot.cli
     import qroot.jsonio
     import qroot.lapack
-    owners = {"schur": qroot.lapack, "_deflate_cluster": qroot.canonical}
-    calls = {"schur": 0, "_deflate_cluster": 0}
+    owners = {"schur": qroot.lapack, "_reorder": qroot.canonical}
+    calls = {"schur": 0, "_reorder": 0}
     for name, owner in owners.items():
         inner = getattr(owner, name)
 
@@ -936,16 +937,17 @@ def test_unconstrained_solve_takes_one_schur_form_and_no_deflation(tmp_path, mon
     b, h = _scrambled_instance(spec, 80)
     out = mth_root(b, h, 3)
     assert isinstance(out, RootResult) and verify_root(out.root, b, h, 3).passed
-    assert calls == {"schur": 1, "_deflate_cluster": 0}
+    assert calls == {"schur": 1, "_reorder": 0}
     path = tmp_path / "pair.json"
     path.write_text(qroot.jsonio.dumps({"B": b.to_json(), "H": h.to_json()}))
     assert qroot.cli.main(["check", "--m", "3", "--in", str(path)]) == 0
     assert json.loads(capsys.readouterr().out) == {"exists": True, "certificate": None}
-    assert calls == {"schur": 2, "_deflate_cluster": 0}
-    # with m even the negative eigenvalue is constrained: only its cluster deflates
+    assert calls == {"schur": 2, "_reorder": 0}
+    # with m even the negative eigenvalue is constrained: only its cluster is
+    # moved to the lead and deflated
     assert qroot.cli.main(["check", "--m", "2", "--in", str(path)]) == 2
     assert json.loads(capsys.readouterr().out)["certificate"]["kind"] == "NegativeSignPairing"
-    assert calls == {"schur": 3, "_deflate_cluster": 1}
+    assert calls == {"schur": 3, "_reorder": 1}
 
 
 def _count_kernels(monkeypatch) -> Counter:
@@ -1047,8 +1049,8 @@ def test_two_cluster_x_matches_full_canonicalization_reference(m, monkeypatch):
         calls.clear()
         got = mth_root(b, h, m, branch=branch)
         assert isinstance(got, RootResult) and verify_root(got.root, b, h, m).passed
-        # one reordering puts X first; each X cluster is deflated from that
-        # form, where the first of them leads already
+        # each X cluster is moved to the lead of the form the other one
+        # left, and neither leads the first form: one ztrsen per cluster
         assert calls["ztrsen"] == 2
         assert got.similarity.shape == (2 * _copy_size(spec), 2 * 6)
         want = _reference_root(b, h, m, branch, got)
@@ -1057,10 +1059,10 @@ def test_two_cluster_x_matches_full_canonicalization_reference(m, monkeypatch):
 
 
 def test_three_cluster_x_reorders_once_per_cluster(monkeypatch):
-    # X is zero and +- pairs at two negative eigenvalues.  The form is
-    # reordered with X first, and each X cluster is deflated from it by its
-    # members, where the first of them leads already: three ztrsen calls in
-    # all, where a second reordering per cluster would make four
+    # X is zero and +- pairs at two negative eigenvalues.  Each X cluster
+    # is moved to the lead of the form the previous one left and deflated
+    # there: three ztrsen calls, one per cluster, where a lead reordering
+    # before them would make four
     calls = _count_kernels(monkeypatch)
     spec = CanonicalSpec((CanonicalBlock(-1.7, 2, 1), CanonicalBlock(-1.7, 2, -1),
                           CanonicalBlock(-0.8, 1, 1), CanonicalBlock(-0.8, 1, -1),
@@ -1072,6 +1074,23 @@ def test_three_cluster_x_reorders_once_per_cluster(monkeypatch):
     assert isinstance(got, RootResult) and verify_root(got.root, b, h, 2).passed
     assert got.similarity.shape == (2 * _copy_size(spec), 2 * 8)
     assert calls["ztrsen"] == 3
+
+
+def test_interleaved_x_clusters_take_one_reordering_each(monkeypatch):
+    # gen --seed 33 --m 2: X is a +- pair at -0.748 and J_1(0)+-, whose
+    # places interleave on the Schur diagonal.  Each cluster is moved to the
+    # lead once, from the form the previous one left; a lead reordering of
+    # all of X first left neither cluster leading, for three calls
+    from qroot.roots import reduce_pair
+    calls = _count_kernels(monkeypatch)
+    b, h, _ = random_instance(33, {"m": 2})
+    got = mth_root(b, h, 2)
+    assert isinstance(got, RootResult) and verify_root(got.root, b, h, 2).passed
+    assert calls["ztrsen"] == 2
+    red = reduce_pair(b, h, 2)
+    x = [c for c in red.clusters if c.centroid.real <= 0 and c.centroid.imag == 0]
+    assert len(x) == 2 and red.lead == 8
+    assert sorted(np.concatenate([c.members for c in x])) == list(range(8))
 
 
 def test_a_root_that_fails_its_self_check_is_root_inaccurate(tmp_path, monkeypatch, capsys):
