@@ -9,18 +9,18 @@ exists, and verifies the result independently.
 from . import errors
 from .canonical import (CanonicalBlock, CanonicalSpec, canonicalize_pair,
                         jordan_block, materialize_pair, sip_matrix)
-from .omega import (OmegaMatrix, omega_embed, omega_extract,
-                    omega_membership, selfadjoint_residual)
+from .generate import random_instance
+from .omega import OmegaMatrix, omega_embed, omega_extract, selfadjoint_residual
 from .quaternion import QuatMatrix
 from .roots import (Certificate, RootDecision, RootResult, assemble_root, mth_root,
                     root_block_negative_even, root_block_nilpotent,
                     root_block_nonreal, root_block_real, root_exists)
-from .verify import VerificationReport, random_instance, verify_root
+from .verify import VerificationReport, verify_root
 
 __all__ = [
     "errors",
     "QuatMatrix", "OmegaMatrix",
-    "omega_embed", "omega_extract", "omega_membership", "selfadjoint_residual",
+    "omega_embed", "omega_extract", "selfadjoint_residual",
     "CanonicalBlock", "CanonicalSpec",
     "jordan_block", "sip_matrix", "materialize_pair", "canonicalize_pair",
     "Certificate", "RootDecision", "RootResult", "root_exists",

@@ -27,7 +27,7 @@ import numpy as np
 from . import lapack
 from .errors import ClusterOverlap, NotSelfadjoint, ParseError, RankAmbiguous, SpecInvalid
 from .jsonio import integer
-from .omega import OmegaMatrix, chi, selfadjoint_residual
+from .omega import DEFAULT_TOL, OmegaMatrix, _check_tol, chi, selfadjoint_residual
 from .quaternion import frobenius_norm
 
 _EPS = np.finfo(float).eps
@@ -40,9 +40,6 @@ _EPS = np.finfo(float).eps
 CLUSTER_FACTOR = 1e-6    # eigenvalue clustering, relative to ||B||_F
 RANK_FACTOR = 1e-8       # rank decisions, relative to the matrix's Frobenius norm
 DEGENERATE_FACTOR = 1e-10  # leading Gram moments, relative to the chains' scale
-# the one settable tolerance: relative HB - B*H of the input, the
-# canonicalization residuals and a root's residuals in verify_root
-DEFAULT_TOL = 1e-8
 
 
 def _cluster_radius(b: np.ndarray) -> float:
@@ -73,11 +70,6 @@ def _norm2_lower_bound(b: np.ndarray) -> float:
     return float(np.linalg.norm(b @ x) / xnorm) if xnorm else 0.0
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < np.inf:  # NaN fails too
-        raise SpecInvalid(f"tolerance must be a positive finite number, got {tol!r}")
-
-
 def _check_pair(barr: np.ndarray, harr: np.ndarray, tol: float) -> None:
     """The one input check of a pair (B, H) in Omega_2n: tol, then HB = B*H within it.
 
@@ -92,7 +84,7 @@ def _check_pair(barr: np.ndarray, harr: np.ndarray, tol: float) -> None:
 
 
 def _rank_threshold(m: np.ndarray) -> float:
-    return RANK_FACTOR * max(1.0, float(np.linalg.norm(m)))
+    return RANK_FACTOR * max(1.0, frobenius_norm(m))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +460,7 @@ def _normalize_hermitian_chains(chains, g, partner):
     while chains:
         kappa = max(len(c) for c in chains)
         tops = [i for i, c in enumerate(chains) if len(c) == kappa]
-        scale = max(max(np.linalg.norm(x.v) for x in c) for c in chains) ** 2
+        nrm = max(1.0, max(frobenius_norm(x.v) for c in chains for x in c))
         # recombination partners must share the maximal length: adding a
         # shorter chain cannot stay a Jordan chain and cannot feed the
         # leading moment anyway.  lead[a, b] = |[top_b, eig_a]| over the top
@@ -478,7 +470,7 @@ def _normalize_hermitian_chains(chains, g, partner):
         p = np.column_stack([chains[i][0].pv for i in tops])
         lead = _modulus(np.abs(e.conj().T @ gt), np.abs(p.conj().T @ gt))
         peak = lead.max()
-        if peak <= DEGENERATE_FACTOR * max(1.0, scale):
+        if peak <= DEGENERATE_FACTOR * nrm * nrm:
             raise RankAmbiguous("degenerate leading moments in Gram normalization")
         a = int(np.argmax(lead.diagonal()))
         i = tops[a]
@@ -531,7 +523,7 @@ def _normalize_symplectic_chains(chains, bform):
     while chains:
         kappa = max(len(c) for c in chains)
         tops = [i for i, c in enumerate(chains) if len(c) == kappa]
-        scale = max(max(np.linalg.norm(v) for v in c) for c in chains) ** 2
+        nrm = max(1.0, max(frobenius_norm(v) for c in chains for v in c))
         # lead[b, a] = phi(top_b, eig_a) over the top chains, -lead[a, b] in
         # exact arithmetic.  The pair is the first largest |lead[a, b]| +
         # |lead[b, a]| above the diagonal, and its lower index is c, so no
@@ -539,7 +531,7 @@ def _normalize_symplectic_chains(chains, bform):
         lead = np.abs(bform(np.array([chains[i][-1] for i in tops]),
                             np.column_stack([chains[i][0] for i in tops])))
         pair = np.triu(lead + lead.T, 1)
-        if pair.max() <= 2 * DEGENERATE_FACTOR * max(1.0, scale):
+        if pair.max() <= 2 * DEGENERATE_FACTOR * nrm * nrm:
             raise RankAmbiguous("degenerate symplectic pairing of chains")
         a, b = np.unravel_index(np.argmax(pair), pair.shape)
         d = chains.pop(tops[b])

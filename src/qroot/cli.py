@@ -15,12 +15,14 @@ import sys
 import numpy as np
 
 from . import jsonio
-from .canonical import DEFAULT_TOL, CanonicalSpec, _canonicalize, _check_tol
+from .canonical import CanonicalSpec, _canonicalize
 from .errors import ParseError, ProfileInvalid, QRootError, SpecInvalid
-from .omega import complex_from_json, complex_to_json, omega_embed, omega_extract
+from .generate import random_instance
+from .omega import (DEFAULT_TOL, _check_m, _check_tol, complex_from_json, complex_to_json,
+                    omega_embed, omega_extract)
 from .quaternion import QuatMatrix
 from .roots import RootDecision, mth_root, reduce_pair, root_exists
-from .verify import random_instance, verify_root
+from .verify import verify_root
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,8 +98,10 @@ def _require_m(m) -> int:
     """--m, or the payload's m for verify: an integer >= 1 (a bool is not)."""
     if m is None:
         raise ParseError("--m is required (no implicit root order)")
-    if jsonio.integer(m, "m") < 1:
-        raise ParseError("m must be a positive integer")
+    try:
+        _check_m(m)  # the library's rule; from the command line it is a parse error
+    except SpecInvalid as exc:
+        raise ParseError(str(exc)) from None
     return m
 
 

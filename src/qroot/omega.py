@@ -4,7 +4,7 @@ omega(A) = [[A1, conj(A2)], [-A2, conj(A1)]] for A = A1 + j*A2.  Its image
 Omega_2n is exactly the set of M with M K = K conj(M), where
 K = [[0, I], [-I, 0]]; the antilinear map chi(v) = K conj(v) plays the role
 of right multiplication by j and drives every structure-preserving step in
-the canonicalization.
+the canonicalization.  Every layer reads its rules for m and tol from here.
 """
 
 from __future__ import annotations
@@ -12,12 +12,31 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (DimensionMismatch, NearSingularH, NotHermitian, NotInOmega,
-                     OddDimension, ParseError)
+                     OddDimension, ParseError, SpecInvalid)
 from .jsonio import float_array, integer
 from .quaternion import QuatMatrix, frobenius_norm
 
 MEMBERSHIP_FACTOR = 1e-10  # default tau_Omega = factor * max(1, max |m_ij|)
 COND_LIMIT = 1e12  # an H with a larger condition estimate counts as singular
+# the one settable tolerance: relative HB - B*H of the input, the
+# canonicalization residuals and a root's residuals in verify_root
+DEFAULT_TOL = 1e-8
+
+
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < np.inf:  # NaN fails too
+        raise SpecInvalid(f"tolerance must be a positive finite number, got {tol!r}")
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_m(m) -> None:
+    """m must be an integer (int or numpy integer, not bool) of at least 1."""
+    if not _is_integer(m) or m < 1:
+        raise SpecInvalid(f"m must be an integer >= 1, got {m!r}")
 
 
 class OmegaMatrix:
@@ -103,11 +122,6 @@ def _omega_member(arr: np.ndarray, tol: float | None = None) -> tuple[np.ndarray
     if not res <= tol:  # a NaN residual fails too
         raise NotInOmega(f"membership residual {res:.3e} exceeds {tol:.3e}")
     return a1, a2
-
-
-def omega_membership(m) -> float:
-    """Max entrywise deviation from the nearest matrix in Omega_2n."""
-    return omega_project(_omega_array(m, "omega_membership"))[2]
 
 
 def omega_extract(m, tol: float | None = None) -> QuatMatrix:

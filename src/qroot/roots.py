@@ -19,15 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lapack
+from . import lapack, verify  # by module, so bench/spans.py can wrap verify.verify_root
 # canonicalize_pair, omega_extract and selfadjoint_residual stay importable
 # from here; bench/spans.py wraps them by these names
-from .canonical import (DEFAULT_TOL, CanonicalBlock, CanonicalSpec, Reduction,
-                        _canonicalize, _check_pair, _empty_reduction, block_diag,
-                        canonicalize_pair, jordan_block)
+from .canonical import (CanonicalBlock, CanonicalSpec, Reduction, _canonicalize, _check_pair,
+                        _empty_reduction, block_diag, canonicalize_pair, jordan_block)
 from .errors import ClassMismatch, DimensionMismatch, RootInaccurate, SpecInvalid
-from .omega import (OmegaMatrix, omega_embed, omega_extract, omega_project,
-                    selfadjoint_residual)
+from .omega import (DEFAULT_TOL, OmegaMatrix, _check_m, omega_embed, omega_extract,
+                    omega_project, selfadjoint_residual)
 from .quaternion import QuatMatrix
 
 
@@ -256,17 +255,6 @@ def _classify_and_plan(spec: CanonicalSpec, m: int) -> _Plan:
             return plan
         plan.zero_grouping = outcome
     return plan
-
-
-def _is_integer(value) -> bool:
-    """An int or numpy integer that is not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_m(m) -> None:
-    """m must be an integer (int or numpy integer, not bool) of at least 1."""
-    if not _is_integer(m) or m < 1:
-        raise SpecInvalid(f"m must be an integer >= 1, got {m!r}")
 
 
 def root_exists(spec: CanonicalSpec, m: int) -> RootDecision:
@@ -535,10 +523,9 @@ def _schur_root(schur, lead: int, clusters, m: int, branch: int) -> np.ndarray:
 
 def _result_from_omega(a_omega: np.ndarray, b: QuatMatrix, h: QuatMatrix, m: int,
                        similarity: np.ndarray, tol: float) -> RootResult:
-    from .verify import verify_root  # verify imports roots for the generator
     a1, a2, omega_res = omega_project(a_omega)
     a_quat = QuatMatrix.from_complex_pair(a1, a2)
-    report = verify_root(a_quat, b, h, m, tol)
+    report = verify.verify_root(a_quat, b, h, m, tol)
     cond = float(np.linalg.cond(similarity)) if similarity.size else 1.0
     if not report.passed:
         raise RootInaccurate(

@@ -10,12 +10,13 @@ import time
 
 import numpy as np
 
+from qroot import random_instance
 from qroot.canonical import (CanonicalBlock, CanonicalSpec, canonicalize_pair,
                              materialize_pair)
 from qroot.omega import omega_embed, omega_extract
 from qroot.quaternion import QuatMatrix
 from qroot.roots import RootResult, mth_root, root_exists
-from qroot.verify import random_instance, verify_root
+from qroot.verify import verify_root
 
 from oracles import power_segre_oracle, segre, spec_matches
 

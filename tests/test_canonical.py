@@ -10,7 +10,7 @@ from qroot.canonical import (DEFAULT_TOL, CanonicalBlock, CanonicalSpec,
                              block_diag, canonicalize_pair, jordan_block,
                              materialize_pair, sip_matrix)
 from qroot.errors import NotSelfadjoint, SpecInvalid
-from qroot.omega import chi, omega_embed, omega_membership
+from qroot.omega import chi, omega_embed, omega_project
 from qroot.quaternion import QuatMatrix
 
 from lapack_sources import LAPACK_SOURCES, hide_names, lapack_source  # noqa: F401
@@ -72,8 +72,8 @@ def test_materialize_membership_zero():
     spec = CanonicalSpec((CanonicalBlock(2.0, 2, 1), CanonicalBlock(1j, 2, None),
                           CanonicalBlock(0.0, 1, -1)))
     b, h = materialize_pair(spec)
-    assert omega_membership(b.array) == 0.0
-    assert omega_membership(h.array) == 0.0
+    assert omega_project(b.array)[2] == 0.0
+    assert omega_project(h.array)[2] == 0.0
 
 
 def test_spec_validation():
@@ -186,7 +186,7 @@ def test_canonicalize_already_canonical():
     bm, hm = materialize_pair(spec)
     s, out = canonicalize_pair(bm, hm)
     assert out == spec
-    assert omega_membership(s.array) == 0.0
+    assert omega_project(s.array)[2] == 0.0
     _assert_canonical_residuals(s.array, bm.array, hm.array, out)
 
 
@@ -205,7 +205,7 @@ def test_canonicalize_scrambled_real_block():
     bm, hm = materialize_pair(out)
     assert np.linalg.norm(np.linalg.solve(s.array, b @ s.array) - bm.array) < 1e-8
     assert np.linalg.norm(s.array.conj().T @ h @ s.array - hm.array) < 1e-8
-    assert omega_membership(s.array) == 0.0
+    assert omega_project(s.array)[2] == 0.0
 
 
 @pytest.mark.parametrize("spec", [

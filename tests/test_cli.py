@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -345,6 +346,75 @@ def test_a_large_h_is_answered_as_a_small_one(tmp_path, capsys, scale):
     payload = {"B": quat_json([[1e154, 0, 0, 0]], 1), "H": quat_json([[1, 0, 0, 0]], 1)}
     rc, out = _main_on(tmp_path, capsys, ["root", "--m", "2"], payload)
     assert rc == 0 and out["root"]["entries"] == [[1e77, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("args", [["check", "--m", "2"], ["canon"], ["root", "--m", "3"]],
+                         ids=" ".join)
+def test_a_large_b_is_answered_as_a_small_one(tmp_path, capsys, args):
+    # s J_2(0) against the sip matrix: the rank threshold and the Gram
+    # moments' degeneracy bound take B's norms under a power-of-two scale, so
+    # s = 1e200 and 1e300 raise no overflow warning (pytest makes one an
+    # error).  The one answer, RankAmbiguous, is a known scale defect
+    sip = quat_json([[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]], 2)
+    answers = {json.dumps(_main_on(tmp_path, capsys, args, {
+        "B": quat_json([[0, 0, 0, 0], [s, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], 2),
+        "H": sip})) for s in (1e10, 1e100, 1e200, 1e300)}
+    assert len(answers) == 1
+
+
+# The first 16 hex digits of the SHA-256 of `qroot gen --seed S --m M`, a row
+# per S = 0..9 and a column per M = 2..4, taken before the generator left
+# verify.py.  B and H pass through BLAS products whose last bits depend on the
+# kernel, so each table belongs to one OpenBLAS build and kernel.
+_GEN_SHA256 = {
+    ("0.3.31.188.0", "SkylakeX"): [
+        ("8455c5552eac6ef1", "7e13047ece24e721", "dadc1375f4b281d9"),
+        ("491db91ef02aed55", "14ec1daf05bf2326", "91a98d811c03d756"),
+        ("adbe0b8cef88683e", "432dca2e9c2d8de8", "7ed6f3c2edb86080"),
+        ("d9b981d129252119", "37acc30c52be78e6", "f7df87a3e0127d05"),
+        ("2b45ed177ccc5526", "578d46d3c470d292", "2040ad6bcc468bd4"),
+        ("cc9edfc72dafb59e", "d257ef288f3b09c7", "7d6015131fe99d6c"),
+        ("2559ff5e0a973c9c", "e3631df0df86e5bd", "9e28613f39b37831"),
+        ("1f28818c45db0281", "48c9da8a0f7cd637", "c13c2bbced9b837d"),
+        ("b45dd8ee7d6bc78f", "4b5e006c74ea05de", "4f6e880b13f97bb7"),
+        ("4e7ef30a072eaaed", "811de3314fc1e52e", "615ca395aabdee95")],
+    ("0.3.31.188.0", "Haswell"): [
+        ("84f6c5cc05a34516", "2cff96c6f942171c", "d089a85d985316b9"),
+        ("e8cda6fa510e64b9", "b0599526e976c4d0", "15e20d516fecafda"),
+        ("7d3fdc1c73fb9e44", "c56c5d85b961d7dc", "e30ed75df2677669"),
+        ("11469698fdcbaa31", "6c0fba7156f25ffa", "a7cdbf4773f60b9c"),
+        ("a9415097830ffc63", "76129474e33a5024", "393eb35e8df86bee"),
+        ("6de7386b443a4afb", "3213a6f2dc5e9ec9", "bb462b1cbb40c669"),
+        ("6383232ccd564fc6", "69d1034bbb211a7b", "933a773103d1d4f0"),
+        ("c1b8fd954dc32736", "9b8921d341780d96", "7b8a54da42af0518"),
+        ("2e7dd30683ebda61", "7e4adf82c66cea62", "533b986535ccd578"),
+        ("95290b41d2362aee", "8205008411c08960", "f97197bdf99a60f5")],
+}
+
+
+def _openblas_kernel():
+    """(version, kernel) of the OpenBLAS that numpy.linalg calls, or None for another BLAS."""
+    import ctypes
+    from numpy.linalg import _umath_linalg
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    config, core = (getattr(lib, f"scipy_openblas_get_{what}64_", None)
+                    for what in ("config", "corename"))
+    if config is None or core is None:
+        return None
+    config.restype = core.restype = ctypes.c_char_p
+    return config().split()[1].decode(), core().decode()
+
+
+def test_gen_bytes_are_pinned(capsys):
+    import qroot.cli
+    pins = _GEN_SHA256.get(_openblas_kernel())
+    if pins is None:
+        pytest.skip(f"no gen hashes for the BLAS {_openblas_kernel()}")
+    for seed, row in enumerate(pins):
+        for m, want in zip((2, 3, 4), row):
+            assert qroot.cli.main(["gen", "--seed", str(seed), "--m", str(m)]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest()[:16] == want, (seed, m)
 
 
 def _omega_one(re):

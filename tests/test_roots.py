@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from qroot import random_instance
 from qroot.canonical import (CanonicalBlock, CanonicalSpec, block_diag,
                              jordan_block, materialize_pair, sip_matrix)
 from qroot.errors import ClassMismatch, DimensionMismatch, SpecInvalid
-from qroot.omega import omega_extract, omega_membership
+from qroot.omega import omega_extract, omega_project
 from qroot.quaternion import QuatMatrix
 from qroot.roots import (RootDecision, RootResult, assemble_root,
                          canonicalize_nilpotent_copy, mth_root, root_block_negative_even,
@@ -16,7 +17,7 @@ from qroot.roots import (RootDecision, RootResult, assemble_root,
                          root_block_real, root_exists,
                          _classify_and_plan, _group_plus_demand, _primary_root,
                          _root_branch, _smith_root)
-from qroot.verify import random_instance, verify_root
+from qroot.verify import verify_root
 
 from lapack_sources import LAPACK_SOURCES, lapack_source  # noqa: F401
 from oracles import m_tuple_partition, segre, smith_root, spec_matches
@@ -367,7 +368,7 @@ def test_assemble_two_scalar_parts():
 def test_assemble_mixed_parts_membership():
     nr = root_block_nonreal(1j, 1, 2)
     out = assemble_root([1, 2], [([0], np.array([[2.0]])), ([1], nr)])
-    assert omega_membership(out.array) == 0.0
+    assert omega_project(out.array)[2] == 0.0
 
 
 def test_assemble_split_pairs_and_zero_tuple_between_classes():
@@ -1139,7 +1140,7 @@ _MAPPED_OPENBLAS = """
 import ctypes, json, os
 import qroot.lapack as c
 from qroot.roots import mth_root
-from qroot.verify import random_instance
+from qroot import random_instance
 b, h, _ = random_instance(3, {"m": 2, "force": "admit"})
 mth_root(b, h, 2)
 paths = {line.split()[-1] for line in open("/proc/self/maps") if len(line.split()) >= 6}
@@ -1167,7 +1168,7 @@ _FLAPACK_SOLVE = """
 import ctypes, sys
 import qroot.lapack as c
 from qroot.roots import mth_root
-from qroot.verify import random_instance
+from qroot import random_instance
 
 
 def hidden():

@@ -1,12 +1,17 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qroot
+from qroot import random_instance
 from qroot.canonical import canonicalize_pair
 from qroot.errors import DimensionMismatch, ProfileInvalid
 from qroot.omega import omega_embed
 from qroot.quaternion import QuatMatrix
 from qroot.roots import RootResult, mth_root, root_exists
-from qroot.verify import random_instance, verify_root
+from qroot.verify import verify_root
 
 from oracles import power_segre_oracle, spec_matches
 
@@ -16,6 +21,25 @@ def quat_scalar(value):
 
 
 # -- verify_root --------------------------------------------------------------
+
+def _relative_imports(node) -> list[str]:
+    """The qroot modules that the relative imports under node name."""
+    return [alias.name if imp.module is None else imp.module
+            for imp in ast.walk(node) if isinstance(imp, ast.ImportFrom) and imp.level
+            for alias in imp.names]
+
+
+def test_the_verifier_imports_no_solver_code():
+    # the acceptance rule stays independent of the construction it checks
+    src = Path(qroot.__file__).parent
+    assert set(_relative_imports(ast.parse((src / "verify.py").read_text(encoding="utf-8")))) <= {
+        "errors", "omega", "quaternion"}
+    # and no module reaches another from inside a function to dodge a cycle
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert not _relative_imports(fn), f"{path.name}: {fn.name}"
+
 
 def test_verify_identity_m1():
     rng = np.random.default_rng(0)
